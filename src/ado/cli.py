@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .catalog import catalog_entry, catalog_names
 from .errors import AdoError, InputError
@@ -26,12 +27,7 @@ from .formats import (
     representation_from_json,
     representation_to_json,
 )
-from .pipeline import (
-    RepresentationResult,
-    VerificationReport,
-    ado_representation,
-    verify_representation,
-)
+from .pipeline import RepresentationResult, ado_representation, verify_representation
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,16 +178,10 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     data = representation_from_json(load_json(args.source))
-    if data["matrices"]:
-        report = verify_representation(data["algebra"], data["matrices"])
-    else:
-        report = VerificationReport(
-            dim_v=data["dim_v"],
-            homomorphism=True,
-            residual_pairs=(),
-            kernel_dimension=0,
-            faithful=True,
-        )
+    report = verify_representation(data["algebra"], data["matrices"])
+    if not data["matrices"]:
+        # the zero algebra's file states the size of its trivial space
+        report = replace(report, dim_v=data["dim_v"])
     recomputed = report.to_json()
     sys.stdout.write(canonical_dumps(recomputed))
     stated = data["verification"]

@@ -22,7 +22,6 @@ from .linalg import (
     add_vec,
     kernel,
     rank,
-    scale_vec,
     solve,
     sub_vec,
     unit_vector,
@@ -149,13 +148,11 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
             )
     else:
         solution = (QZERO,) * (m * rdim)
-    corrected = []
-    for a in range(m):
-        u = (QZERO,) * g.dim
-        for s, coeff in enumerate(solution[a * rdim : (a + 1) * rdim]):
-            if coeff:
-                u = add_vec(u, scale_vec(coeff, r.basis.rows[s]))
-        corrected.append(add_vec(lifts[a], u))
+    from_r = r.basis.transpose()
+    corrected = [
+        add_vec(lifts[a], from_r.apply(solution[a * rdim : (a + 1) * rdim]))
+        for a in range(m)
+    ]
     return Subspace.from_vectors(g.dim, corrected)
 
 

@@ -32,7 +32,19 @@ from typing import Sequence
 
 from .errors import FaithfulnessError, InputError, TripwireError
 from .lie import LieAlgebra
-from .linalg import Matrix, Q, QONE, QZERO, Subspace, Vector
+from .linalg import (
+    Matrix,
+    Q,
+    QONE,
+    QZERO,
+    SparseMatrix,
+    SparseSpan,
+    Subspace,
+    Vector,
+    _add_scaled,
+    bracket_residual,
+    sparse_combination,
+)
 
 Monomial = tuple[int, ...]
 Element = dict[Monomial, Q]
@@ -63,15 +75,6 @@ def monomial_word(mono: Monomial) -> tuple[int, ...]:
     return tuple(
         letter for letter, count in enumerate(mono) for _ in range(count)
     )
-
-
-def _add_scaled(target: Element, source: Element, coeff: Q) -> None:
-    for key, value in source.items():
-        acc = target.get(key, QZERO) + coeff * value
-        if acc:
-            target[key] = acc
-        else:
-            target.pop(key, None)
 
 
 class StraighteningEngine:
@@ -167,12 +170,7 @@ class StraighteningEngine:
         if self._slides_home(letter, mono):
             return {}
         out = dict(self.insert(letter, mono))
-        top = self._increment(mono, letter)
-        acc = out.get(top, QZERO) - QONE
-        if acc:
-            out[top] = acc
-        else:
-            out.pop(top, None)
+        _add_scaled(out, {self._increment(mono, letter): QONE}, -QONE)
         return out
 
     def left_multiply(self, letter: int, element: Element) -> Element:
@@ -194,45 +192,6 @@ class StraighteningEngine:
         return out
 
 
-class _SparseSpan:
-    """Forward-eliminated span of sparse vectors keyed by pivot index."""
-
-    def __init__(self):
-        self.rows: dict[int, dict[int, Q]] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def add(self, vec: dict[int, Q]) -> dict[int, Q] | None:
-        """Reduce against the span; store and return the residue, if any."""
-        v = {i: c for i, c in vec.items() if c}
-        while v:
-            pivot = min(v)
-            row = self.rows.get(pivot)
-            if row is None:
-                factor = v[pivot]
-                if factor != 1:
-                    v = {i: c / factor for i, c in v.items()}
-                self.rows[pivot] = v
-                return v
-            factor = v[pivot]
-            for i, c in row.items():
-                acc = v.get(i, QZERO) - factor * c
-                if acc:
-                    v[i] = acc
-                else:
-                    v.pop(i, None)
-        return None
-
-    def dense_rows(self, width: int) -> list[Vector]:
-        out = []
-        for pivot in sorted(self.rows):
-            row = self.rows[pivot]
-            out.append(tuple(row.get(i, QZERO) for i in range(width)))
-        return out
-
-
 @dataclass(frozen=True)
 class TruncatedModule:
     algebra: LieAlgebra
@@ -250,7 +209,7 @@ class TruncatedModule:
 class BuiltModule:
     module: TruncatedModule
     engine: StraighteningEngine
-    left: tuple[Matrix, ...]
+    left: tuple[SparseMatrix, ...]
 
     def _project(self, element: Element) -> Element:
         bound = self.module.truncation
@@ -271,16 +230,11 @@ class BuiltModule:
             c for i, c in enumerate(reduced) if i not in pivot_set
         )
 
-    def left_action(self, coords: Sequence[Q]) -> Matrix:
+    def left_action(self, coords: Sequence[Q]) -> SparseMatrix:
         """Matrix of left multiplication by an algebra element."""
-        dim = self.module.dim
-        out = Matrix.zeros(dim, dim)
-        for i, c in enumerate(coords):
-            if c:
-                out = out + self.left[i].scale(c)
-        return out
+        return sparse_combination(coords, self.left, self.module.dim, self.module.dim)
 
-    def derivation_action(self, derivation: Matrix) -> Matrix:
+    def derivation_action(self, derivation: Matrix) -> SparseMatrix:
         """Matrix of the Leibniz extension of a derivation of the algebra."""
         cols = [
             self.module_coordinates(
@@ -288,7 +242,7 @@ class BuiltModule:
             )
             for mono in self.module.module_monomials
         ]
-        return Matrix.from_columns(cols, nrows=self.module.dim)
+        return SparseMatrix.from_columns(cols, nrows=self.module.dim)
 
 
 @lru_cache(maxsize=8)
@@ -361,7 +315,7 @@ def build_module(
         {((0,) * i + (1,) + (0,) * (r - i - 1)): QONE} for i in range(r)
     ]
     for _ in range(order - 1):
-        nxt = _SparseSpan()
+        nxt = SparseSpan()
         rows: list[Element] = []
         for element in level:
             for i in range(r):
@@ -370,7 +324,7 @@ def build_module(
                     rows.append(unsparse(residue))
         level = rows
 
-    span = _SparseSpan()
+    span = SparseSpan()
     pending: list[dict[int, Q]] = []
 
     def feed(vec: dict[int, Q]) -> None:
@@ -411,36 +365,28 @@ def build_module(
         dim=dim_l - low_ideal.dim,
     )
 
-    generator_rows = []
+    # the generators must stay independent modulo the cut ideal
     for i in range(r):
-        vec = [QZERO] * dim_l
-        vec[index[(0,) * i + (1,) + (0,) * (r - i - 1)]] = QONE
-        generator_rows.append(tuple(vec))
-    if generator_rows:
-        generator_span = Subspace.from_vectors(dim_l, generator_rows)
-        if generator_span.intersect(low_ideal).dim != 0:
+        if span.add({index[(0,) * i + (1,) + (0,) * (r - i - 1)]: QONE}) is None:
             raise FaithfulnessError(
                 "module",
                 "generators become dependent in the truncated module",
                 truncation=order,
             )
 
-    built = BuiltModule(module=module, engine=engine, left=())
-    columns_per_gen = []
-    for i in range(r):
-        cols = [
-            built.module_coordinates(engine.insert(i, mono))
-            for mono in module_monomials
-        ]
-        columns_per_gen.append(Matrix.from_columns(cols, nrows=module.dim))
-    return BuiltModule(
-        module=module, engine=engine, left=tuple(columns_per_gen)
+    coords = BuiltModule(module=module, engine=engine, left=()).module_coordinates
+    left = tuple(
+        SparseMatrix.from_columns(
+            [coords(engine.insert(i, mono)) for mono in module_monomials], module.dim
+        )
+        for i in range(r)
     )
+    return BuiltModule(module=module, engine=engine, left=left)
 
 
 def verify_module_axioms(
     built: BuiltModule, derivations: Sequence[Matrix] = ()
-) -> list[Matrix]:
+) -> list[SparseMatrix]:
     """Check the bracket compatibilities of the built actions.
 
     Left actions must represent the algebra, derivation actions must
@@ -449,38 +395,30 @@ def verify_module_axioms(
     left action of the derived element.  Returns the derivation action
     matrices so callers can reuse them.
     """
-    algebra = built.module.algebra
-    r = algebra.dim
+    def check(residual: SparseMatrix, message: str, **where) -> None:
+        if not residual.is_zero():
+            raise TripwireError("module", message, **where)
+
+    table = built.module.algebra.table
+    left = built.left
+    r = len(left)
     for i in range(r):
         for j in range(i + 1, r):
-            lhs = built.left[i] * built.left[j] - built.left[j] * built.left[i]
-            if lhs != built.left_action(algebra.table[i][j]):
-                raise TripwireError(
-                    "module",
-                    "left actions do not represent the bracket",
-                    pair=[i, j],
-                )
+            residual = bracket_residual(left[i], left[j], table[i][j], left)
+            check(residual, "left actions do not represent the bracket", pair=[i, j])
     actions = [built.derivation_action(d) for d in derivations]
     for a, (d, action) in enumerate(zip(derivations, actions)):
         for i in range(r):
-            lhs = action * built.left[i] - built.left[i] * action
-            if lhs != built.left_action(d.column(i)):
-                raise TripwireError(
-                    "module",
-                    "derivation action fails against a left action",
-                    derivation=a,
-                    generator=i,
-                )
+            residual = bracket_residual(action, left[i], d.column(i), left)
+            message = "derivation action fails against a left action"
+            check(residual, message, derivation=a, generator=i)
     for a in range(len(actions)):
         for b in range(a + 1, len(actions)):
-            lhs = actions[a] * actions[b] - actions[b] * actions[a]
             commutator = derivations[a] * derivations[b] - derivations[b] * derivations[a]
-            if lhs != built.derivation_action(commutator):
-                raise TripwireError(
-                    "module",
-                    "derivation actions do not respect their commutator",
-                    pair=[a, b],
-                )
+            target = built.derivation_action(commutator)
+            residual = bracket_residual(actions[a], actions[b], (QONE,), (target,))
+            message = "derivation actions do not respect their commutator"
+            check(residual, message, pair=[a, b])
     return actions
 
 

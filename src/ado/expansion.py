@@ -171,7 +171,8 @@ def expansion_step(pres: Presentation) -> Presentation:
     embed_cols = []
     for j in range(q.dim):
         coeffs = solve(decomposition_basis, unit_vector(q.dim, j))
-        assert coeffs is not None
+        if coeffs is None:
+            raise TripwireError("expand", "basis vector outside x + hyperplane", index=j)
         alpha = coeffs[0]
         embed_cols.append((alpha, alpha) + tuple(coeffs[1:]))
     step_embed = Matrix.from_columns(embed_cols, nrows=dim_new)

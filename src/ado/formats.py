@@ -16,7 +16,7 @@ import re
 
 from .errors import InputError
 from .lie import LieAlgebra
-from .linalg import Matrix, Q
+from .linalg import QZERO, Matrix, Q
 
 _RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?$")
 _PAIR_KEY = re.compile(r"(\d+),(\d+)$")
@@ -130,7 +130,8 @@ def matrix_from_json(data: object, where: str, size: int) -> Matrix:
             isinstance(raw_row, list) and len(raw_row) == size,
             f"{where}: row {r} must have {size} entries",
         )
-        rows.append([parse_rational(x, f"{where}[{r}]") for x in raw_row])
+        label = f"{where}[{r}]"
+        rows.append([QZERO if x == "0" else parse_rational(x, label) for x in raw_row])
     return Matrix(rows, ncols=size)
 
 

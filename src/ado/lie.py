@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, TripwireError
 from .linalg import (
     Matrix,
     Q,
@@ -215,7 +215,8 @@ class LieAlgebra:
                 if not span.member(w):
                     raise ValueError("span is not closed under the bracket")
                 coeffs = solve(basis_matrix.transpose(), w)
-                assert coeffs is not None
+                if coeffs is None:
+                    raise TripwireError("subalgebra", "bracket outside the span")
                 row_entries.append(coeffs)
             table.append(row_entries)
         sub = LieAlgebra(table) if rows else LieAlgebra([])

@@ -13,7 +13,7 @@ every basis pair, and the kernel of the coefficient map for injectivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .decompose import reductive_split
 from .envelope import (
@@ -28,12 +28,17 @@ from .lie import LieAlgebra
 from .linalg import (
     Matrix,
     Q,
+    QONE,
     QZERO,
+    SparseMatrix,
+    SparseSpan,
     Subspace,
     block_diag,
-    kernel,
+    bracket_residual,
     rank,
     solve,
+    sparse_block_diag,
+    sparse_combination,
     unit_vector,
 )
 
@@ -99,7 +104,8 @@ def reductive_representation(algebra: LieAlgebra) -> tuple[Matrix, ...]:
     mats = []
     for i in range(algebra.dim):
         coeffs = solve(change, unit_vector(algebra.dim, i))
-        assert coeffs is not None
+        if coeffs is None:
+            raise TripwireError("pipeline", "basis vector outside derived + centre", index=i)
         central = coeffs[derived.dim :]
         columns = [(QZERO,) + tuple(central)]
         columns += [(QZERO,) * sigma_width] * dz
@@ -108,52 +114,6 @@ def reductive_representation(algebra: LieAlgebra) -> tuple[Matrix, ...]:
             block_diag([algebra.ad(unit_vector(algebra.dim, i)), sigma])
         )
     return tuple(mats)
-
-
-def _sparse_columns(m: Matrix) -> list[dict[int, Q]]:
-    cols: list[dict[int, Q]] = [{} for _ in range(m.ncols)]
-    for r, row in enumerate(m.rows):
-        for c, value in enumerate(row):
-            if value:
-                cols[c][r] = value
-    return cols
-
-
-def _apply_sparse(cols: list[dict[int, Q]], v: dict[int, Q]) -> dict[int, Q]:
-    out: dict[int, Q] = {}
-    for t, c in v.items():
-        for r, a in cols[t].items():
-            s = out.get(r, QZERO) + c * a
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-    return out
-
-
-def _commutator_matches(
-    cols: list[list[dict[int, Q]]], i: int, j: int, target: tuple[Q, ...]
-) -> bool:
-    dim_v = len(cols[i])
-    for t in range(dim_v):
-        lhs = _apply_sparse(cols[i], cols[j][t])
-        for r, a in _apply_sparse(cols[j], cols[i][t]).items():
-            s = lhs.get(r, QZERO) - a
-            if s:
-                lhs[r] = s
-            else:
-                lhs.pop(r, None)
-        for k, c in enumerate(target):
-            if c:
-                for r, a in cols[k][t].items():
-                    s = lhs.get(r, QZERO) - c * a
-                    if s:
-                        lhs[r] = s
-                    else:
-                        lhs.pop(r, None)
-        if lhs:
-            return False
-    return True
 
 
 def verify_representation(
@@ -166,19 +126,19 @@ def verify_representation(
     for m in matrices:
         if m.nrows != dim_v or m.ncols != dim_v:
             raise ValueError("matrices must be square and equally sized")
-    cols = [_sparse_columns(m) for m in matrices]
-    residuals = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            if not _commutator_matches(cols, i, j, algebra.table[i][j]):
-                residuals.append((i, j))
-    if matrices:
-        coefficient_map = Matrix.from_columns(
-            [m.flatten() for m in matrices], nrows=dim_v * dim_v
-        )
-        kernel_dimension = kernel(coefficient_map).dim
-    else:
-        kernel_dimension = 0
+    sparse = [SparseMatrix.from_dense(m) for m in matrices]
+    residuals = [
+        (i, j)
+        for i in range(algebra.dim)
+        for j in range(i + 1, algebra.dim)
+        if not bracket_residual(sparse[i], sparse[j], algebra.table[i][j], sparse).is_zero()
+    ]
+    # the kernel of the coefficient map c -> sum c_k M_k, by the rank of
+    # the flattened matrices
+    span = SparseSpan()
+    for m in sparse:
+        span.add(m.flatten())
+    kernel_dimension = len(sparse) - span.dim
     return VerificationReport(
         dim_v=dim_v,
         homomorphism=not residuals,
@@ -208,7 +168,7 @@ def _assemble(
     env_active = acting_part.dim + nil.dim > 0
 
     built: BuiltModule | None = None
-    action_mats: list[Matrix] = []
+    action_mats: list[SparseMatrix] = []
     if env_active:
         nalg, _ = q.subalgebra_on_basis(nil.basis.rows)
         built = build_module(nalg, order)
@@ -217,11 +177,11 @@ def _assemble(
         ]
         action_mats = verify_module_axioms(built, derivations)
 
-    red_mats: tuple[Matrix, ...] = ()
+    red_mats: list[SparseMatrix] = []
     if kernel_part.dim:
         p1alg, _ = q.subalgebra_on_basis(kernel_part.basis.rows)
         try:
-            red_mats = reductive_representation(p1alg)
+            red_mats = [SparseMatrix.from_dense(m) for m in reductive_representation(p1alg)]
         except ValueError as exc:
             raise TripwireError("pipeline", str(exc)) from None
 
@@ -234,35 +194,25 @@ def _assemble(
     matrices = []
     for i in range(algebra.dim):
         coeffs = solve(change, pres.embed_original.column(i))
-        assert coeffs is not None
+        if coeffs is None:
+            raise TripwireError("pipeline", "basis vector outside the split", index=i)
         central = coeffs[: kernel_part.dim]
         acting = coeffs[kernel_part.dim : kernel_part.dim + acting_part.dim]
         nilpart = coeffs[kernel_part.dim + acting_part.dim :]
         blocks = []
         if built is not None:
             block = built.left_action(nilpart)
-            for c, mat in zip(acting, action_mats):
-                if c:
-                    block = block + mat.scale(c)
-            blocks.append(block)
+            dim = block.nrows
+            blocks.append(sparse_combination((QONE,) + acting, [block] + action_mats, dim, dim))
         if red_mats:
-            red = Matrix.zeros(red_mats[0].nrows, red_mats[0].ncols)
-            for c, mat in zip(central, red_mats):
-                if c:
-                    red = red + mat.scale(c)
-            blocks.append(red)
-        matrices.append(block_diag(blocks))
+            size = red_mats[0].nrows
+            blocks.append(sparse_combination(central, red_mats, size, size))
+        matrices.append(sparse_block_diag(blocks).to_dense())
 
     report = verify_representation(algebra, tuple(matrices))
     if not matrices:
         # zero algebra: represent it on a one-dimensional space
-        report = VerificationReport(
-            dim_v=1,
-            homomorphism=True,
-            residual_pairs=(),
-            kernel_dimension=0,
-            faithful=True,
-        )
+        report = replace(report, dim_v=1)
     if not report.homomorphism:
         raise TripwireError(
             "pipeline",

@@ -6,6 +6,7 @@ Each prints "acceptance N (label): PASS" or "FAIL" past the capture so
 a plain pytest run shows the checklist.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -60,6 +61,23 @@ CATALOG_CASES = (
     "t3",
 )
 
+# sha256 of the `ado compute --catalog NAME` stdout; representation files
+# are byte-deterministic, so any change to these is a change of output
+CATALOG_SHA256 = {
+    "abelian:1": "8bbd45e2d736af8c4d53b6680a77d686f1cf0a04469e4eb25b0d47277ef45790",
+    "abelian:2": "2e51bb1cb0cb18b9896a5be25eab0ad1e774682a0aaef8aeb9f9435f9cde509c",
+    "abelian:3": "d032b0a60974b9ec6966faeccb0b789fefedeeff32e66ee94e57972389a3cf07",
+    "abelian:4": "ca91bd74462058c0b4c221884744ce272d8785e4bd17595c7d28bab7fd2e061c",
+    "heisenberg": "19ebc7111586629949991416b2a6d4abe684ddb2333f3b01b6c08304374a2285",
+    "heisenberg5": "ddcc3337e14a8c1e86a42fa5161b2cf12fca653ebbb0f06af1e9c01d4b749dec",
+    "solv2": "634c587e89400795ac63aaf471bf24bafb197d478b56eb2ca943d8d3338b4efc",
+    "jordan3": "d7fc285c88b835452775f19219b32c9fe14f0ac04f310d6272bdc246b0aa357b",
+    "rot3": "184b18d5ea5bb0620ea573eea0ea3905d0f165c6df4775f5f3aa2e07a9287612",
+    "sl2": "13836be6a31fa11d521faa8af6b39338f535212b44f22729420e4af0ab6b9d86",
+    "gl2": "268dc30c7a6fa69c1d41cf53b31b82a838a7c477aaafdac5b689a575e1b28097",
+    "t3": "2d674c80d9bad8e891d723ce00fc1db3488d6963d89c73bb50920863633fc775",
+}
+
 # the catalog entries whose saturation takes at least one step
 STEPPING_CASES = ("solv2", "jordan3", "rot3", "t3")
 
@@ -89,6 +107,8 @@ def test_catalog_end_to_end(capsys):
             assert verification["residual_pairs"] == [], name
             assert verification["kernel_dimension"] == 0, name
             assert verification["verified"] is True, name
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            assert digest == CATALOG_SHA256[name], name
             assert elapsed < 60.0, (name, elapsed)
             total += elapsed
         assert total < 600.0, total

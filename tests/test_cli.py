@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ado import expansion, lie, pipeline
 from ado.cli import main
 
 
@@ -166,3 +167,17 @@ def test_error_objects_are_single_json_lines(capsys):
     assert len(lines) == 1
     parsed = json.loads(lines[0])
     assert parsed["error"]["detail"]["available"][0] == "abelian:N"
+
+
+@pytest.mark.parametrize(
+    "module, stage",
+    [(pipeline, "pipeline"), (expansion, "expand"), (lie, "subalgebra")],
+)
+def test_unsolvable_system_is_a_tripwire_naming_its_stage(capsys, monkeypatch, module, stage):
+    # a solve that should always succeed fails: a structured exit 2, not a TypeError
+    monkeypatch.setattr(module, "solve", lambda a, b: None)
+    code, out, err = run(capsys, "compute", "--catalog", "solv2")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert (error["stage"], error["kind"]) == (stage, "TripwireError")

@@ -6,21 +6,23 @@ long lengths down to the truncation degree and spans.  It never touches
 the package's engine internals.
 """
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from ado.catalog import catalog_algebra
 from ado.envelope import (
+    BuiltModule,
     StraighteningEngine,
     build_module,
     check_short_span_intersection,
     monomials_up_to,
     verify_module_axioms,
 )
-from ado.errors import FaithfulnessError, InputError
+from ado.errors import FaithfulnessError, InputError, TripwireError
 from ado.lie import LieAlgebra
-from ado.linalg import Matrix, Subspace
+from ado.linalg import Matrix, SparseMatrix, Subspace
 
 from helpers import (
     oracle_low_ideal,
@@ -158,7 +160,7 @@ def test_derivation_action_frozen_weights():
             [0, 0, 0, 0, 0, 0, 2],
         ]
     )
-    assert action == expected
+    assert action.to_dense() == expected
 
 
 def test_derivation_axioms_with_two_derivations():
@@ -166,6 +168,60 @@ def test_derivation_axioms_with_two_derivations():
     d1 = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     d2 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # x <- y, a nilpotent derivation
     verify_module_axioms(built, [d1, d2])
+
+
+def _bump(m: SparseMatrix, r: int, c: int) -> SparseMatrix:
+    rows = [list(row) for row in m.to_dense().rows]
+    rows[r][c] += 1
+    return SparseMatrix.from_dense(Matrix(rows))
+
+
+def _tamper_derivation_call(monkeypatch, call: int) -> None:
+    # the call-th derivation action the module computes gets one entry bumped
+    original = BuiltModule.derivation_action
+    calls = []
+
+    def tampered(self, derivation):
+        calls.append(derivation)
+        action = original(self, derivation)
+        return _bump(action, 0, 0) if len(calls) == call else action
+
+    monkeypatch.setattr(BuiltModule, "derivation_action", tampered)
+
+
+# entry (0, 0) is the unit's coefficient in an image, zero for every
+# action here; bumping it breaks the bracket with any generator
+WEIGHTS = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+SHIFT = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # x <- y, nilpotent
+
+
+def test_module_axioms_name_a_tampered_left_action():
+    built = build_module(HEIS, truncation=3)
+    left = (_bump(built.left[0], 0, 0),) + built.left[1:]
+    with pytest.raises(TripwireError) as exc:
+        verify_module_axioms(replace(built, left=left))
+    assert exc.value.stage == "module"
+    assert exc.value.message == "left actions do not represent the bracket"
+    assert exc.value.payload == {"pair": [0, 1]}
+
+
+def test_module_axioms_name_a_tampered_derivation_action(monkeypatch):
+    built = build_module(HEIS, truncation=3)
+    _tamper_derivation_call(monkeypatch, 2)
+    with pytest.raises(TripwireError) as exc:
+        verify_module_axioms(built, [WEIGHTS, SHIFT])
+    assert exc.value.message == "derivation action fails against a left action"
+    assert exc.value.payload == {"derivation": 1, "generator": 0}
+
+
+def test_module_axioms_name_a_tampered_commutator(monkeypatch):
+    built = build_module(HEIS, truncation=3)
+    # the third call is the action of the commutator of the two derivations
+    _tamper_derivation_call(monkeypatch, 3)
+    with pytest.raises(TripwireError) as exc:
+        verify_module_axioms(built, [WEIGHTS, SHIFT])
+    assert exc.value.message == "derivation actions do not respect their commutator"
+    assert exc.value.payload == {"pair": [0, 1]}
 
 
 def test_short_span_finding():
@@ -182,7 +238,7 @@ def test_short_span_finding():
 def test_left_action_of_x_frozen():
     built = build_module(HEIS, truncation=2)
     # basis 1, z, y, x, y^2, xy, x^2; x kills xz-bound images
-    assert built.left[0] == Matrix(
+    assert built.left[0].to_dense() == Matrix(
         [
             [0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0],

@@ -11,11 +11,12 @@ from ado.formats import (
     canonical_dumps,
     format_rational,
     load_json,
+    matrix_from_json,
     parse_rational,
     representation_from_json,
     representation_to_json,
 )
-from ado.linalg import Q
+from ado.linalg import QZERO, Q
 from ado.pipeline import ado_representation
 
 from helpers import rationals
@@ -148,3 +149,13 @@ def test_load_json_reports_unreadable_files(tmp_path):
     bad.write_text("{", encoding="utf-8")
     with pytest.raises(InputError, match="not valid JSON"):
         load_json(str(bad))
+
+
+def test_matrix_zero_entries_share_one_value():
+    m = matrix_from_json([["0", "1/2"], [0, "-3"]], "m", 2)
+    assert m.rows == ((0, Q(1, 2)), (0, -3))
+    assert m.rows[0][0] is QZERO
+    # everything but the exact string "0" is still parsed and validated
+    for bad in ("00x", "0.0", 0.0, None, True):
+        with pytest.raises(InputError, match=r"m\[1\]"):
+            matrix_from_json([["0", "0"], ["0", bad]], "m", 2)

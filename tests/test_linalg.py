@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from ado.linalg import (
     Matrix,
     Polynomial,
+    SparseMatrix,
+    SparseSpan,
     Subspace,
     block_diag,
+    bracket_residual,
     compose_mod,
     extended_gcd,
     kernel,
@@ -20,6 +23,8 @@ from ado.linalg import (
     rank,
     rref,
     solve,
+    sparse_block_diag,
+    sparse_combination,
     squarefree_part,
     vstack,
 )
@@ -264,3 +269,63 @@ def test_polynomial_divmod_identity(fc, gc):
     q, r = divmod(f, g)
     assert q * g + r == f
     assert r.degree < g.degree
+
+
+# the sparse type against the dense Matrix as the reference: equal exactly
+
+
+@given(matrices(3, 4))
+def test_sparse_round_trip(m):
+    sparse = SparseMatrix.from_dense(m)
+    assert sparse.to_dense() == m
+    assert sparse.is_zero() == m.is_zero()
+    columns = [m.column(j) for j in range(m.ncols)]
+    assert SparseMatrix.from_columns(columns, m.nrows).cols == sparse.cols
+    assert sparse.flatten() == {k: x for k, x in enumerate(m.flatten()) if x}
+    assert all(0 not in col.values() for col in sparse.cols)
+
+
+@given(matrices(3, 3), matrices(3, 3), rationals(), rationals())
+def test_sparse_combination_matches_dense(a, b, c, d):
+    mats = (SparseMatrix.from_dense(a), SparseMatrix.from_dense(b))
+    assert sparse_combination((c, d), mats, 3, 3).to_dense() == a.scale(c) + b.scale(d)
+    assert sparse_combination((), (), 2, 3).to_dense() == Matrix.zeros(2, 3)
+
+
+@given(
+    matrices(3, 3),
+    matrices(3, 3),
+    st.lists(matrices(3, 3), max_size=3),
+    st.lists(rationals(), min_size=3, max_size=3),
+)
+def test_bracket_residual_matches_dense(a, b, mats, coeffs):
+    expected = a * b - b * a
+    for c, m in zip(coeffs, mats):
+        expected = expected - m.scale(c)
+    sa, sb = SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)
+    got = bracket_residual(sa, sb, coeffs, [SparseMatrix.from_dense(m) for m in mats])
+    assert got.to_dense() == expected
+    # a commutator minus itself leaves nothing
+    commutator = SparseMatrix.from_dense(a * b - b * a)
+    assert bracket_residual(sa, sb, (Q(1),), (commutator,)).is_zero()
+
+
+@given(matrices(2, 3), matrices(3, 1), matrices(1, 2))
+def test_sparse_block_diag_matches_dense(a, b, c):
+    blocks = [a, b, c]
+    sparse = sparse_block_diag([SparseMatrix.from_dense(m) for m in blocks])
+    assert sparse.to_dense() == block_diag(blocks)
+
+
+@given(
+    st.lists(matrices(2, 3), min_size=1, max_size=4),
+    st.lists(rationals(), min_size=2, max_size=2),
+)
+def test_sparse_span_rank_matches_rref(mats, coeffs):
+    # append a combination of the first two so the rank can fall short
+    if len(mats) >= 2:
+        mats = mats + [mats[0].scale(coeffs[0]) + mats[1].scale(coeffs[1])]
+    span = SparseSpan()
+    for m in mats:
+        span.add(SparseMatrix.from_dense(m).flatten())
+    assert span.dim == rank(Matrix([m.flatten() for m in mats], ncols=6))
