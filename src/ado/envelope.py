@@ -20,15 +20,21 @@ reached from finitely many seeds: pi-images of left multiples of the
 span of straightened length-M words, together with the pi-images of the
 straightening corrections of one letter times a monomial of degree
 M + 1 .. B - 1, closed under the truncated left actions.
+
+The cut is held in one form: a sparse echelon span over the indices of
+the monomials of degree at most M in graded order, each row pivoting at
+its lowest monomial index.  The module basis is the non-pivot monomials,
+and the module coordinates of an element are the residue of its degree
+<= M part with every pivot coordinate eliminated, which is unique.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import FaithfulnessError, InputError, TripwireError
 from .lie import LieAlgebra
@@ -39,8 +45,6 @@ from .linalg import (
     QZERO,
     SparseMatrix,
     SparseSpan,
-    Subspace,
-    Vector,
     _add_scaled,
     bracket_residual,
     sparse_combination,
@@ -192,17 +196,41 @@ class StraighteningEngine:
         return out
 
 
+def _project(element: Element, index: dict[Monomial, int]) -> dict[int, Q]:
+    """Index vector of the part of an element on the indexed monomials."""
+    return {i: c for m, c in element.items() if (i := index.get(m)) is not None}
+
+
 @dataclass(frozen=True)
 class TruncatedModule:
+    """Monomials of degree <= M modulo the cut ideal.
+
+    low_ideal is the cut as a sparse echelon span over monomial indices,
+    each row pivoting at its lowest index; the module basis is the
+    non-pivot monomials, and position gives each one's place in it.
+    """
+
     algebra: LieAlgebra
     nilindex: int
     truncation: int
     ambient_bound: int
     ambient_count: int
     monomials: tuple[Monomial, ...]
-    low_ideal: Subspace
+    index: dict[Monomial, int]
+    low_ideal: SparseSpan
+    position: dict[int, int]
     module_monomials: tuple[Monomial, ...]
     dim: int
+
+    def coordinates(self, element: Element) -> dict[int, Q]:
+        """Sparse module coordinates of the degree <= M part of an element."""
+        residue = self.low_ideal.reduce(_project(element, self.index))
+        return {self.position[i]: c for i, c in residue.items()}
+
+    def action_matrix(self, image: Callable[[Monomial], Element]) -> SparseMatrix:
+        """Matrix sending each basis monomial m to the coordinates of image(m)."""
+        cols = [self.coordinates(image(mono)) for mono in self.module_monomials]
+        return SparseMatrix(self.dim, self.dim, cols)
 
 
 @dataclass(frozen=True)
@@ -211,43 +239,13 @@ class BuiltModule:
     engine: StraighteningEngine
     left: tuple[SparseMatrix, ...]
 
-    def _project(self, element: Element) -> Element:
-        bound = self.module.truncation
-        return {m: c for m, c in element.items() if sum(m) <= bound}
-
-    def _dense(self, element: Element) -> Vector:
-        index = _monomial_index(self.module.monomials)
-        vec = [QZERO] * len(self.module.monomials)
-        for mono, coeff in element.items():
-            vec[index[mono]] = coeff
-        return tuple(vec)
-
-    def module_coordinates(self, element: Element) -> Vector:
-        """Coordinates in the module basis of a degree <= M element."""
-        reduced = self.module.low_ideal.reduce(self._dense(self._project(element)))
-        pivot_set = set(self.module.low_ideal.pivots)
-        return tuple(
-            c for i, c in enumerate(reduced) if i not in pivot_set
-        )
-
     def left_action(self, coords: Sequence[Q]) -> SparseMatrix:
         """Matrix of left multiplication by an algebra element."""
         return sparse_combination(coords, self.left, self.module.dim, self.module.dim)
 
     def derivation_action(self, derivation: Matrix) -> SparseMatrix:
         """Matrix of the Leibniz extension of a derivation of the algebra."""
-        cols = [
-            self.module_coordinates(
-                self.engine.derive_monomial(derivation, mono)
-            )
-            for mono in self.module.module_monomials
-        ]
-        return SparseMatrix.from_columns(cols, nrows=self.module.dim)
-
-
-@lru_cache(maxsize=8)
-def _monomial_index(monomials: tuple[Monomial, ...]) -> dict[Monomial, int]:
-    return {mono: idx for idx, mono in enumerate(monomials)}
+        return self.module.action_matrix(partial(self.engine.derive_monomial, derivation))
 
 
 def ambient_limit() -> int:
@@ -297,15 +295,7 @@ def build_module(
         )
 
     monomials = monomials_up_to(r, order)
-    index = _monomial_index(monomials)
-    dim_l = len(monomials)
-
-    def sparse(element: Element) -> dict[int, Q]:
-        return {
-            index[mono]: coeff
-            for mono, coeff in element.items()
-            if sum(mono) <= order
-        }
+    index = {mono: idx for idx, mono in enumerate(monomials)}
 
     def unsparse(vec: dict[int, Q]) -> Element:
         return {monomials[i]: c for i, c in vec.items()}
@@ -319,7 +309,7 @@ def build_module(
         rows: list[Element] = []
         for element in level:
             for i in range(r):
-                residue = nxt.add(sparse(engine.left_multiply(i, element)))
+                residue = nxt.add(_project(engine.left_multiply(i, element), index))
                 if residue is not None:
                     rows.append(unsparse(residue))
         level = rows
@@ -327,32 +317,28 @@ def build_module(
     span = SparseSpan()
     pending: list[dict[int, Q]] = []
 
-    def feed(vec: dict[int, Q]) -> None:
-        residue = span.add(vec)
+    def feed(element: Element) -> None:
+        residue = span.add(_project(element, index))
         if residue is not None:
             pending.append(residue)
 
     for element in level:
         for i in range(r):
-            feed(sparse(engine.left_multiply(i, element)))
+            feed(engine.left_multiply(i, element))
     for mono in monomials_up_to(r, max(bound - 1, 0)):
         if sum(mono) <= order:
             continue
         for i in range(r):
             corr = engine.correction(i, mono)
             if corr:
-                feed(sparse(corr))
+                feed(corr)
     while pending:
         vec = pending.pop()
         element = unsparse(vec)
         for i in range(r):
-            feed(sparse(engine.left_multiply(i, element)))
+            feed(engine.left_multiply(i, element))
 
-    low_ideal = Subspace.from_vectors(dim_l, span.dense_rows(dim_l))
-    pivot_set = set(low_ideal.pivots)
-    module_monomials = tuple(
-        mono for idx, mono in enumerate(monomials) if idx not in pivot_set
-    )
+    basis = [idx for idx in range(len(monomials)) if idx not in span.rows]
     module = TruncatedModule(
         algebra=algebra,
         nilindex=k,
@@ -360,27 +346,25 @@ def build_module(
         ambient_bound=bound,
         ambient_count=count,
         monomials=monomials,
-        low_ideal=low_ideal,
-        module_monomials=module_monomials,
-        dim=dim_l - low_ideal.dim,
+        index=index,
+        low_ideal=span,
+        position={idx: p for p, idx in enumerate(basis)},
+        module_monomials=tuple(monomials[idx] for idx in basis),
+        dim=len(basis),
     )
 
     # the generators must stay independent modulo the cut ideal
+    generators = SparseSpan()
     for i in range(r):
-        if span.add({index[(0,) * i + (1,) + (0,) * (r - i - 1)]: QONE}) is None:
+        unit = {(0,) * i + (1,) + (0,) * (r - i - 1): QONE}
+        if generators.add(module.coordinates(unit)) is None:
             raise FaithfulnessError(
                 "module",
                 "generators become dependent in the truncated module",
                 truncation=order,
             )
 
-    coords = BuiltModule(module=module, engine=engine, left=()).module_coordinates
-    left = tuple(
-        SparseMatrix.from_columns(
-            [coords(engine.insert(i, mono)) for mono in module_monomials], module.dim
-        )
-        for i in range(r)
-    )
+    left = tuple(module.action_matrix(partial(engine.insert, i)) for i in range(r))
     return BuiltModule(module=module, engine=engine, left=left)
 
 
@@ -438,10 +422,12 @@ def check_short_span_intersection(built: BuiltModule) -> dict:
     for i in range(r):
         for j in range(r):
             elements.append(engine.straighten_word((i, j)))
-    vectors = [built._dense(built._project(e)) for e in elements]
-    short_span = Subspace.from_vectors(len(built.module.monomials), vectors)
-    meet = short_span.intersect(built.module.low_ideal)
+    # dim(short meet cut) = dim(short) - dim of its image in the quotient
+    short, image = SparseSpan(), SparseSpan()
+    for e in elements:
+        short.add(_project(e, built.module.index))
+        image.add(built.module.coordinates(e))
     return {
-        "span_dimension": short_span.dim,
-        "intersection_dimension": meet.dim,
+        "span_dimension": short.dim,
+        "intersection_dimension": short.dim - image.dim,
     }

@@ -119,7 +119,7 @@ def algebra_from_json(data: object) -> tuple[str, tuple[str, ...], LieAlgebra]:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[format_rational(x) for x in row] for row in m.rows]
+    return [[format_rational(x) if x else "0" for x in row] for row in m.rows]
 
 
 def matrix_from_json(data: object, where: str, size: int) -> Matrix:

@@ -8,7 +8,7 @@ two computations that produce the same subspace produce the same basis.
 
 Work the size of a representation uses SparseMatrix instead: columns
 holding only their nonzero entries, one residual routine for brackets
-and a forward eliminator (SparseSpan) for ranks of sparse vectors.
+and an echelon span (SparseSpan) for ranks and residues of sparse vectors.
 
 Polynomials live here too (dense, coefficients listed from the constant
 term up) together with the handful of polynomial operations the rest of
@@ -340,7 +340,7 @@ def sparse_block_diag(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
 
 
 class SparseSpan:
-    """Forward-eliminated span of sparse vectors keyed by pivot index."""
+    """Echelon span of sparse vectors; each row is keyed by its pivot (lowest index, entry 1)."""
 
     def __init__(self):
         self.rows: dict[int, dict[int, Q]] = {}
@@ -364,11 +364,18 @@ class SparseSpan:
             _add_scaled(v, row, -v[pivot])
         return None
 
-    def dense_rows(self, width: int) -> list[Vector]:
-        return [
-            tuple(self.rows[p].get(i, QZERO) for i in range(width))
-            for p in sorted(self.rows)
-        ]
+    def reduce(self, vec: dict[int, Q]) -> dict[int, Q]:
+        """Residue of vec with every pivot coordinate eliminated; stores nothing."""
+        v = {i: c for i, c in vec.items() if c}
+        out: dict[int, Q] = {}
+        while v:
+            i = min(v)
+            row = self.rows.get(i)
+            if row is None:
+                out[i] = v.pop(i)
+            else:
+                _add_scaled(v, row, -v[i])
+        return out
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -298,10 +298,9 @@ def package_low_ideal_in_oracle_coords(built):
     low_monos = monomials_up_to(mod.algebra.dim, mod.truncation)
     low_index = {mono: i for i, mono in enumerate(low_monos)}
     rows = []
-    for row in mod.low_ideal.basis.rows:
+    for row in mod.low_ideal.rows.values():
         vec = [Q(0)] * len(low_monos)
-        for idx, coeff in enumerate(row):
-            if coeff:
-                vec[low_index[mod.monomials[idx]]] = coeff
+        for idx, coeff in row.items():
+            vec[low_index[mod.monomials[idx]]] = coeff
         rows.append(tuple(vec))
     return Subspace.from_vectors(len(low_monos), rows)

@@ -260,7 +260,8 @@ def test_truncation_ideal_against_word_oracle(capsys):
             gens = []
             for i in range(3):
                 mono = tuple(1 if j == i else 0 for j in range(3))
-                gens.append(built.module_coordinates({mono: Q(1)}))
+                coords = built.module.coordinates({mono: Q(1)})
+                gens.append([coords.get(p, Q(0)) for p in range(built.module.dim)])
             assert Subspace.from_vectors(built.module.dim, gens).dim == 3
 
             # the reported short-product finding, recomputed oracle-side

@@ -329,3 +329,25 @@ def test_sparse_span_rank_matches_rref(mats, coeffs):
     for m in mats:
         span.add(SparseMatrix.from_dense(m).flatten())
     assert span.dim == rank(Matrix([m.flatten() for m in mats], ncols=6))
+
+
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(lambda n: matrices(n, 5)),
+    matrices(1, 5),
+    st.lists(rationals(), min_size=4, max_size=4),
+)
+def test_sparse_span_reduce_matches_subspace(m, v, coeffs):
+    # one row combined from the others, so the span can be rank deficient
+    member = tuple(sum((c * row[j] for c, row in zip(coeffs, m.rows)), Q(0)) for j in range(5))
+    rows = list(m.rows) + [member]
+    span = SparseSpan()
+    for row in rows:
+        span.add(dict(enumerate(row)))
+    stored = {p: dict(row) for p, row in span.rows.items()}
+    dense = Subspace.from_vectors(5, rows)
+    assert sorted(span.rows) == list(dense.pivots)
+    for vec in (v.rows[0], member, tuple(a + b for a, b in zip(v.rows[0], member))):
+        residue = span.reduce(dict(enumerate(vec)))
+        assert tuple(residue.get(j, Q(0)) for j in range(5)) == dense.reduce(vec)
+        assert 0 not in residue.values()
+    assert span.rows == stored

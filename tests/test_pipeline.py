@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction as Q
 
 import pytest
 
 from ado.catalog import catalog_algebra
-from ado.errors import FaithfulnessError
+from ado.errors import FaithfulnessError, TripwireError
 from ado.lie import LieAlgebra
 from ado.linalg import (
     Matrix,
@@ -125,6 +126,23 @@ def test_forced_truncation_trips_then_retry_recovers():
     assert default.provenance["blocks"][0]["truncation"] == 6
     assert default.dim_v == 64
     assert default.provenance["retried"] is False
+
+
+# heisenberg in a rational basis not adapted to the lower central series
+# (the benchmark's `rebased` heisenberg-b0 at seed 7): straightening drops
+# below the length filtration floor at stage straighten, word length 3.
+# An adapted basis in the enveloping module (ROADMAP item 1) flips this.
+@pytest.mark.xfail(strict=True, raises=TripwireError)
+def test_rebased_heisenberg_verifies():
+    g = LieAlgebra.from_sparse(
+        3,
+        {
+            (0, 1): {0: Q(4, 5), 1: 1, 2: Q(1, 5)},
+            (0, 2): {0: -4, 1: -5, 2: -1},
+            (1, 2): {0: Q(16, 5), 1: 4, 2: Q(4, 5)},
+        },
+    )
+    assert ado_representation(g).verification.verified
 
 
 def test_adjoint_of_heisenberg_is_not_faithful():
