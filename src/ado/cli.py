@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .catalog import catalog_entry, catalog_names
 from .errors import AdoError, InputError
@@ -178,10 +177,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     data = representation_from_json(load_json(args.source))
-    report = verify_representation(data["algebra"], data["matrices"])
-    if not data["matrices"]:
-        # the zero algebra's file states the size of its trivial space
-        report = replace(report, dim_v=data["dim_v"])
+    report = verify_representation(data["algebra"], data["matrices"], data["dim_v"])
     recomputed = report.to_json()
     sys.stdout.write(canonical_dumps(recomputed))
     stated = data["verification"]

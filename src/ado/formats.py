@@ -16,10 +16,10 @@ import re
 
 from .errors import InputError
 from .lie import LieAlgebra
-from .linalg import QZERO, Matrix, Q
+from .linalg import Q, SparseMatrix
 
-_RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?$")
-_PAIR_KEY = re.compile(r"(\d+),(\d+)$")
+_RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?", re.ASCII)
+_PAIR_KEY = re.compile(r"(\d+),(\d+)", re.ASCII)
 
 
 def format_rational(value: Q) -> str:
@@ -33,7 +33,7 @@ def parse_rational(raw: object, where: str) -> Q:
             f"{where}: rationals must be integers or 'num/den' strings",
             value=repr(raw),
         )
-    if isinstance(raw, str) and not _RATIONAL.match(raw):
+    if isinstance(raw, str) and not _RATIONAL.fullmatch(raw):
         raise InputError(
             "file", f"{where}: malformed rational", value=raw
         )
@@ -85,7 +85,7 @@ def algebra_from_json(data: object) -> tuple[str, tuple[str, ...], LieAlgebra]:
     _require(isinstance(raw_brackets, dict), "'brackets' must be an object")
     sparse: dict[tuple[int, int], dict[int, Q]] = {}
     for key, entries in raw_brackets.items():
-        match = _PAIR_KEY.match(key)
+        match = _PAIR_KEY.fullmatch(key)
         _require(match is not None, "bracket keys must look like 'i,j'", key=key)
         i, j = int(match.group(1)), int(match.group(2))
         _require(
@@ -118,21 +118,27 @@ def algebra_from_json(data: object) -> tuple[str, tuple[str, ...], LieAlgebra]:
     return name, tuple(labels), LieAlgebra.from_sparse(dim, sparse)
 
 
-def matrix_to_json(m: Matrix) -> list:
-    return [[format_rational(x) if x else "0" for x in row] for row in m.rows]
+def matrix_to_json(m: SparseMatrix) -> list:
+    rows = [["0"] * m.ncols for _ in range(m.nrows)]
+    for j, col in enumerate(m.cols):
+        for i, x in col.items():
+            rows[i][j] = format_rational(x)
+    return rows
 
 
-def matrix_from_json(data: object, where: str, size: int) -> Matrix:
+def matrix_from_json(data: object, where: str, size: int) -> SparseMatrix:
     _require(isinstance(data, list) and len(data) == size, f"{where}: expected {size} rows")
-    rows = []
+    cols: list[dict[int, Q]] = [{} for _ in range(size)]
     for r, raw_row in enumerate(data):
         _require(
             isinstance(raw_row, list) and len(raw_row) == size,
             f"{where}: row {r} must have {size} entries",
         )
         label = f"{where}[{r}]"
-        rows.append([QZERO if x == "0" else parse_rational(x, label) for x in raw_row])
-    return Matrix(rows, ncols=size)
+        for col, x in zip(cols, raw_row):
+            if x != "0" and (value := parse_rational(x, label)):
+                col[r] = value
+    return SparseMatrix(size, size, cols)
 
 
 def representation_to_json(

@@ -7,13 +7,14 @@ block.  The semidirect block acts on the truncated enveloping module of
 n, with the reductive part entering through the Leibniz extension of its
 adjoint action.  The centralizing block is the adjoint representation
 padded by one translation row so that central elements stay visible.
-The result is verified from the matrices alone: bracket residuals for
-every basis pair, and the kernel of the coefficient map for injectivity.
+The matrices stay sparse from assembly through verification, which
+re-derives the verdict from them alone: bracket residuals for every
+basis pair, and the kernel of the coefficient map for injectivity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .decompose import reductive_split
 from .envelope import (
@@ -33,7 +34,6 @@ from .linalg import (
     SparseMatrix,
     SparseSpan,
     Subspace,
-    block_diag,
     bracket_residual,
     rank,
     solve,
@@ -69,13 +69,13 @@ class VerificationReport:
 @dataclass(frozen=True)
 class RepresentationResult:
     algebra: LieAlgebra
-    matrices: tuple[Matrix, ...]
+    matrices: tuple[SparseMatrix, ...]
     dim_v: int
     verification: VerificationReport
     provenance: dict
 
 
-def reductive_representation(algebra: LieAlgebra) -> tuple[Matrix, ...]:
+def reductive_representation(algebra: LieAlgebra) -> tuple[SparseMatrix, ...]:
     """Adjoint representation padded by one translation column.
 
     Faithful on any reductive algebra: the adjoint block sees everything
@@ -109,36 +109,33 @@ def reductive_representation(algebra: LieAlgebra) -> tuple[Matrix, ...]:
         central = coeffs[derived.dim :]
         columns = [(QZERO,) + tuple(central)]
         columns += [(QZERO,) * sigma_width] * dz
-        sigma = Matrix.from_columns(columns, nrows=sigma_width)
-        mats.append(
-            block_diag([algebra.ad(unit_vector(algebra.dim, i)), sigma])
-        )
+        # column j of ad(e_i) is [e_i, e_j]
+        ad = SparseMatrix.from_columns(algebra.table[i], algebra.dim)
+        mats.append(sparse_block_diag([ad, SparseMatrix.from_columns(columns, sigma_width)]))
     return tuple(mats)
 
 
 def verify_representation(
-    algebra: LieAlgebra, matrices: tuple[Matrix, ...]
+    algebra: LieAlgebra, matrices: tuple[SparseMatrix, ...], dim_v: int
 ) -> VerificationReport:
-    """Re-derive the verdict from the matrices alone."""
+    """Re-derive the verdict from the dim_v x dim_v matrices alone."""
     if len(matrices) != algebra.dim:
         raise ValueError("one matrix per basis element is required")
-    dim_v = matrices[0].nrows if matrices else 0
     for m in matrices:
         if m.nrows != dim_v or m.ncols != dim_v:
             raise ValueError("matrices must be square and equally sized")
-    sparse = [SparseMatrix.from_dense(m) for m in matrices]
     residuals = [
         (i, j)
         for i in range(algebra.dim)
         for j in range(i + 1, algebra.dim)
-        if not bracket_residual(sparse[i], sparse[j], algebra.table[i][j], sparse).is_zero()
+        if not bracket_residual(matrices[i], matrices[j], algebra.table[i][j], matrices).is_zero()
     ]
     # the kernel of the coefficient map c -> sum c_k M_k, by the rank of
     # the flattened matrices
     span = SparseSpan()
-    for m in sparse:
+    for m in matrices:
         span.add(m.flatten())
-    kernel_dimension = len(sparse) - span.dim
+    kernel_dimension = len(matrices) - span.dim
     return VerificationReport(
         dim_v=dim_v,
         homomorphism=not residuals,
@@ -181,7 +178,7 @@ def _assemble(
     if kernel_part.dim:
         p1alg, _ = q.subalgebra_on_basis(kernel_part.basis.rows)
         try:
-            red_mats = [SparseMatrix.from_dense(m) for m in reductive_representation(p1alg)]
+            red_mats = list(reductive_representation(p1alg))
         except ValueError as exc:
             raise TripwireError("pipeline", str(exc)) from None
 
@@ -191,6 +188,8 @@ def _assemble(
         + list(nil.basis.rows),
         ncols=q.dim,
     ).transpose()
+    env_dim = built.module.dim if built else 0
+    red_dim = red_mats[0].nrows if red_mats else 0
     matrices = []
     for i in range(algebra.dim):
         coeffs = solve(change, pres.embed_original.column(i))
@@ -201,18 +200,14 @@ def _assemble(
         nilpart = coeffs[kernel_part.dim + acting_part.dim :]
         blocks = []
         if built is not None:
-            block = built.left_action(nilpart)
-            dim = block.nrows
-            blocks.append(sparse_combination((QONE,) + acting, [block] + action_mats, dim, dim))
+            left = [built.left_action(nilpart)] + action_mats
+            blocks.append(sparse_combination((QONE,) + acting, left, env_dim, env_dim))
         if red_mats:
-            size = red_mats[0].nrows
-            blocks.append(sparse_combination(central, red_mats, size, size))
-        matrices.append(sparse_block_diag(blocks).to_dense())
+            blocks.append(sparse_combination(central, red_mats, red_dim, red_dim))
+        matrices.append(sparse_block_diag(blocks))
 
-    report = verify_representation(algebra, tuple(matrices))
-    if not matrices:
-        # zero algebra: represent it on a one-dimensional space
-        report = replace(report, dim_v=1)
+    # the zero algebra is represented on a one-dimensional space
+    report = verify_representation(algebra, tuple(matrices), env_dim + red_dim or 1)
     if not report.homomorphism:
         raise TripwireError(
             "pipeline",
@@ -247,7 +242,7 @@ def _assemble(
         blocks_meta.append(
             {
                 "kind": "reductive",
-                "dimension": red_mats[0].nrows,
+                "dimension": red_dim,
                 "adjoint_dimension": kernel_part.dim,
             }
         )

@@ -29,6 +29,7 @@ from ado.jordan import derivation_witness, jc_decompose, jc_decompose_derivation
 from ado.linalg import (
     Matrix,
     Polynomial,
+    SparseMatrix,
     Subspace,
     kernel,
     minimal_polynomial,
@@ -94,7 +95,7 @@ def criterion(capsys, number, label):
         print(f"acceptance {number} ({label}): PASS")
 
 
-def test_catalog_end_to_end(capsys):
+def test_catalog_end_to_end(capsys, tmp_path):
     with criterion(capsys, 1, "catalog end to end"):
         total = 0.0
         for name in CATALOG_CASES:
@@ -111,6 +112,12 @@ def test_catalog_end_to_end(capsys):
             assert digest == CATALOG_SHA256[name], name
             assert elapsed < 60.0, (name, elapsed)
             total += elapsed
+            # the written file verifies again from its matrices alone
+            path = tmp_path / "rep.json"
+            path.write_text(out, encoding="utf-8")
+            code = main(["verify", str(path)])
+            assert code == 0, name
+            assert json.loads(capsys.readouterr().out) == verification, name
         assert total < 600.0, total
 
 
@@ -138,7 +145,7 @@ def test_solv2_golden_run(capsys):
 
         result = ado_representation(g)
         assert result.dim_v == 15
-        rho1, rho2 = result.matrices
+        rho1, rho2 = (m.to_dense() for m in result.matrices)
         assert rho2.power(5).is_zero()
         assert not rho2.power(4).is_zero()
         # the split generator acts by the monomial weight, which runs 0..4
@@ -305,8 +312,8 @@ def test_negative_controls(tmp_path, capsys):
     with criterion(capsys, 8, "negative controls"):
         # the adjoint map of a nilpotent algebra keeps its centre in the kernel
         g = catalog_algebra("heisenberg")
-        adjoint = tuple(g.ad(unit_vector(3, i)) for i in range(3))
-        report = verify_representation(g, adjoint)
+        adjoint = tuple(SparseMatrix.from_dense(g.ad(unit_vector(3, i))) for i in range(3))
+        report = verify_representation(g, adjoint, 3)
         assert report.homomorphism
         assert report.kernel_dimension == 1
         assert not report.faithful

@@ -43,18 +43,22 @@ def test_compute_is_deterministic(capsys):
     assert first == second
 
 
-def test_compute_to_file_then_verify(capsys, tmp_path):
+@pytest.mark.parametrize("name", ["gl2", "abelian:0"])
+def test_compute_to_file_then_verify(capsys, tmp_path, name):
     target = tmp_path / "rep.json"
     code, out, err = run(
-        capsys, "compute", "--catalog", "gl2", "-o", str(target)
+        capsys, "compute", "--catalog", name, "-o", str(target)
     )
     assert code == 0
     assert err == ""
     assert "verdict: verified faithful" in out
+    stated = json.loads(target.read_text(encoding="utf-8"))["verification"]
     code, out, err = run(capsys, "verify", str(target))
     assert code == 0
-    assert json.loads(out)["verified"] is True
-    assert "verdict: verified (gl2)" in err
+    recomputed = json.loads(out)
+    assert recomputed["verified"] is True
+    assert recomputed == stated
+    assert f"verdict: verified ({name})" in err
 
 
 def test_verify_rejects_tampering(capsys, tmp_path):

@@ -16,7 +16,7 @@ from ado.formats import (
     representation_from_json,
     representation_to_json,
 )
-from ado.linalg import QZERO, Q
+from ado.linalg import Q
 from ado.pipeline import ado_representation
 
 from helpers import rationals
@@ -33,7 +33,9 @@ def test_parse_rational_accepts_integers_and_fractions():
     assert parse_rational("3/2", "x") == Q(3, 2)
 
 
-@pytest.mark.parametrize("raw", [1.5, True, None, "3/0", "1/-2", "a", "1.5", ""])
+@pytest.mark.parametrize(
+    "raw", [1.5, True, None, "3/0", "1/-2", "a", "1.5", "", "1\n", "\u0661", "\u0663/1"]
+)
 def test_parse_rational_rejects_junk(raw):
     with pytest.raises(InputError):
         parse_rational(raw, "x")
@@ -85,6 +87,8 @@ def test_zero_coefficients_are_dropped():
         ({"dim": 2, "brackets": {"0,1": [[1, "1"], [1, "2"]]}}, "duplicate"),
         ({"dim": 2, "brackets": {"0,1": [[1, 0.5]]}}, "rationals"),
         ({"dim": 2, "brackets": {"0,1": [[1]]}}, "pair"),
+        ({"dim": 2, "brackets": {"0,1\n": []}}, "look like"),
+        ({"dim": 2, "brackets": {"\u0660,\u0661": []}}, "look like"),
     ],
 )
 def test_algebra_file_validation(data, hint):
@@ -110,7 +114,9 @@ def test_representation_files_round_trip():
     assert parsed["labels"] == labels
     assert parsed["algebra"] == algebra
     assert parsed["dim_v"] == result.dim_v
-    assert parsed["matrices"] == result.matrices
+    assert [(m.nrows, m.ncols, m.cols) for m in parsed["matrices"]] == [
+        (m.nrows, m.ncols, m.cols) for m in result.matrices
+    ]
     assert parsed["verification"] == result.verification.to_json()
     assert parsed["provenance"] == result.provenance
 
@@ -153,8 +159,10 @@ def test_load_json_reports_unreadable_files(tmp_path):
 
 def test_matrix_zero_entries_share_one_value():
     m = matrix_from_json([["0", "1/2"], [0, "-3"]], "m", 2)
-    assert m.rows == ((0, Q(1, 2)), (0, -3))
-    assert m.rows[0][0] is QZERO
+    assert m.to_dense().rows == ((0, Q(1, 2)), (0, -3))
+    # no zero is stored, whatever spelling it had in the file
+    assert m.cols == ({}, {0: Q(1, 2), 1: -3})
+    assert matrix_from_json([["0/1", "-0"], [0, "0"]], "m", 2).cols == ({}, {})
     # everything but the exact string "0" is still parsed and validated
     for bad in ("00x", "0.0", 0.0, None, True):
         with pytest.raises(InputError, match=r"m\[1\]"):

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and its
+representation matrices never leave the sparse type."""
 
 import ast
 import sys
@@ -21,3 +22,13 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top == "ado" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_package_never_converts_between_dense_and_sparse():
+    # from_dense/to_dense are a bridge for tests against the dense reference
+    bridge = {"from_dense", "to_dense"}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Attribute, ast.Name)):
+                name = node.attr if isinstance(node, ast.Attribute) else node.id
+                assert name not in bridge, (path.name, node.lineno)

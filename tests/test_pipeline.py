@@ -8,6 +8,7 @@ from ado.errors import FaithfulnessError, TripwireError
 from ado.lie import LieAlgebra
 from ado.linalg import (
     Matrix,
+    SparseMatrix,
     minimal_polynomial,
     squarefree_part,
     unit_vector,
@@ -97,10 +98,10 @@ def test_zero_algebra():
 
 def test_solv2_scaling_spectrum():
     res = ado_representation(catalog_algebra("solv2"))
-    reduced = squarefree_part(minimal_polynomial(res.matrices[0]))
+    reduced = squarefree_part(minimal_polynomial(res.matrices[0].to_dense()))
     # eigenvalues 0..4: one for each power of e2 the module retains
     assert reduced.coeffs == (0, 24, -50, 35, -10, 1)
-    step = res.matrices[1]
+    step = res.matrices[1].to_dense()
     assert step.power(5) == Matrix.zeros(15, 15)
     assert step.power(4) != Matrix.zeros(15, 15)
 
@@ -147,8 +148,8 @@ def test_rebased_heisenberg_verifies():
 
 def test_adjoint_of_heisenberg_is_not_faithful():
     g = catalog_algebra("heisenberg")
-    ads = tuple(g.ad(unit_vector(3, i)) for i in range(3))
-    report = verify_representation(g, ads)
+    ads = tuple(SparseMatrix.from_dense(g.ad(unit_vector(3, i))) for i in range(3))
+    report = verify_representation(g, ads, 3)
     assert report.homomorphism
     assert report.residual_pairs == ()
     assert report.kernel_dimension == 1
@@ -158,39 +159,52 @@ def test_adjoint_of_heisenberg_is_not_faithful():
 
 def test_tampered_matrix_fails_verification():
     res = ado_representation(catalog_algebra("gl2"))
-    rows = [list(row) for row in res.matrices[0].rows]
+    rows = [list(row) for row in res.matrices[0].to_dense().rows]
     rows[0][1] += 1
-    tampered = (Matrix(rows),) + res.matrices[1:]
-    report = verify_representation(res.algebra, tampered)
+    tampered = (SparseMatrix.from_dense(Matrix(rows)),) + res.matrices[1:]
+    report = verify_representation(res.algebra, tampered, res.dim_v)
     assert not report.verified
     assert report.residual_pairs != ()
 
 
 def test_verify_rejects_ragged_input():
     g = catalog_algebra("abelian:2")
+
+    def zeros(nrows, ncols):
+        return SparseMatrix.from_dense(Matrix.zeros(nrows, ncols))
+
     with pytest.raises(ValueError):
-        verify_representation(g, (Matrix.zeros(2, 2),))
+        verify_representation(g, (zeros(2, 2),), 2)
     with pytest.raises(ValueError):
-        verify_representation(g, (Matrix.zeros(2, 2), Matrix.zeros(3, 3)))
+        verify_representation(g, (zeros(2, 2), zeros(3, 3)), 2)
+    with pytest.raises(ValueError):
+        verify_representation(g, (zeros(2, 2), zeros(2, 3)), 2)
+    with pytest.raises(ValueError):
+        verify_representation(g, (zeros(2, 2), zeros(2, 2)), 3)
 
 
 def test_reductive_representation_of_sl2():
-    mats = reductive_representation(catalog_algebra("sl2"))
-    assert [m.nrows for m in mats] == [4, 4, 4]
-    diag = [mats[0].rows[i][i] for i in range(4)]
-    assert diag == [0, 2, -2, 0]
-    report = verify_representation(catalog_algebra("sl2"), mats)
+    g = catalog_algebra("sl2")
+    mats = reductive_representation(g)
+    assert all(isinstance(m, SparseMatrix) for m in mats)
+    assert [(m.nrows, m.ncols) for m in mats] == [(4, 4)] * 3
+    dense = [m.to_dense() for m in mats]
+    assert [dense[0][i, i] for i in range(4)] == [0, 2, -2, 0]
+    # the top left block is the adjoint matrix
+    for i, m in enumerate(dense):
+        assert [row[:3] for row in m.rows[:3]] == list(g.ad(unit_vector(3, i)).rows)
+    report = verify_representation(g, mats, 4)
     assert report.verified
 
 
 def test_reductive_representation_of_abelian_algebra():
     g = catalog_algebra("abelian:2")
     mats = reductive_representation(g)
-    assert [m.nrows for m in mats] == [5, 5]
+    assert [(m.nrows, m.ncols) for m in mats] == [(5, 5), (5, 5)]
     # translation column carries each central coordinate
-    assert mats[0].column(2) == (0, 0, 0, 1, 0)
-    assert mats[1].column(2) == (0, 0, 0, 0, 1)
-    report = verify_representation(g, mats)
+    assert mats[0].to_dense().column(2) == (0, 0, 0, 1, 0)
+    assert mats[1].to_dense().column(2) == (0, 0, 0, 0, 1)
+    report = verify_representation(g, mats, 5)
     assert report.verified
 
 
