@@ -88,16 +88,9 @@ class StraighteningEngine:
         self.algebra = algebra
         self.nilindex = algebra.nilpotency_index()
         r = algebra.dim
-        self._bracket_terms = [
-            [
-                tuple((k, c) for k, c in enumerate(algebra.table[i][j]) if c)
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
         # letters that a given letter slides past without corrections
         self._commutes = [
-            frozenset(j for j in range(r) if not self._bracket_terms[i][j])
+            frozenset(j for j in range(r) if not algebra.nonzero[i][j])
             for i in range(r)
         ]
         self._insert_memo: dict[tuple[int, Monomial], Element] = {}
@@ -116,7 +109,7 @@ class StraighteningEngine:
                 a, b = w[idx], w[idx + 1]
                 if a > b:
                     stack.append((coeff, w[:idx] + (b, a) + w[idx + 2 :]))
-                    for k, c in self._bracket_terms[a][b]:
+                    for k, c in self.algebra.nonzero[a][b]:
                         stack.append((coeff * c, w[:idx] + (k,) + w[idx + 2 :]))
                     break
             else:

@@ -51,11 +51,7 @@ def algebra_to_json(
     brackets = {}
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            entries = [
-                [k, format_rational(c)]
-                for k, c in enumerate(algebra.table[i][j])
-                if c
-            ]
+            entries = [[k, format_rational(c)] for k, c in algebra.nonzero[i][j]]
             if entries:
                 brackets[f"{i},{j}"] = entries
     return {

@@ -1,11 +1,15 @@
 """Lie algebras over Q given by structure constants.
 
 An algebra is a full bracket table: table[i][j] is the coordinate vector
-of the bracket of basis elements i and j.  The table is validated on
-construction (antisymmetry and the Jacobi identity, with a witness in
-the error when either fails), so every LieAlgebra in circulation is
-genuine.  Subalgebras and quotients come with the matrices that move
-vectors between coordinate systems.
+of the bracket of basis elements i and j.  Next to it, built once on
+construction, nonzero[i][j] holds only the nonzero entries of that
+bracket as (k, c) pairs; structure constants are mostly zeros, and the
+bracket, the Jacobi check, the Killing form and subalgebra coordinates
+all run over these pairs.  The table is validated on construction
+(antisymmetry and the Jacobi identity, with a witness in the error when
+either fails), so every LieAlgebra in circulation is genuine.
+Subalgebras and quotients come with the matrices that move vectors
+between coordinate systems.
 """
 
 from __future__ import annotations
@@ -19,24 +23,20 @@ from .linalg import (
     QZERO,
     Subspace,
     Vector,
-    add_vec,
-    is_zero_vec,
     kernel,
     rank,
-    scale_vec,
     solve,
     to_q,
     unit_vector,
     vec,
     vstack,
-    zero_vector,
 )
 
 
 class LieAlgebra:
     """A finite-dimensional Lie algebra over Q in a fixed basis."""
 
-    __slots__ = ("dim", "table")
+    __slots__ = ("dim", "table", "nonzero")
 
     def __init__(self, table: Sequence[Sequence[Sequence]]):
         rows = tuple(tuple(vec(entry) for entry in row) for row in table)
@@ -48,6 +48,14 @@ class LieAlgebra:
                 )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", rows)
+        object.__setattr__(
+            self,
+            "nonzero",
+            tuple(
+                tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
+                for row in rows
+            ),
+        )
         self._validate()
 
     def __setattr__(self, name, value):
@@ -81,11 +89,10 @@ class LieAlgebra:
         return cls(table)
 
     def _validate(self):
+        nonzero = self.nonzero
         for i in range(self.dim):
             for j in range(i, self.dim):
-                lhs = self.table[i][j]
-                rhs = self.table[j][i]
-                if any(a + b != 0 for a, b in zip(lhs, rhs)):
+                if nonzero[i][j] != tuple((k, -c) for k, c in nonzero[j][i]):
                     raise InputError(
                         "validate",
                         "bracket table is not antisymmetric",
@@ -94,33 +101,36 @@ class LieAlgebra:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    s = add_vec(
-                        self.bracket(unit_vector(self.dim, i), self.table[j][k]),
-                        self.bracket(unit_vector(self.dim, j), self.table[k][i]),
-                    )
-                    s = add_vec(
-                        s,
-                        self.bracket(unit_vector(self.dim, k), self.table[i][j]),
-                    )
-                    if not is_zero_vec(s):
+                    # [e_a, [e_b, e_c]] = sum over l of c(b, c, l) [e_a, e_l]
+                    s: dict[int, Q] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        row = nonzero[a]
+                        for l, x in nonzero[b][c]:
+                            for m, y in row[l]:
+                                s[m] = s.get(m, QZERO) + x * y
+                    if any(s.values()):
                         raise InputError(
                             "validate",
                             "Jacobi identity fails",
                             triple=[i, j, k],
-                            residual=[str(x) for x in s],
+                            residual=[str(s.get(m, QZERO)) for m in range(self.dim)],
                         )
 
     def bracket(self, u: Sequence[Q], v: Sequence[Q]) -> Vector:
         """Bilinear extension of the table to arbitrary coordinate vectors."""
-        out = zero_vector(self.dim)
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError("bracket arguments must have length dim")
+        out = [QZERO] * self.dim
+        right = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            row = self.table[i]
-            for j, b in enumerate(v):
-                if b:
-                    out = add_vec(out, scale_vec(a * b, row[j]))
-        return out
+            row = self.nonzero[i]
+            for j, b in right:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
+        return tuple(out)
 
     def ad(self, x: Sequence[Q]) -> Matrix:
         """Matrix of y -> [x, y] in the algebra basis."""
@@ -185,11 +195,23 @@ class LieAlgebra:
         return kernel(stacked)
 
     def killing_form(self) -> Matrix:
-        ads = [self.ad(unit_vector(self.dim, i)) for i in range(self.dim)]
-        return Matrix(
-            [[(ads[i] * ads[j]).trace() for j in range(self.dim)] for i in range(self.dim)],
-            ncols=self.dim,
-        )
+        """K[i][j] = trace(ad e_i ad e_j) = sum over l, k of c(i, l, k) c(j, k, l)."""
+        dim = self.dim
+        # constants[i] maps (l, k) to c(i, l, k), the e_k coordinate of [e_i, e_l]
+        constants = [
+            {(l, k): c for l in range(dim) for k, c in self.nonzero[i][l]}
+            for i in range(dim)
+        ]
+        rows = [[QZERO] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                cj = constants[j]
+                value = sum(
+                    (c * cj[k, l] for (l, k), c in constants[i].items() if (k, l) in cj),
+                    QZERO,
+                )
+                rows[i][j] = rows[j][i] = value
+        return Matrix(rows, ncols=dim)
 
     def subalgebra_on_basis(
         self, basis: Sequence[Sequence[Q]]
@@ -206,7 +228,14 @@ class LieAlgebra:
         if rows and rank(Matrix(rows, ncols=self.dim)) != m:
             raise ValueError("subalgebra basis is linearly dependent")
         span = Subspace.from_vectors(self.dim, rows)
-        basis_matrix = Matrix(rows, ncols=self.dim) if rows else Matrix([], ncols=self.dim)
+        inclusion = Matrix.from_columns(rows, nrows=self.dim)
+        # column r of change: coordinates in the given basis of echelon vector r
+        change = []
+        for echelon in span.vectors():
+            coeffs = solve(inclusion, echelon)
+            if coeffs is None:
+                raise TripwireError("subalgebra", "echelon vector outside the span")
+            change.append(coeffs)
         table = []
         for u in rows:
             row_entries = []
@@ -214,14 +243,14 @@ class LieAlgebra:
                 w = self.bracket(u, v)
                 if not span.member(w):
                     raise ValueError("span is not closed under the bracket")
-                coeffs = solve(basis_matrix.transpose(), w)
-                if coeffs is None:
-                    raise TripwireError("subalgebra", "bracket outside the span")
-                row_entries.append(coeffs)
+                coeffs = [QZERO] * m
+                for p, column in zip(span.pivots, change):
+                    if w[p]:
+                        for s, c in enumerate(column):
+                            coeffs[s] += w[p] * c
+                row_entries.append(tuple(coeffs))
             table.append(row_entries)
-        sub = LieAlgebra(table) if rows else LieAlgebra([])
-        inclusion = Matrix.from_columns(rows, nrows=self.dim)
-        return sub, inclusion
+        return LieAlgebra(table), inclusion
 
     def is_ideal(self, s: Subspace) -> bool:
         return s.contains(self.bracket_span(self.full_space(), s))

@@ -130,7 +130,7 @@ class Matrix:
         return all(x == 0 for row in self.rows for x in row)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.ncols)], ncols=self.nrows)
+        return Matrix._of_rows(tuple(self.column(j) for j in range(self.ncols)), self.nrows)
 
     def trace(self) -> Q:
         if not self.is_square():
@@ -404,7 +404,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pr += 1
         if pr == nrows:
             break
-    return Matrix(rows, ncols=ncols), tuple(pivots)
+    return Matrix._of_rows(tuple(map(tuple, rows)), ncols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

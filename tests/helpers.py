@@ -57,6 +57,50 @@ def change_of_basis(g, t: Matrix):
     return LieAlgebra(table)
 
 
+def dense_killing_form(g) -> Matrix:
+    """Reference Killing form: the traces of full products of adjoint matrices."""
+    ads = [g.ad(unit_vector(g.dim, i)) for i in range(g.dim)]
+    return Matrix(
+        [[(ads[i] * ads[j]).trace() for j in range(g.dim)] for i in range(g.dim)],
+        ncols=g.dim,
+    )
+
+
+def dense_subalgebra_table(g, basis):
+    """Reference subalgebra table: one dense solve in the given basis per bracket."""
+    basis_t = Matrix(basis, ncols=g.dim).transpose()
+    return [[solve(basis_t, g.bracket(u, v)) for v in basis] for u in basis]
+
+
+def dense_jacobi_failures(table):
+    """Every triple i < j < k of a dense bracket table whose Jacobi sum is nonzero.
+
+    Returns (triple, residual strings) in triple order, with no use of LieAlgebra.
+    """
+    n = len(table)
+
+    def bracket_with(i, v):
+        out = [Q(0)] * n
+        for l, x in enumerate(v):
+            for m in range(n):
+                out[m] += x * Q(table[i][l][m])
+        return out
+
+    failures = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = (
+                    bracket_with(i, table[j][k]),
+                    bracket_with(j, table[k][i]),
+                    bracket_with(k, table[i][j]),
+                )
+                s = [a + b + c for a, b, c in zip(*terms)]
+                if any(s):
+                    failures.append(([i, j, k], [str(x) for x in s]))
+    return failures
+
+
 def transport_subspace(s, t_inv: Matrix):
     """Coordinates of a subspace after the change of basis with inverse t_inv."""
     from ado.linalg import Subspace

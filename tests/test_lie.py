@@ -1,5 +1,6 @@
 """Lie algebra core: validation, series, centers, subquotients."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -8,6 +9,32 @@ from ado.catalog import catalog_algebra, catalog_entry, catalog_names
 from ado.errors import InputError
 from ado.lie import LieAlgebra
 from ado.linalg import Matrix, Subspace, unit_vector
+
+from helpers import (
+    change_of_basis,
+    dense_jacobi_failures,
+    dense_killing_form,
+    dense_subalgebra_table,
+    invert,
+    seeded_matrix,
+)
+
+
+def catalog_and_rebased():
+    """Every catalog algebra in its own basis and in one seeded random basis."""
+    rng = random.Random(5)
+    cases = []
+    for name in catalog_names():
+        g = catalog_algebra("abelian:3" if name == "abelian:N" else name)
+        while True:
+            t = seeded_matrix(rng, g.dim, g.dim, span=2)
+            if invert(t) is not None:
+                break
+        cases += [pytest.param(g, id=name), pytest.param(change_of_basis(g, t), id=f"{name}-rebased")]
+    return cases
+
+
+CATALOG_AND_REBASED = catalog_and_rebased()
 
 
 def test_validation_rejects_non_antisymmetric_tables():
@@ -42,6 +69,14 @@ def test_bracket_is_bilinear():
         a + b for a, b in zip(sl2.bracket(u, v), sl2.bracket(u, w))
     )
     assert lhs == rhs
+
+
+def test_bracket_rejects_vectors_of_the_wrong_length():
+    sl2 = catalog_algebra("sl2")
+    with pytest.raises(ValueError):
+        sl2.bracket((1, 0), (0, 1, 0))
+    with pytest.raises(ValueError):
+        sl2.bracket((1, 0, 0), (0, 1, 0, 0))
 
 
 def test_ad_matrix_matches_bracket():
@@ -106,6 +141,60 @@ def test_killing_form_sl2():
 
 def test_killing_form_vanishes_for_nilpotent():
     assert catalog_algebra("heisenberg").killing_form().is_zero()
+
+
+@pytest.mark.parametrize("g", CATALOG_AND_REBASED)
+def test_killing_form_matches_dense_traces(g):
+    assert g.killing_form() == dense_killing_form(g)
+
+
+@pytest.mark.parametrize("g", CATALOG_AND_REBASED)
+def test_subalgebra_on_shuffled_basis_matches_dense_solve(g):
+    rng = random.Random(g.dim)
+    for s in (g.full_space(), g.derived_subalgebra(), g.center(), g.lower_central_series()[-1]):
+        if s.dim == 0:
+            continue
+        # an invertible mix of the echelon basis, shuffled: not in echelon form
+        while True:
+            mix = seeded_matrix(rng, s.dim, s.dim, span=2)
+            if invert(mix) is not None:
+                break
+        basis = list((mix * s.basis).rows)
+        rng.shuffle(basis)
+        sub, inclusion = g.subalgebra_on_basis(basis)
+        assert [list(row) for row in sub.table] == dense_subalgebra_table(g, basis)
+        assert inclusion == Matrix(basis, ncols=g.dim).transpose()
+
+
+def test_jacobi_error_names_the_first_failing_triple_and_residual():
+    rng = random.Random(3)
+    n = 5
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                c = Q(rng.randint(-2, 2), rng.randint(1, 2))
+                table[i][j][k], table[j][i][k] = c, -c
+    failures = dense_jacobi_failures(table)
+    assert len(failures) > 1
+    with pytest.raises(InputError) as exc:
+        LieAlgebra(table)
+    assert "Jacobi" in exc.value.message
+    assert (exc.value.payload["triple"], exc.value.payload["residual"]) == failures[0]
+
+
+def test_perturbed_abelian_40_is_rejected():
+    n = 40
+    one_sided = [[[0] * n for _ in range(n)] for _ in range(n)]
+    one_sided[5][17][3] = 1
+    with pytest.raises(InputError) as exc:
+        LieAlgebra(one_sided)
+    assert exc.value.payload["pair"] == [5, 17]
+    # [e37, e38] = e39 and [e38, e39] = e38 break Jacobi only on the last triple
+    with pytest.raises(InputError) as exc:
+        LieAlgebra.from_sparse(n, {(37, 38): {39: 1}, (38, 39): {38: 1}})
+    assert exc.value.payload["triple"] == [37, 38, 39]
+    assert exc.value.payload["residual"] == ["0"] * 39 + ["1"]
 
 
 def test_subalgebra_on_basis():
