@@ -21,6 +21,11 @@ span of straightened length-M words, together with the pi-images of the
 straightening corrections of one letter times a monomial of degree
 M + 1 .. B - 1, closed under the truncated left actions.
 
+That bound and the length filtration floor checked while straightening
+assume a basis adapted to the lower central series: each term n, [n, n],
+... spanned by a subset of the generators.  In another basis a bracket
+can fall below the floor, and straightening raises TripwireError.
+
 The cut is held in one form: a sparse echelon span over the indices of
 the monomials of degree at most M in graded order, each row pivoting at
 its lowest monomial index.  The module basis is the non-pivot monomials,
@@ -263,9 +268,12 @@ def build_module(
 ) -> BuiltModule:
     """Construct the truncated module and the left action matrices.
 
-    The truncation defaults to the nilpotency index plus two.  Raises
-    FaithfulnessError when the generators fail to stay independent in
-    the quotient, which can happen only for forced small truncations.
+    The truncation defaults to the nilpotency index plus two.  The word
+    bound and the filtration floor assume the algebra's basis is adapted
+    to its lower central series; straightening raises TripwireError when
+    it is not.  Raises FaithfulnessError when the generators fail to
+    stay independent in the quotient, which can happen only for forced
+    small truncations.
     """
     engine = StraighteningEngine(algebra)
     k = engine.nilindex

@@ -85,14 +85,11 @@ def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
         raise TripwireError("presentation", "embedding has the wrong shape")
     if rank(embed) != original.dim:
         raise TripwireError("presentation", "embedding is not injective")
+    images = [embed.column(i) for i in range(original.dim)]
     for i in range(original.dim):
         for j in range(i + 1, original.dim):
             lhs = embed.apply(original.table[i][j])
-            rhs = q.bracket(
-                embed.apply(unit_vector(original.dim, i)),
-                embed.apply(unit_vector(original.dim, j)),
-            )
-            if lhs != rhs:
+            if lhs != q.bracket(images[i], images[j]):
                 raise TripwireError(
                     "presentation",
                     "embedding does not respect the bracket",

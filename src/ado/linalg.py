@@ -430,9 +430,9 @@ def solve(a: Matrix, b: Sequence[Q]) -> Vector | None:
     """One solution of a x = b with free variables set to zero, or None."""
     if len(b) != a.nrows:
         raise ValueError("right hand side length mismatch")
-    aug = Matrix([row + (bi,) for row, bi in zip(a.rows, b)], ncols=a.ncols + 1)
     if a.nrows == 0:
         return zero_vector(a.ncols)
+    aug = Matrix._of_rows(tuple(row + (bi,) for row, bi in zip(a.rows, vec(b))), a.ncols + 1)
     reduced, pivots = rref(aug)
     if pivots and pivots[-1] == a.ncols:
         return None
@@ -467,8 +467,8 @@ class Subspace:
             raise ValueError("vector length disagrees with ambient dimension")
         if not rows:
             return cls(ambient_dim, Matrix([], ncols=ambient_dim), ())
-        reduced, pivots = rref(Matrix(rows, ncols=ambient_dim))
-        basis = Matrix(reduced.rows[: len(pivots)], ncols=ambient_dim)
+        reduced, pivots = rref(Matrix._of_rows(tuple(rows), ambient_dim))
+        basis = Matrix._of_rows(reduced.rows[: len(pivots)], ambient_dim)
         return cls(ambient_dim, basis, pivots)
 
     @classmethod

@@ -28,12 +28,12 @@ from .expansion import Presentation, saturate
 from .lie import LieAlgebra
 from .linalg import (
     Matrix,
-    Q,
     QONE,
     QZERO,
     SparseMatrix,
     SparseSpan,
     Subspace,
+    Vector,
     bracket_residual,
     rank,
     solve,
@@ -145,11 +145,28 @@ def verify_representation(
     )
 
 
-def _restricted_action(
-    q: LieAlgebra, w: tuple[Q, ...], part: Subspace
-) -> Matrix:
-    cols = [part.coordinates_of(q.bracket(w, v)) for v in part.vectors()]
-    return Matrix.from_columns(cols, nrows=part.dim)
+def adapted_basis(q: LieAlgebra, nil: Subspace) -> tuple[Vector, ...]:
+    """Basis of the nilpotent ideal adapted to its lower central series.
+
+    Every term n, [n, n], [n, [n, n]], ... is spanned by a subset of the
+    returned vectors, which is what the enveloping module's word bound
+    and filtration floor assume.  The echelon basis of nil is returned
+    as it is when it already has that property; otherwise the basis is
+    built layer by layer, shallow layers first, from a complement of
+    each term within the one before.
+    """
+    series = [nil]
+    # dimensions fall strictly in a nilpotent ideal, so nil.dim steps reach 0
+    for _ in range(nil.dim):
+        series.append(q.bracket_span(nil, series[-1]))
+    echelon = set(nil.basis.rows)
+    if all(row in echelon for term in series for row in term.vectors()):
+        return nil.basis.rows
+    return tuple(
+        v
+        for upper, lower in zip(series, series[1:])
+        for v in lower.extend_complement(within=upper).vectors()
+    )
 
 
 def _assemble(
@@ -166,12 +183,16 @@ def _assemble(
 
     built: BuiltModule | None = None
     action_mats: list[SparseMatrix] = []
+    nil_basis = adapted_basis(q, nil)
     if env_active:
-        nalg, _ = q.subalgebra_on_basis(nil.basis.rows)
+        nalg, inclusion = q.subalgebra_on_basis(nil_basis)
         built = build_module(nalg, order)
-        derivations = [
-            _restricted_action(q, w, nil) for w in acting_part.vectors()
-        ]
+        derivations = []
+        for w in acting_part.vectors():
+            cols = [solve(inclusion, q.bracket(w, v)) for v in nil_basis]
+            if None in cols:
+                raise TripwireError("pipeline", "derivation escapes the nilpotent part")
+            derivations.append(Matrix.from_columns(cols, nrows=nil.dim))
         action_mats = verify_module_axioms(built, derivations)
 
     red_mats: list[SparseMatrix] = []
@@ -185,7 +206,7 @@ def _assemble(
     change = Matrix(
         list(kernel_part.basis.rows)
         + list(acting_part.basis.rows)
-        + list(nil.basis.rows),
+        + list(nil_basis),
         ncols=q.dim,
     ).transpose()
     env_dim = built.module.dim if built else 0

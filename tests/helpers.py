@@ -57,6 +57,14 @@ def change_of_basis(g, t: Matrix):
     return LieAlgebra(table)
 
 
+def seeded_change_of_basis(rng: random.Random, g):
+    """The algebra in a seeded random rational basis, redrawn until invertible."""
+    while True:
+        t = seeded_matrix(rng, g.dim, g.dim)
+        if invert(t) is not None:
+            return change_of_basis(g, t)
+
+
 def dense_killing_form(g) -> Matrix:
     """Reference Killing form: the traces of full products of adjoint matrices."""
     ads = [g.ad(unit_vector(g.dim, i)) for i in range(g.dim)]

@@ -75,6 +75,19 @@ def test_solve_inconsistent():
     assert solve(Matrix([[1, 1], [2, 2]]), (Q(1), Q(3))) is None
 
 
+def test_solve_and_from_vectors_coerce_int_inputs_to_fractions():
+    x = solve(Matrix([[2, 0], [0, 4]]), (1, 2))
+    assert x == (Q(1, 2), Q(1, 2))
+    assert all(type(c) is Q for c in x)
+    assert solve(Matrix([[1, 1], [2, 2]]), (1, 3)) is None
+    s = Subspace.from_vectors(3, [(2, 4, 6), (0, 3, 1)])
+    assert s.basis == Matrix([[1, 0, Q(7, 3)], [0, 1, Q(1, 3)]])
+    assert s.pivots == (0, 1)
+    assert all(type(c) is Q for row in s.basis.rows for c in row)
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [(1, 2)])
+
+
 def test_matrix_product_and_power():
     m = Matrix([[1, 1], [0, 1]])
     assert m * m == Matrix([[1, 2], [0, 1]])

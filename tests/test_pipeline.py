@@ -1,25 +1,35 @@
 import json
+import random
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 
 from ado.catalog import catalog_algebra
-from ado.errors import FaithfulnessError, TripwireError
+from ado.errors import FaithfulnessError
+from ado.expansion import saturate
 from ado.lie import LieAlgebra
 from ado.linalg import (
     Matrix,
     SparseMatrix,
+    Subspace,
     minimal_polynomial,
     squarefree_part,
     unit_vector,
 )
 from ado.pipeline import (
+    adapted_basis,
     ado_representation,
     reductive_representation,
     verify_representation,
 )
 
-from helpers import sl2_plus_solv2, sl2_semidirect_plane
+from helpers import (
+    change_of_basis,
+    seeded_change_of_basis,
+    sl2_plus_solv2,
+    sl2_semidirect_plane,
+)
 
 
 FILIFORM = {(0, 1): {2: 1}, (0, 2): {3: 1}}
@@ -130,10 +140,9 @@ def test_forced_truncation_trips_then_retry_recovers():
 
 
 # heisenberg in a rational basis not adapted to the lower central series
-# (the benchmark's `rebased` heisenberg-b0 at seed 7): straightening drops
-# below the length filtration floor at stage straighten, word length 3.
-# An adapted basis in the enveloping module (ROADMAP item 1) flips this.
-@pytest.mark.xfail(strict=True, raises=TripwireError)
+# (the benchmark's `rebased` heisenberg-b0 at seed 7).  Built on its
+# echelon basis, the enveloping module dropped below the length filtration
+# floor at stage straighten; it is now built on an adapted basis.
 def test_rebased_heisenberg_verifies():
     g = LieAlgebra.from_sparse(
         3,
@@ -144,6 +153,77 @@ def test_rebased_heisenberg_verifies():
         },
     )
     assert ado_representation(g).verification.verified
+
+
+@pytest.mark.parametrize("order", list(permutations(range(3))))
+def test_heisenberg_on_x_y_x_plus_z_verifies_in_every_order(order):
+    # (0, 1, 2) and (2, 1, 0) tripped at stage straighten on the echelon basis
+    vectors = [(1, 0, 0), (0, 1, 0), (1, 0, 1)]
+    t = Matrix([vectors[i] for i in order]).transpose()
+    res = ado_representation(change_of_basis(catalog_algebra("heisenberg"), t))
+    assert res.verification.verified
+    assert res.dim_v == 34
+
+
+def lower_central_terms(q, nil):
+    terms = [nil]
+    while terms[-1].dim:
+        terms.append(q.bracket_span(nil, terms[-1]))
+    return terms
+
+
+def spanned_by_subset(term, basis):
+    # the basis is independent, so a subset spans term iff its members in term do
+    inside = [v for v in basis if term.member(v)]
+    return Subspace.from_vectors(term.ambient_dim, inside) == term
+
+
+def unadapted_cases():
+    # heisenberg on (x, y, x+z): the echelon basis is the standard one, and
+    # [n, n] is spanned by e3 - e1
+    t = Matrix([(1, 0, 0), (0, 1, 0), (1, 0, 1)]).transpose()
+    heisenberg = change_of_basis(catalog_algebra("heisenberg"), t)
+    # jordan3 in a random basis: n is a proper ideal of the saturated algebra
+    pres = saturate(seeded_change_of_basis(random.Random(1), catalog_algebra("jordan3")))
+    return [
+        pytest.param(heisenberg, heisenberg.full_space(), id="heisenberg-x-y-x+z"),
+        pytest.param(pres.algebra, pres.nilpotent_part, id="jordan3-rebased"),
+    ]
+
+
+@pytest.mark.parametrize("q, nil", unadapted_cases())
+def test_adapted_basis_spans_every_lower_central_term(q, nil):
+    terms = lower_central_terms(q, nil)
+    assert not all(spanned_by_subset(term, nil.basis.rows) for term in terms)
+    basis = adapted_basis(q, nil)
+    assert Subspace.from_vectors(q.dim, basis) == nil and len(basis) == nil.dim
+    assert all(spanned_by_subset(term, basis) for term in terms)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [catalog_algebra("jordan3"), catalog_algebra("t3"), LieAlgebra.from_sparse(4, FILIFORM)],
+    ids=["jordan3", "t3", "filiform"],
+)
+def test_adapted_echelon_basis_comes_back_unchanged(g):
+    pres = saturate(g)
+    q, nil = pres.algebra, pres.nilpotent_part
+    terms = lower_central_terms(q, nil)
+    assert len(terms) > 2
+    assert all(spanned_by_subset(term, nil.basis.rows) for term in terms)
+    assert adapted_basis(q, nil) == nil.basis.rows
+
+
+@pytest.mark.parametrize(
+    "name", ["heisenberg", "n3", "jordan3", "solv2", "rot3", "gl2", "sl2", "abelian:3"]
+)
+def test_random_change_of_basis_keeps_verdict_and_dim_v(name):
+    rng = random.Random(f"change-of-basis:{name}")
+    expected = ado_representation(catalog_algebra(name)).dim_v
+    for _ in range(2):
+        res = ado_representation(seeded_change_of_basis(rng, catalog_algebra(name)))
+        assert res.verification.verified
+        assert res.dim_v == expected
 
 
 def test_adjoint_of_heisenberg_is_not_faithful():
