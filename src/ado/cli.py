@@ -58,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--truncation",
         type=int,
         metavar="M",
-        help="truncation order of the enveloping module"
-        " (default: nilpotency index plus two)",
+        help="weighted truncation order of the enveloping module"
+        " (default: nilpotency index minus one, at least 1)",
     )
     compute.add_argument(
         "--no-retry",
@@ -101,10 +101,10 @@ def _summarize(
             print(
                 f"  enveloping block: dimension {block['dimension']}"
                 f" (truncation {block['truncation']},"
-                f" cut ideal {block['cut_ideal_dimension']})",
+                f" weights {' '.join(map(str, block['weights']))})",
                 file=stream,
             )
-            default = block["nilpotency_index"] + 2
+            default = max(1, block["nilpotency_index"] - 1)
             if args.truncation is not None and args.truncation < default:
                 print(
                     f"  warning: truncation {args.truncation} is below the"
@@ -147,9 +147,9 @@ def _cmd_compute(args) -> int:
         raise InputError(
             "cli", "provide exactly one of an algebra file or --catalog NAME"
         )
-    if args.truncation is not None and args.truncation < 2:
+    if args.truncation is not None and args.truncation < 1:
         raise InputError(
-            "cli", "--truncation must be at least 2", truncation=args.truncation
+            "cli", "--truncation must be at least 1", truncation=args.truncation
         )
     if args.catalog is not None:
         name = args.catalog

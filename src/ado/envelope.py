@@ -2,35 +2,25 @@
 
 Generators multiply as noncommuting letters subject to x y - y x = [x, y];
 every product of basis letters straightens into a combination of ordered
-monomials, encoded as exponent tuples.  Cutting away the span of all
-straightened words longer than a truncation order M leaves a finite
-dimensional quotient on which the algebra acts faithfully by left
-multiplication once M is large enough.
+monomials, encoded as exponent tuples.
 
-The cut is computed entirely inside the space L of monomials of degree
-at most M.  Writing S_N for the span of straightened words of length N
-and pi for the projection killing monomials of degree above M, the
-ideal slice I cap L equals pi(sum of S_N over N > M): every monomial of
-degree N straightens to itself, so S_N contains all degree-N monomials
-and the sum telescopes.  Words longer than B = M * max(1, k - 1) for k
-the nilpotency index have all their monomials of degree above M (each
-letter of a straightened monomial absorbs at most k - 1 letters of the
-original word), so only lengths up to B contribute.  The slice is
-reached from finitely many seeds: pi-images of left multiples of the
-span of straightened length-M words, together with the pi-images of the
-straightening corrections of one letter times a monomial of degree
-M + 1 .. B - 1, closed under the truncated left actions.
+The truncation is by weighted degree.  Each generator gets a weight, the
+number of terms of the lower central series n, [n, n], [n, [n, n]], ...
+that contain it, and a monomial the sum of weight times exponent over
+its letters.  In a basis adapted to that series (each term spanned by a
+subset of the generators) a bracket never lowers the weight, because
+[C^a, C^b] lies in C^(a+b).  So straightening a word yields monomials of
+at least its weight, and the monomials of weight above the truncation
+order M span a left ideal of U(n) that every derivation of n preserves.
+The quotient needs no elimination: its basis is the monomials of weight
+at most M, left multiplication straightens and drops the heavy terms,
+and derivations act by their Leibniz extension in the same way.  Since
+x * 1 = x, n acts faithfully once M reaches the largest weight, k - 1
+for k the nilpotency index; that is the default.
 
-That bound and the length filtration floor checked while straightening
-assume a basis adapted to the lower central series: each term n, [n, n],
-... spanned by a subset of the generators.  In another basis a bracket
-can fall below the floor, and straightening raises TripwireError.
-
-The cut is held in one form: a sparse echelon span over the indices of
-the monomials of degree at most M in graded order, each row pivoting at
-its lowest monomial index.  The module basis is the non-pivot monomials,
-and the module coordinates of an element are the residue of its degree
-<= M part with every pivot coordinate eliminated, which is unique.
+A bracket or a derivation that lowers the weight means the basis is not
+adapted, and building the module or the derivation action raises
+TripwireError naming the offending indices.
 """
 
 from __future__ import annotations
@@ -38,7 +28,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from math import comb
 from typing import Callable, Sequence
 
 from .errors import FaithfulnessError, InputError, TripwireError
@@ -49,10 +38,10 @@ from .linalg import (
     QONE,
     QZERO,
     SparseMatrix,
-    SparseSpan,
     _add_scaled,
     bracket_residual,
     sparse_combination,
+    unit_vector,
 )
 
 Monomial = tuple[int, ...]
@@ -62,22 +51,30 @@ AMBIENT_LIMIT_ENV = "ADO_AMBIENT_LIMIT"
 DEFAULT_AMBIENT_LIMIT = 20000
 
 
-def monomials_up_to(ngens: int, degree: int) -> tuple[Monomial, ...]:
-    """All exponent tuples of total degree <= degree, graded then lex."""
-    if ngens == 0:
-        return ((),)
+def _weight(mono: Monomial, weights: Sequence[int]) -> int:
+    return sum(w * a for w, a in zip(weights, mono))
 
-    def exact(prefix: Monomial, remaining: int, slots: int):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for first in range(remaining + 1):
-            yield from exact(prefix + (first,), remaining - first, slots - 1)
 
-    out: list[Monomial] = []
-    for d in range(degree + 1):
-        out.extend(exact((), d, ngens))
-    return tuple(out)
+def weighted_count(weights: Sequence[int], bound: int) -> int:
+    """Number of monomials of weighted degree <= bound.
+
+    The sum of the coefficients of prod 1 / (1 - t^w) up to t^bound.
+    """
+    counts = [1] + [0] * bound
+    for w in weights:
+        for d in range(w, bound + 1):
+            counts[d] += counts[d - w]
+    return sum(counts)
+
+
+def weighted_monomials(weights: Sequence[int], bound: int) -> tuple[Monomial, ...]:
+    """Exponent tuples of weighted degree <= bound, graded by degree then lex."""
+    monos: list[Monomial] = [()]
+    for w in weights:
+        monos = [
+            m + (a,) for m in monos for a in range((bound - _weight(m, weights)) // w + 1)
+        ]
+    return tuple(sorted(monos, key=lambda m: (sum(m), m)))
 
 
 def monomial_word(mono: Monomial) -> tuple[int, ...]:
@@ -91,7 +88,6 @@ class StraighteningEngine:
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
-        self.nilindex = algebra.nilpotency_index()
         r = algebra.dim
         # letters that a given letter slides past without corrections
         self._commutes = [
@@ -124,7 +120,6 @@ class StraighteningEngine:
                     result[mono] = acc
                 else:
                     result.pop(mono, None)
-        self._check_filtration(len(word), result)
         return result
 
     def _sorted_word_monomial(self, word: tuple[int, ...]) -> Monomial:
@@ -132,18 +127,6 @@ class StraighteningEngine:
         for letter in word:
             mono[letter] += 1
         return tuple(mono)
-
-    def _check_filtration(self, length: int, element: Element) -> None:
-        # a straightened letter absorbs at most nilindex - 1 word letters
-        floor = -(-length // max(1, self.nilindex - 1))
-        for mono in element:
-            if sum(mono) < floor:
-                raise TripwireError(
-                    "straighten",
-                    "monomial below the length filtration floor",
-                    length=length,
-                    monomial=list(mono),
-                )
 
     def _slides_home(self, letter: int, mono: Monomial) -> bool:
         commutes = self._commutes[letter]
@@ -155,31 +138,13 @@ class StraighteningEngine:
     def insert(self, letter: int, mono: Monomial) -> Element:
         """Straightened form of generator times ordered monomial."""
         if self._slides_home(letter, mono):
-            return {self._increment(mono, letter): QONE}
+            return {mono[:letter] + (mono[letter] + 1,) + mono[letter + 1 :]: QONE}
         key = (letter, mono)
         cached = self._insert_memo.get(key)
         if cached is None:
             cached = self.straighten_word((letter,) + monomial_word(mono))
             self._insert_memo[key] = cached
         return cached
-
-    @staticmethod
-    def _increment(mono: Monomial, letter: int) -> Monomial:
-        return mono[:letter] + (mono[letter] + 1,) + mono[letter + 1 :]
-
-    def correction(self, letter: int, mono: Monomial) -> Element:
-        """insert minus its dominant ordered monomial; often empty."""
-        if self._slides_home(letter, mono):
-            return {}
-        out = dict(self.insert(letter, mono))
-        _add_scaled(out, {self._increment(mono, letter): QONE}, -QONE)
-        return out
-
-    def left_multiply(self, letter: int, element: Element) -> Element:
-        out: Element = {}
-        for mono, coeff in element.items():
-            _add_scaled(out, self.insert(letter, mono), coeff)
-        return out
 
     def derive_monomial(self, derivation: Matrix, mono: Monomial) -> Element:
         """Extend a derivation of the algebra to the monomial by Leibniz."""
@@ -194,40 +159,32 @@ class StraighteningEngine:
         return out
 
 
-def _project(element: Element, index: dict[Monomial, int]) -> dict[int, Q]:
-    """Index vector of the part of an element on the indexed monomials."""
-    return {i: c for m, c in element.items() if (i := index.get(m)) is not None}
-
-
 @dataclass(frozen=True)
 class TruncatedModule:
-    """Monomials of degree <= M modulo the cut ideal.
+    """U(n) modulo the monomials of weighted degree above the truncation.
 
-    low_ideal is the cut as a sparse echelon span over monomial indices,
-    each row pivoting at its lowest index; the module basis is the
-    non-pivot monomials, and position gives each one's place in it.
+    The basis is the monomials of weighted degree at most the
+    truncation, graded by degree then lex; index gives each one's place.
     """
 
     algebra: LieAlgebra
     nilindex: int
+    weights: tuple[int, ...]
     truncation: int
-    ambient_bound: int
-    ambient_count: int
     monomials: tuple[Monomial, ...]
     index: dict[Monomial, int]
-    low_ideal: SparseSpan
-    position: dict[int, int]
-    module_monomials: tuple[Monomial, ...]
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.monomials)
 
     def coordinates(self, element: Element) -> dict[int, Q]:
-        """Sparse module coordinates of the degree <= M part of an element."""
-        residue = self.low_ideal.reduce(_project(element, self.index))
-        return {self.position[i]: c for i, c in residue.items()}
+        """Sparse module coordinates of an element: its heavy terms dropped."""
+        return {i: c for m, c in element.items() if (i := self.index.get(m)) is not None}
 
     def action_matrix(self, image: Callable[[Monomial], Element]) -> SparseMatrix:
         """Matrix sending each basis monomial m to the coordinates of image(m)."""
-        cols = [self.coordinates(image(mono)) for mono in self.module_monomials]
+        cols = [self.coordinates(image(mono)) for mono in self.monomials]
         return SparseMatrix(self.dim, self.dim, cols)
 
 
@@ -242,7 +199,18 @@ class BuiltModule:
         return sparse_combination(coords, self.left, self.module.dim, self.module.dim)
 
     def derivation_action(self, derivation: Matrix) -> SparseMatrix:
-        """Matrix of the Leibniz extension of a derivation of the algebra."""
+        """Matrix of the Leibniz extension of a derivation of the algebra.
+
+        Raises TripwireError when the derivation sends a generator to one
+        of lower weight, which would not preserve the heavy monomials.
+        """
+        weights = self.module.weights
+        for k, row in enumerate(derivation.rows):
+            for i, c in enumerate(row):
+                if c and weights[k] < weights[i]:
+                    raise TripwireError(
+                        "module", "derivation lowers the weight", entry=[k, i]
+                    )
         return self.module.action_matrix(partial(self.engine.derive_monomial, derivation))
 
 
@@ -268,103 +236,62 @@ def build_module(
 ) -> BuiltModule:
     """Construct the truncated module and the left action matrices.
 
-    The truncation defaults to the nilpotency index plus two.  The word
-    bound and the filtration floor assume the algebra's basis is adapted
-    to its lower central series; straightening raises TripwireError when
-    it is not.  Raises FaithfulnessError when the generators fail to
-    stay independent in the quotient, which can happen only for forced
-    small truncations.
+    The truncation defaults to max(1, k - 1) for k the nilpotency index.
+    Raises TripwireError when a bracket lowers the weight, that is when
+    the basis is not adapted to the lower central series; InputError
+    when the weighted monomial count exceeds the ambient limit, checked
+    before enumeration; and FaithfulnessError when a forced truncation
+    lies below the weight of a generator, which then vanishes.
     """
-    engine = StraighteningEngine(algebra)
-    k = engine.nilindex
-    order = truncation if truncation is not None else k + 2
-    if order < 2:
-        raise InputError("module", "truncation order must be at least 2", order=order)
+    nilindex = algebra.nilpotency_index()
+    order = truncation if truncation is not None else max(1, nilindex - 1)
+    if order < 1:
+        raise InputError("module", "truncation order must be at least 1", order=order)
     r = algebra.dim
-    bound = order * max(1, k - 1)
-    count = comb(r + bound, r)
+    series = algebra.lower_central_series()
+    weights = tuple(
+        sum(term.member(unit_vector(r, i)) for term in series) for i in range(r)
+    )
+    for i in range(r):
+        for j in range(i + 1, r):
+            for k, _ in algebra.nonzero[i][j]:
+                if weights[k] < weights[i] + weights[j]:
+                    raise TripwireError(
+                        "module", "bracket lowers the weight", pair=[i, j], generator=k
+                    )
+    heavy = [i for i in range(r) if weights[i] > order]
+    if heavy:
+        raise FaithfulnessError(
+            "module",
+            "generators heavier than the truncation vanish in the module",
+            truncation=order,
+            generators=heavy,
+        )
     limit = ambient_limit()
+    # the powers of a weight-1 generator alone number order + 1, so a
+    # count up to weight min(order, limit) decides the guard
+    count = weighted_count(weights, min(order, limit))
     if count > limit:
         raise InputError(
             "module",
-            "monomial count up to the word-length bound exceeds the limit; "
+            "weighted monomial count exceeds the limit; "
             f"raise {AMBIENT_LIMIT_ENV} to insist",
             count=count,
             limit=limit,
             generators=r,
-            bound=bound,
+            truncation=order,
         )
 
-    monomials = monomials_up_to(r, order)
-    index = {mono: idx for idx, mono in enumerate(monomials)}
-
-    def unsparse(vec: dict[int, Q]) -> Element:
-        return {monomials[i]: c for i, c in vec.items()}
-
-    # span of straightened words of each length up to the truncation
-    level: list[Element] = [
-        {((0,) * i + (1,) + (0,) * (r - i - 1)): QONE} for i in range(r)
-    ]
-    for _ in range(order - 1):
-        nxt = SparseSpan()
-        rows: list[Element] = []
-        for element in level:
-            for i in range(r):
-                residue = nxt.add(_project(engine.left_multiply(i, element), index))
-                if residue is not None:
-                    rows.append(unsparse(residue))
-        level = rows
-
-    span = SparseSpan()
-    pending: list[dict[int, Q]] = []
-
-    def feed(element: Element) -> None:
-        residue = span.add(_project(element, index))
-        if residue is not None:
-            pending.append(residue)
-
-    for element in level:
-        for i in range(r):
-            feed(engine.left_multiply(i, element))
-    for mono in monomials_up_to(r, max(bound - 1, 0)):
-        if sum(mono) <= order:
-            continue
-        for i in range(r):
-            corr = engine.correction(i, mono)
-            if corr:
-                feed(corr)
-    while pending:
-        vec = pending.pop()
-        element = unsparse(vec)
-        for i in range(r):
-            feed(engine.left_multiply(i, element))
-
-    basis = [idx for idx in range(len(monomials)) if idx not in span.rows]
+    monomials = weighted_monomials(weights, order)
     module = TruncatedModule(
         algebra=algebra,
-        nilindex=k,
+        nilindex=nilindex,
+        weights=weights,
         truncation=order,
-        ambient_bound=bound,
-        ambient_count=count,
         monomials=monomials,
-        index=index,
-        low_ideal=span,
-        position={idx: p for p, idx in enumerate(basis)},
-        module_monomials=tuple(monomials[idx] for idx in basis),
-        dim=len(basis),
+        index={mono: idx for idx, mono in enumerate(monomials)},
     )
-
-    # the generators must stay independent modulo the cut ideal
-    generators = SparseSpan()
-    for i in range(r):
-        unit = {(0,) * i + (1,) + (0,) * (r - i - 1): QONE}
-        if generators.add(module.coordinates(unit)) is None:
-            raise FaithfulnessError(
-                "module",
-                "generators become dependent in the truncated module",
-                truncation=order,
-            )
-
+    engine = StraighteningEngine(algebra)
     left = tuple(module.action_matrix(partial(engine.insert, i)) for i in range(r))
     return BuiltModule(module=module, engine=engine, left=left)
 
@@ -405,30 +332,3 @@ def verify_module_axioms(
             message = "derivation actions do not respect their commutator"
             check(residual, message, pair=[a, b])
     return actions
-
-
-def check_short_span_intersection(built: BuiltModule) -> dict:
-    """How much of the span of short products the cut ideal captures.
-
-    Returns a finding for provenance: the dimension of the span of the
-    unit, the generators and all straightened two-letter products, and
-    the dimension of its intersection with the cut ideal.  A nonzero
-    intersection is legitimate at forced small truncations.
-    """
-    engine = built.engine
-    r = engine.ngens
-    elements: list[Element] = [{(0,) * r if r else (): QONE}]
-    for i in range(r):
-        elements.append({((0,) * i + (1,) + (0,) * (r - i - 1)): QONE})
-    for i in range(r):
-        for j in range(r):
-            elements.append(engine.straighten_word((i, j)))
-    # dim(short meet cut) = dim(short) - dim of its image in the quotient
-    short, image = SparseSpan(), SparseSpan()
-    for e in elements:
-        short.add(_project(e, built.module.index))
-        image.add(built.module.coordinates(e))
-    return {
-        "span_dimension": short.dim,
-        "intersection_dimension": short.dim - image.dim,
-    }

@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Q,
     QZERO,
+    SparseSpan,
     Subspace,
     Vector,
     kernel,
@@ -142,10 +143,14 @@ class LieAlgebra:
 
     def bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
         """Span of all brackets of the two subspaces."""
-        products = [
-            self.bracket(u, v) for u in left.vectors() for v in right.vectors()
-        ]
-        return Subspace.from_vectors(self.dim, products)
+        span = SparseSpan()
+        for u in left.vectors():
+            for v in right.vectors():
+                span.add(dict(enumerate(self.bracket(u, v))))
+        return Subspace.from_vectors(
+            self.dim,
+            [[row.get(k, QZERO) for k in range(self.dim)] for row in span.rows.values()],
+        )
 
     def derived_subalgebra(self) -> Subspace:
         full = self.full_space()

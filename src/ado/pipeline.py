@@ -3,10 +3,12 @@
 After saturation the ambient algebra is a direct sum of two ideals: the
 part of the reductive subalgebra that centralizes n, and the semidirect
 product of the remaining reductive part with n.  Each ideal gets its own
-block.  The semidirect block acts on the truncated enveloping module of
-n, with the reductive part entering through the Leibniz extension of its
-adjoint action.  The centralizing block is the adjoint representation
-padded by one translation row so that central elements stay visible.
+block.  The semidirect block acts on the enveloping module of n
+truncated by weighted degree, built on a basis of n adapted to its lower
+central series, with the reductive part entering through the Leibniz
+extension of its adjoint action.  The centralizing block is the adjoint
+representation padded by one translation row so that central elements
+stay visible.
 The matrices stay sparse from assembly through verification, which
 re-derives the verdict from them alone: bracket residuals for every
 basis pair, and the kernel of the coefficient map for injectivity.
@@ -17,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decompose import reductive_split
-from .envelope import (
-    BuiltModule,
-    build_module,
-    check_short_span_intersection,
-    verify_module_axioms,
-)
+from .envelope import BuiltModule, build_module, verify_module_axioms
 from .errors import FaithfulnessError, TripwireError
 from .expansion import Presentation, saturate
 from .lie import LieAlgebra
@@ -149,11 +146,11 @@ def adapted_basis(q: LieAlgebra, nil: Subspace) -> tuple[Vector, ...]:
     """Basis of the nilpotent ideal adapted to its lower central series.
 
     Every term n, [n, n], [n, [n, n]], ... is spanned by a subset of the
-    returned vectors, which is what the enveloping module's word bound
-    and filtration floor assume.  The echelon basis of nil is returned
-    as it is when it already has that property; otherwise the basis is
-    built layer by layer, shallow layers first, from a complement of
-    each term within the one before.
+    returned vectors, which is what the weights of the enveloping module
+    assume.  The echelon basis of nil is returned as it is when it
+    already has that property; otherwise the basis is built layer by
+    layer, shallow layers first, from a complement of each term within
+    the one before.
     """
     series = [nil]
     # dimensions fall strictly in a nilpotent ideal, so nil.dim steps reach 0
@@ -250,13 +247,12 @@ def _assemble(
                 "kind": "enveloping",
                 "dimension": built.module.dim,
                 "truncation": built.module.truncation,
-                "word_bound": built.module.ambient_bound,
-                "ambient_monomials": built.module.ambient_count,
-                "cut_ideal_dimension": built.module.low_ideal.dim,
+                "weights": list(built.module.weights),
+                "ambient_monomials": built.module.dim,
+                "cut_ideal_dimension": 0,
                 "nilpotency_index": built.module.nilindex,
                 "acting_dimension": acting_part.dim,
                 "nilpotent_dimension": nil.dim,
-                "short_products": check_short_span_intersection(built),
             }
         )
     if red_mats:
@@ -289,9 +285,10 @@ def ado_representation(
 ) -> RepresentationResult:
     """Compute a verified faithful matrix representation.
 
-    A chosen truncation below the default can cut into the span of the
-    generators; when that costs injectivity the construction is retried
-    once, one order deeper, unless retry is disabled.
+    A chosen truncation below the default drops the heaviest generators
+    from the enveloping module; when that costs injectivity the
+    construction is retried once, one order deeper, unless retry is
+    disabled.
     """
     pres = saturate(algebra)
     split = reductive_split(
@@ -303,14 +300,10 @@ def ado_representation(
         return _assemble(
             algebra, pres, p_central, p_acting, nil, truncation, retried=False
         )
-    except FaithfulnessError:
+    except FaithfulnessError as exc:
         if not retry or p_acting.dim + nil.dim == 0:
             raise
-        if truncation is not None:
-            deeper = truncation + 1
-        else:
-            nalg, _ = pres.algebra.subalgebra_on_basis(nil.basis.rows)
-            deeper = nalg.nilpotency_index() + 3
+        deeper = exc.payload["truncation"] + 1
         return _assemble(
             algebra, pres, p_central, p_acting, nil, deeper, retried=True
         )

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 from hypothesis import strategies as st
 
-from ado.envelope import monomials_up_to
 from ado.linalg import Matrix, Subspace, block_diag, kernel, solve, unit_vector
 
 
@@ -302,57 +302,114 @@ def _oracle_insert(algebra, letter, mono):
     return {k: v for k, v in out.items() if v}
 
 
-def _value_key(element):
-    return tuple(sorted(element.items()))
+def monomial_weight(mono, weights):
+    return sum(w * a for w, a in zip(weights, mono))
 
 
-def oracle_low_ideal(algebra, truncation):
-    """Span of the low-degree parts of all straightened long words."""
-    r = algebra.dim
-    k = algebra.nilpotency_index()
-    bound = truncation * max(1, k - 1)
-    values = {}
-    for i in range(r):
-        element = {tuple(1 if j == i else 0 for j in range(r)): Q(1)}
-        values[_value_key(element)] = element
-    collected = []
-    level = values
-    for length in range(2, bound + 1):
-        nxt = {}
-        for element in level.values():
-            for i in range(r):
-                grown = {}
-                for mono, coeff in element.items():
-                    for key, value in _oracle_insert(algebra, i, mono).items():
-                        grown[key] = grown.get(key, Q(0)) + coeff * value
-                grown = {kk: vv for kk, vv in grown.items() if vv}
-                nxt[_value_key(grown)] = grown
-        level = nxt
-        if length > truncation:
-            collected.extend(level.values())
-    low_monos = monomials_up_to(r, truncation)
-    low_index = {mono: i for i, mono in enumerate(low_monos)}
-    rows = []
-    for element in collected:
-        vec = [Q(0)] * len(low_monos)
-        keep = False
-        for mono, coeff in element.items():
-            if sum(mono) <= truncation:
-                vec[low_index[mono]] = coeff
-                keep = True
-        if keep:
-            rows.append(tuple(vec))
-    return Subspace.from_vectors(len(low_monos), rows)
+def oracle_weights(algebra):
+    """Depth of each basis vector in the lower central series, by brute force.
+
+    Each term is spanned from the brackets of the basis with the previous
+    term; the algebra must be nilpotent.
+    """
+    n = algebra.dim
+    units = [unit_vector(n, i) for i in range(n)]
+    term = Subspace.from_vectors(n, units)
+    weights = [0] * n
+    while term.dim:
+        for i, u in enumerate(units):
+            weights[i] += term.member(u)
+        term = Subspace.from_vectors(
+            n, [algebra.bracket(u, v) for u in units for v in term.vectors()]
+        )
+    return tuple(weights)
 
 
-def package_low_ideal_in_oracle_coords(built):
+def oracle_weighted_count(weights, bound):
+    """Coefficients of the product of 1 / (1 - t^w) up to t^bound, summed."""
+    series = [1] + [0] * bound
+    for w in weights:
+        geometric = [int(d % w == 0) for d in range(bound + 1)]
+        series = [
+            sum(series[a] * geometric[d - a] for a in range(d + 1))
+            for d in range(bound + 1)
+        ]
+    return sum(series)
+
+
+def module_disagreements(built):
+    """Where a built module departs from the word oracle; empty when it agrees.
+
+    Checks the weights, the dimension against the generating function, the
+    basis against the light monomials, and every column of every left
+    action against the oracle's insertion with the heavy terms dropped.
+    """
     mod = built.module
-    low_monos = monomials_up_to(mod.algebra.dim, mod.truncation)
-    low_index = {mono: i for i, mono in enumerate(low_monos)}
-    rows = []
-    for row in mod.low_ideal.rows.values():
-        vec = [Q(0)] * len(low_monos)
-        for idx, coeff in row.items():
-            vec[low_index[mod.monomials[idx]]] = coeff
-        rows.append(tuple(vec))
-    return Subspace.from_vectors(len(low_monos), rows)
+    weights, bound = oracle_weights(mod.algebra), mod.truncation
+    found = []
+    if mod.weights != weights:
+        found.append(("weights", mod.weights, weights))
+    if mod.dim != oracle_weighted_count(weights, bound):
+        found.append(("dimension", mod.dim, oracle_weighted_count(weights, bound)))
+    light = {
+        m
+        for m in product(*(range(bound // w + 1) for w in weights))
+        if monomial_weight(m, weights) <= bound
+    }
+    if set(mod.monomials) != light:
+        found.append(("basis", sorted(mod.monomials), sorted(light)))
+    for letter, matrix in enumerate(built.left):
+        for mono, col in zip(mod.monomials, matrix.cols):
+            got = {mod.monomials[row]: c for row, c in col.items()}
+            expected = {
+                m: c
+                for m, c in _oracle_insert(mod.algebra, letter, mono).items()
+                if monomial_weight(m, weights) <= bound
+            }
+            if got != expected:
+                found.append(("left", letter, mono, got, expected))
+    return found
+
+
+def heavy_insert_failures(algebra, weights, bound, degree):
+    """Letter times heavy monomial products that come out with a light term.
+
+    Runs over every letter and every monomial of weight above bound and
+    total degree at most degree, with the oracle's insertion.
+    """
+    failures = []
+    for mono in product(range(degree + 1), repeat=algebra.dim):
+        if sum(mono) > degree or monomial_weight(mono, weights) <= bound:
+            continue
+        for letter in range(algebra.dim):
+            light = [
+                m
+                for m in _oracle_insert(algebra, letter, mono)
+                if monomial_weight(m, weights) <= bound
+            ]
+            if light:
+                failures.append((letter, mono, light))
+    return failures
+
+
+def strictly_upper_triangular(n):
+    """n_n: strictly upper triangular n x n matrices on the matrix units E_ij, i < j.
+
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj.
+    """
+    from ado.lie import LieAlgebra
+
+    units = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {u: a for a, u in enumerate(units)}
+    brackets = {}
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):
+            if a < b:
+                entry = {}
+                if j == k:
+                    entry[index[(i, l)]] = 1
+                if l == i:
+                    entry[index[(k, j)]] = -1
+                if entry:
+                    brackets[(a, b)] = entry
+    return LieAlgebra.from_sparse(len(units), brackets)

@@ -17,7 +17,7 @@ from functools import reduce
 
 from ado.catalog import catalog_algebra
 from ado.cli import main
-from ado.envelope import build_module, check_short_span_intersection, monomials_up_to
+from ado.envelope import build_module
 from ado.expansion import (
     expansion_step,
     initial_presentation,
@@ -36,13 +36,14 @@ from ado.linalg import (
     squarefree_part,
     unit_vector,
 )
-from ado.pipeline import ado_representation, verify_representation
+from ado.pipeline import adapted_basis, ado_representation, verify_representation
 
 from helpers import (
     conjugated_jordan,
-    oracle_low_ideal,
-    oracle_straighten,
-    package_low_ideal_in_oracle_coords,
+    heavy_insert_failures,
+    module_disagreements,
+    oracle_weights,
+    seeded_change_of_basis,
     seeded_matrix,
     semisimple_from_eigenvalues,
 )
@@ -65,18 +66,34 @@ CATALOG_CASES = (
 # sha256 of the `ado compute --catalog NAME` stdout; representation files
 # are byte-deterministic, so any change to these is a change of output
 CATALOG_SHA256 = {
-    "abelian:1": "8bbd45e2d736af8c4d53b6680a77d686f1cf0a04469e4eb25b0d47277ef45790",
-    "abelian:2": "2e51bb1cb0cb18b9896a5be25eab0ad1e774682a0aaef8aeb9f9435f9cde509c",
-    "abelian:3": "d032b0a60974b9ec6966faeccb0b789fefedeeff32e66ee94e57972389a3cf07",
-    "abelian:4": "ca91bd74462058c0b4c221884744ce272d8785e4bd17595c7d28bab7fd2e061c",
-    "heisenberg": "19ebc7111586629949991416b2a6d4abe684ddb2333f3b01b6c08304374a2285",
-    "heisenberg5": "ddcc3337e14a8c1e86a42fa5161b2cf12fca653ebbb0f06af1e9c01d4b749dec",
-    "solv2": "634c587e89400795ac63aaf471bf24bafb197d478b56eb2ca943d8d3338b4efc",
-    "jordan3": "d7fc285c88b835452775f19219b32c9fe14f0ac04f310d6272bdc246b0aa357b",
-    "rot3": "184b18d5ea5bb0620ea573eea0ea3905d0f165c6df4775f5f3aa2e07a9287612",
+    "abelian:1": "91f390b354c6a88d3e02230ab72a6dce18aba4cdfa490750aad876387b07e156",
+    "abelian:2": "85fe07709ce1ce98c07a6ff7b58feb0156f0be3afe5cda1348dd20b66a6f9dae",
+    "abelian:3": "febdf029bfa27b363d63161c260316c963179b82e8d11666d1eb5e6448a8f0e2",
+    "abelian:4": "edf5be99ba553abad82a3302acd968bb46599d94a133a517c1631bead240e717",
+    "heisenberg": "13931f410cac823fe700fbe36a1cc056ac5352612cb8ff49d91eab01a82e00d1",
+    "heisenberg5": "76c96697331b25a52099c0f04512b1a923760eff51866dcd32988dfe7a1c91e3",
+    "solv2": "97edff4834d1e61a93ffa84ec75ffe8403c747998accc2a265645e158a57b094",
+    "jordan3": "d41b0010d5eb7555c84cbe221389aa23efe6c0d004b9e1cc6abfd1da059e916d",
+    "rot3": "1d723930a2281a0b5780790127853ea7fa933f5b22f90f11b285222329bc9976",
     "sl2": "13836be6a31fa11d521faa8af6b39338f535212b44f22729420e4af0ab6b9d86",
-    "gl2": "268dc30c7a6fa69c1d41cf53b31b82a838a7c477aaafdac5b689a575e1b28097",
-    "t3": "2d674c80d9bad8e891d723ce00fc1db3488d6963d89c73bb50920863633fc775",
+    "gl2": "a67ddb5a77d8c01c3a48378339ee56b6490ef8f8759a1fd9a8ae94906c3a0d4a",
+    "t3": "43c014c3f30400d182b2487032823bc53109ccff4e53854ee2aea4129838db12",
+}
+
+# dim_v of each output: the weighted module is m + 1 dimensional on abelian:m
+CATALOG_DIM_V = {
+    "abelian:1": 2,
+    "abelian:2": 3,
+    "abelian:3": 4,
+    "abelian:4": 5,
+    "heisenberg": 7,
+    "heisenberg5": 16,
+    "solv2": 3,
+    "jordan3": 7,
+    "rot3": 4,
+    "sl2": 4,
+    "gl2": 6,
+    "t3": 25,
 }
 
 # the catalog entries whose saturation takes at least one step
@@ -104,6 +121,7 @@ def test_catalog_end_to_end(capsys, tmp_path):
             elapsed = time.monotonic() - started
             out = capsys.readouterr().out
             assert code == 0, name
+            assert json.loads(out)["dim_v"] == CATALOG_DIM_V[name], name
             verification = json.loads(out)["verification"]
             assert verification["residual_pairs"] == [], name
             assert verification["kernel_dimension"] == 0, name
@@ -144,14 +162,14 @@ def test_solv2_golden_run(capsys):
         assert pres.nilpotent_part.dim == 2
 
         result = ado_representation(g)
-        assert result.dim_v == 15
+        assert result.dim_v == 3
         rho1, rho2 = (m.to_dense() for m in result.matrices)
-        assert rho2.power(5).is_zero()
-        assert not rho2.power(4).is_zero()
-        # the split generator acts by the monomial weight, which runs 0..4
-        # at truncation 4, so the squarefree part of its minimal polynomial
-        # is t(t-1)(t-2)(t-3)(t-4)
-        factors = [Polynomial((-w, 1)) for w in range(5)]
+        assert rho2.power(2).is_zero()
+        assert not rho2.is_zero()
+        # the split generator acts by the monomial weight, which runs 0..1
+        # at truncation 1, so the squarefree part of its minimal polynomial
+        # is t(t-1)
+        factors = [Polynomial((-w, 1)) for w in range(2)]
         expected = reduce(lambda a, b: a * b, factors)
         assert squarefree_part(minimal_polynomial(rho1)) == expected
 
@@ -254,14 +272,27 @@ def test_expansion_invariants(capsys):
         assert len(saturate(catalog_algebra("t3")).trace) == 4
 
 
+# the catalog entries with a nonzero nilpotent ideal after saturation
+NILPOTENT_CASES = (
+    "heisenberg",
+    "heisenberg5",
+    "solv2",
+    "jordan3",
+    "rot3",
+    "gl2",
+    "t3",
+    "abelian:3",
+)
+
+
 def test_truncation_ideal_against_word_oracle(capsys):
     with criterion(capsys, 7, "truncation ideal oracle"):
         g = catalog_algebra("heisenberg")
-        expected_meet = {2: 3, 3: None, 5: 0}
         for order in (2, 3, 5):
             built = build_module(g, order)
-            oracle = oracle_low_ideal(g, order)
-            assert package_low_ideal_in_oracle_coords(built) == oracle
+            # dimension from the generating function, light basis, and
+            # left actions equal to the oracle's with heavy terms dropped
+            assert module_disagreements(built) == [], order
 
             # the generators survive into the quotient independently
             gens = []
@@ -271,32 +302,19 @@ def test_truncation_ideal_against_word_oracle(capsys):
                 gens.append([coords.get(p, Q(0)) for p in range(built.module.dim)])
             assert Subspace.from_vectors(built.module.dim, gens).dim == 3
 
-            # the reported short-product finding, recomputed oracle-side
-            finding = check_short_span_intersection(built)
-            low_monos = monomials_up_to(3, order)
-            index = {mono: k for k, mono in enumerate(low_monos)}
-            elements = [{(0, 0, 0): Q(1)}]
-            for i in range(3):
-                elements.append({tuple(1 if j == i else 0 for j in range(3)): Q(1)})
-            for i in range(3):
-                for j in range(3):
-                    elements.append(oracle_straighten(g, (i, j)))
-            rows = []
-            for element in elements:
-                vec = [Q(0)] * len(low_monos)
-                for mono, coeff in element.items():
-                    if sum(mono) <= order:
-                        vec[index[mono]] = coeff
-                rows.append(tuple(vec))
-            span = Subspace.from_vectors(len(low_monos), rows)
-            assert finding["span_dimension"] == span.dim
-            assert finding["intersection_dimension"] == span.intersect(oracle).dim
-            if expected_meet[order] is not None:
-                assert finding["intersection_dimension"] == expected_meet[order]
-        # the finding lands in the run summary exactly as computed
-        result = ado_representation(g)
-        reported = result.provenance["blocks"][0]["short_products"]
-        assert reported == check_short_span_intersection(build_module(g, 5))
+        # on the nilpotent ideals of the catalog in seeded random bases, a
+        # letter times a heavy monomial is heavy: the dropped monomials
+        # span a left ideal, so dropping them is a module map
+        for name in NILPOTENT_CASES:
+            rng = random.Random(f"heavy-ideal:{name}")
+            pres = saturate(seeded_change_of_basis(rng, catalog_algebra(name)))
+            basis = adapted_basis(pres.algebra, pres.nilpotent_part)
+            nalg, _ = pres.algebra.subalgebra_on_basis(basis)
+            built = build_module(nalg)
+            assert module_disagreements(built) == [], name
+            order = built.module.truncation
+            failures = heavy_insert_failures(nalg, oracle_weights(nalg), order, order + 1)
+            assert failures == [], name
 
 
 def _tamper(capsys, source, tampered_path, m_idx, r, c):
@@ -329,11 +347,27 @@ def test_negative_controls(tmp_path, capsys):
                     exit_code = _tamper(capsys, source, tmp_path / "bad.json", m_idx, r, c)
                     assert exit_code == 3, (m_idx, r, c)
 
-        # spot checks on a two-block output: either block is load bearing
+        # the same on a two-block output: either block is load bearing
         source = tmp_path / "gl2.json"
         code = main(["compute", "--catalog", "gl2", "-o", str(source)])
         capsys.readouterr()
         assert code == 0
-        for m_idx, r, c in ((0, 0, 1), (0, 5, 5), (1, 2, 3), (2, 7, 7)):
-            exit_code = _tamper(capsys, source, tmp_path / "bad.json", m_idx, r, c)
-            assert exit_code == 3, (m_idx, r, c)
+        data = json.loads(source.read_text())
+        dim_v = data["dim_v"]
+        assert dim_v == 6
+        # the coordinates that every sl2 image kills, as rows and columns:
+        # a change of the central identity's image supported there commutes
+        # with every image and keeps it nonzero, so it yields another
+        # faithful representation, which verify must accept
+        free = [
+            i
+            for i in range(dim_v)
+            if all(m[i][k] == m[k][i] == "0" for m in data["matrices"][:3] for k in range(dim_v))
+        ]
+        assert free == [0, 1, 5]
+        for m_idx in range(4):
+            for r in range(dim_v):
+                for c in range(dim_v):
+                    expected = 0 if m_idx == 3 and r in free and c in free else 3
+                    exit_code = _tamper(capsys, source, tmp_path / "bad.json", m_idx, r, c)
+                    assert exit_code == expected, (m_idx, r, c)

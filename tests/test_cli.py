@@ -24,7 +24,7 @@ def test_compute_catalog_to_stdout(capsys):
     code, out, err = run(capsys, "compute", "--catalog", "solv2")
     assert code == 0
     data = json.loads(out)
-    assert data["dim_v"] == 15
+    assert data["dim_v"] == 3
     assert data["algebra"]["name"] == "solv2"
     assert data["verification"]["verified"] is True
     assert all(
@@ -34,7 +34,7 @@ def test_compute_catalog_to_stdout(capsys):
         for entry in row
     )
     assert "verdict: verified faithful" in err
-    assert "enveloping block: dimension 15" in err
+    assert "enveloping block: dimension 3 (truncation 1, weights 1 1)" in err
 
 
 def test_compute_is_deterministic(capsys):
@@ -83,7 +83,7 @@ def test_compute_from_algebra_file(capsys, tmp_path):
     source.write_text(out, encoding="utf-8")
     code, out, err = run(capsys, "compute", str(source))
     assert code == 0
-    assert json.loads(out)["dim_v"] == 34
+    assert json.loads(out)["dim_v"] == 7
 
 
 def test_catalog_list(capsys):
@@ -96,9 +96,10 @@ def test_catalog_list(capsys):
 
 
 def test_trace_flag_prints_saturation(capsys):
-    code, _, err = run(capsys, "compute", "--catalog", "t3", "--truncation", "2")
+    code, _, err = run(capsys, "compute", "--catalog", "t3", "--truncation", "1")
     assert code == 0
-    assert "warning: truncation 2 is below the default 5" in err
+    assert "warning: truncation 1 is below the default 2" in err
+    assert "retried one order deeper" in err
     code, _, err = run(
         capsys, "compute", "--catalog", "solv2", "--trace"
     )
@@ -130,7 +131,7 @@ def test_retry_note_and_no_retry_failure(capsys, tmp_path):
         (["compute"], "exactly one"),
         (["compute", "x.json", "--catalog", "sl2"], "exactly one"),
         (["compute", "--catalog", "nope"], "unknown catalog name"),
-        (["compute", "--catalog", "sl2", "--truncation", "1"], "at least 2"),
+        (["compute", "--catalog", "sl2", "--truncation", "0"], "at least 1"),
         (["compute", "/nonexistent/path.json"], "cannot read"),
         (["verify", "/nonexistent/path.json"], "cannot read"),
         (["catalog", "show", "nope"], "unknown catalog name"),

@@ -1,9 +1,8 @@
-"""Straightening and the truncated module, checked against a word oracle.
+"""Straightening and the weighted truncated module, checked against a word oracle.
 
-The oracle enumerates straightened words levelwise with its own
-recursive rewriting, keeps exact value sets per length, projects the
-long lengths down to the truncation degree and spans.  It never touches
-the package's engine internals.
+The oracle straightens with its own recursive rewriting, weighs the
+basis by brute-force lower central terms and counts monomials by the
+generating function.  It never touches the package's engine internals.
 """
 
 from dataclasses import replace
@@ -16,22 +15,18 @@ from ado.envelope import (
     BuiltModule,
     StraighteningEngine,
     build_module,
-    check_short_span_intersection,
-    monomials_up_to,
     verify_module_axioms,
+    weighted_monomials,
 )
 from ado.errors import FaithfulnessError, InputError, TripwireError
 from ado.lie import LieAlgebra
-from ado.linalg import Matrix, SparseMatrix, Subspace
+from ado.linalg import Matrix, SparseMatrix
 
-from helpers import (
-    oracle_low_ideal,
-    oracle_straighten,
-    package_low_ideal_in_oracle_coords,
-)
+from helpers import change_of_basis, module_disagreements, oracle_straighten
 
 
 HEIS = catalog_algebra("heisenberg")
+FILIFORM = {(0, 1): {2: 1}, (0, 2): {3: 1}}
 
 
 def test_straighten_frozen_cases():
@@ -57,14 +52,13 @@ def test_straighten_agrees_with_oracle_on_all_short_words():
 def test_insert_uses_central_shortcut():
     engine = StraighteningEngine(HEIS)
     assert engine.insert(2, (1, 1, 0)) == {(1, 1, 1): Q(1)}
-    assert engine.correction(2, (1, 1, 0)) == {}
-    assert engine.correction(1, (1, 0, 0)) == {(0, 0, 1): Q(-1)}
+    assert engine.insert(1, (1, 0, 0)) == {(1, 1, 0): Q(1), (0, 0, 1): Q(-1)}
 
 
 def test_module_dimensions_frozen():
-    for truncation, ideal_dim, module_dim in ((2, 3, 7), (3, 7, 13), (5, 22, 34)):
+    for truncation, module_dim in ((2, 7), (3, 13), (5, 34)):
         built = build_module(HEIS, truncation=truncation)
-        assert built.module.low_ideal.dim == ideal_dim
+        assert built.module.weights == (1, 1, 2)
         assert built.module.dim == module_dim
 
 
@@ -73,52 +67,56 @@ def test_module_agrees_with_word_oracle():
         (HEIS, 2),
         (HEIS, 3),
         (catalog_algebra("heisenberg5"), 2),
+        (catalog_algebra("heisenberg5"), 4),
         (catalog_algebra("abelian:3"), 2),
     ]
     # the nilpotent part the pipeline reaches for t3: a Heisenberg
     # triple next to three central directions
     t3_nil = LieAlgebra.from_sparse(6, {(0, 1): {2: 1}})
     cases.append((t3_nil, 2))
+    # the 4-dim filiform algebra, weights 1, 1, 2, 3
+    cases.append((LieAlgebra.from_sparse(4, FILIFORM), 4))
     for algebra, truncation in cases:
-        built = build_module(algebra, truncation=truncation)
-        assert package_low_ideal_in_oracle_coords(built) == oracle_low_ideal(
-            algebra, truncation
-        )
+        assert module_disagreements(build_module(algebra, truncation=truncation)) == []
 
 
 def test_module_agrees_with_word_oracle_at_default_truncation():
     built = build_module(HEIS)
-    assert built.module.truncation == 5
-    assert package_low_ideal_in_oracle_coords(built) == oracle_low_ideal(HEIS, 5)
+    assert built.module.truncation == 2
+    assert module_disagreements(built) == []
 
 
 def test_abelian_modules_are_full_polynomial_truncations():
     from math import comb
 
     for m in (1, 2, 3):
-        for truncation in (2, 3, 4):
+        for truncation in (1, 2, 3, 4):
             built = build_module(catalog_algebra(f"abelian:{m}"), truncation=truncation)
-            assert built.module.low_ideal.dim == 0
+            assert built.module.weights == (1,) * m
             assert built.module.dim == comb(m + truncation, m)
 
 
 def test_generator_independence_enforced():
-    # with index 4 and truncation 2, straightened long words reach
-    # degree one and the generators collapse
-    filiform = LieAlgebra.from_sparse(
-        4, {(0, 1): {2: 1}, (0, 2): {3: 1}}
-    )
+    # e4 has weight 3, so truncation 2 drops it from the module
+    filiform = LieAlgebra.from_sparse(4, FILIFORM)
     assert filiform.nilpotency_index() == 4
-    with pytest.raises(FaithfulnessError):
+    with pytest.raises(FaithfulnessError) as exc:
         build_module(filiform, truncation=2)
+    assert exc.value.payload == {"truncation": 2, "generators": [3]}
     built = build_module(filiform)
-    assert built.module.truncation == 6
+    assert built.module.truncation == 3
+    assert built.module.weights == (1, 1, 2, 3)
 
 
 def test_ambient_guard():
+    # 20336 monomials of weighted degree <= 60 with weights 1, 1, 2
     with pytest.raises(InputError) as exc:
         build_module(HEIS, truncation=60)
     assert "limit" in exc.value.message
+    assert exc.value.payload["count"] == 20336
+    # refused at once, without a table as long as the truncation order
+    with pytest.raises(InputError):
+        build_module(HEIS, truncation=10**12)
 
 
 def test_ambient_guard_env_override(monkeypatch):
@@ -133,9 +131,33 @@ def test_ambient_guard_env_override(monkeypatch):
         build_module(HEIS, truncation=5)
 
 
-def test_truncation_must_be_at_least_two():
+def test_truncation_must_be_at_least_one():
     with pytest.raises(InputError):
-        build_module(HEIS, truncation=1)
+        build_module(HEIS, truncation=0)
+
+
+# heisenberg on (x, y, x+z): [e1, e2] = z = e3 - e1 has an e1 term of weight 1
+X_Y_X_PLUS_Z = Matrix([(1, 0, 0), (0, 1, 0), (1, 0, 1)]).transpose()
+
+
+def test_weight_tripwire_on_an_unadapted_basis():
+    g = change_of_basis(HEIS, X_Y_X_PLUS_Z)
+    with pytest.raises(TripwireError) as exc:
+        build_module(g)
+    assert exc.value.stage == "module"
+    assert exc.value.message == "bracket lowers the weight"
+    assert exc.value.payload == {"pair": [0, 1], "generator": 0}
+
+
+def test_weight_tripwire_on_a_weight_lowering_derivation():
+    built = build_module(HEIS)
+    # z -> x sends weight 2 to weight 1; checked before any action is built
+    lowering = Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(TripwireError) as exc:
+        built.derivation_action(lowering)
+    assert exc.value.stage == "module"
+    assert exc.value.message == "derivation lowers the weight"
+    assert exc.value.payload == {"entry": [0, 2]}
 
 
 def test_module_axioms_for_left_actions():
@@ -224,17 +246,6 @@ def test_module_axioms_name_a_tampered_commutator(monkeypatch):
     assert exc.value.payload == {"pair": [0, 1]}
 
 
-def test_short_span_finding():
-    built2 = build_module(HEIS, truncation=2)
-    finding = check_short_span_intersection(built2)
-    assert finding == {"span_dimension": 10, "intersection_dimension": 3}
-    built5 = build_module(HEIS, truncation=5)
-    assert check_short_span_intersection(built5) == {
-        "span_dimension": 10,
-        "intersection_dimension": 0,
-    }
-
-
 def test_left_action_of_x_frozen():
     built = build_module(HEIS, truncation=2)
     # basis 1, z, y, x, y^2, xy, x^2; x kills xz-bound images
@@ -252,6 +263,8 @@ def test_left_action_of_x_frozen():
 
 
 def test_monomial_enumeration_graded_lex():
-    monos = monomials_up_to(2, 2)
+    monos = weighted_monomials((1, 1), 2)
     assert monos == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
-    assert monomials_up_to(0, 4) == ((),)
+    # weights 1, 2: the monomial (0, 2) weighs 4 and is left out
+    assert weighted_monomials((1, 2), 3) == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0))
+    assert weighted_monomials((), 4) == ((),)
