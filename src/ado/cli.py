@@ -5,8 +5,11 @@ algebra file or a catalog name, verify re-derives the verdict of a
 previously written representation file from its matrices alone, and
 catalog lists or prints the built-in algebras.
 
-Exit codes: 0 when the requested check holds, 1 for invalid input, 2
-when an internal consistency check fails, 3 when verification fails.
+Exit codes: 0 when the requested check holds, 1 for invalid input
+(including a --truncation below the largest generator weight), 2 when an
+internal consistency check fails, and 3 only when verify finds that a
+representation file fails verification: compute is faithful by
+construction.
 Structured errors go to stderr as one-line JSON objects; file payloads
 are canonically serialized, so identical runs produce identical bytes.
 """
@@ -58,13 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--truncation",
         type=int,
         metavar="M",
-        help="weighted truncation order of the enveloping module"
-        " (default: nilpotency index minus one, at least 1)",
-    )
-    compute.add_argument(
-        "--no-retry",
-        action="store_true",
-        help="fail instead of retrying one order deeper when injectivity is lost",
+        help="weighted truncation order of the enveloping module; at least"
+        " and by default max(1, k - 1) for k the nilpotency index",
     )
     compute.add_argument(
         "--trace", action="store_true", help="print the saturation trace"
@@ -104,23 +102,10 @@ def _summarize(
                 f" weights {' '.join(map(str, block['weights']))})",
                 file=stream,
             )
-            default = max(1, block["nilpotency_index"] - 1)
-            if args.truncation is not None and args.truncation < default:
-                print(
-                    f"  warning: truncation {args.truncation} is below the"
-                    f" default {default}; injectivity may need the retry",
-                    file=stream,
-                )
         else:
             print(
                 f"  reductive block: dimension {block['dimension']}", file=stream
             )
-    if result.provenance["retried"]:
-        print(
-            "  note: the first truncation lost injectivity;"
-            " retried one order deeper",
-            file=stream,
-        )
     if args.trace:
         for record in result.provenance["saturation"]:
             if record["stage"] == "initial":
@@ -156,9 +141,7 @@ def _cmd_compute(args) -> int:
         _, labels, algebra = catalog_entry(name)
     else:
         name, labels, algebra = algebra_from_json(load_json(args.source))
-    result = ado_representation(
-        algebra, truncation=args.truncation, retry=not args.no_retry
-    )
+    result = ado_representation(algebra, truncation=args.truncation)
     text = canonical_dumps(representation_to_json(name, labels, result))
     if args.output is not None:
         try:

@@ -16,7 +16,7 @@ The quotient needs no elimination: its basis is the monomials of weight
 at most M, left multiplication straightens and drops the heavy terms,
 and derivations act by their Leibniz extension in the same way.  Since
 x * 1 = x, n acts faithfully once M reaches the largest weight, k - 1
-for k the nilpotency index; that is the default.
+for k the nilpotency index; that is the default and the floor.
 
 A bracket or a derivation that lowers the weight means the basis is not
 adapted, and building the module or the derivation action raises
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-from .errors import FaithfulnessError, InputError, TripwireError
+from .errors import InputError, TripwireError
 from .lie import LieAlgebra
 from .linalg import (
     Matrix,
@@ -236,17 +236,24 @@ def build_module(
 ) -> BuiltModule:
     """Construct the truncated module and the left action matrices.
 
-    The truncation defaults to max(1, k - 1) for k the nilpotency index.
-    Raises TripwireError when a bracket lowers the weight, that is when
-    the basis is not adapted to the lower central series; InputError
-    when the weighted monomial count exceeds the ambient limit, checked
-    before enumeration; and FaithfulnessError when a forced truncation
-    lies below the weight of a generator, which then vanishes.
+    The truncation defaults to its floor max(1, k - 1), k the nilpotency
+    index, which is the largest generator weight; a chosen truncation
+    can only raise it, so every generator survives into the module.
+    Raises InputError for a truncation below the floor, or when the
+    weighted monomial count exceeds the ambient limit (checked before
+    enumeration); and TripwireError when a bracket lowers the weight,
+    that is when the basis is not adapted to the lower central series.
     """
     nilindex = algebra.nilpotency_index()
-    order = truncation if truncation is not None else max(1, nilindex - 1)
-    if order < 1:
-        raise InputError("module", "truncation order must be at least 1", order=order)
+    floor = max(1, nilindex - 1)
+    order = truncation if truncation is not None else floor
+    if order < floor:
+        raise InputError(
+            "module",
+            "truncation must be at least the largest generator weight",
+            truncation=order,
+            minimum=floor,
+        )
     r = algebra.dim
     series = algebra.lower_central_series()
     weights = tuple(
@@ -259,14 +266,6 @@ def build_module(
                     raise TripwireError(
                         "module", "bracket lowers the weight", pair=[i, j], generator=k
                     )
-    heavy = [i for i in range(r) if weights[i] > order]
-    if heavy:
-        raise FaithfulnessError(
-            "module",
-            "generators heavier than the truncation vanish in the module",
-            truncation=order,
-            generators=heavy,
-        )
     limit = ambient_limit()
     # the powers of a weight-1 generator alone number order + 1, so a
     # count up to weight min(order, limit) decides the guard

@@ -41,9 +41,3 @@ class TripwireError(AdoError):
     """An internal consistency check failed.  Indicates a bug, not bad input."""
 
     exit_code = 2
-
-
-class FaithfulnessError(AdoError):
-    """The constructed action lost injectivity at the chosen truncation."""
-
-    exit_code = 3

@@ -100,13 +100,16 @@ def derivation_witness(
     """First basis pair on which d breaks the Leibniz rule, or None."""
     if d.nrows != algebra.dim or d.ncols != algebra.dim:
         raise ValueError("matrix size disagrees with the algebra dimension")
+    units = [unit_vector(algebra.dim, i) for i in range(algebra.dim)]
+    # d e_i is the i-th column of d
+    images = [d.column(i) for i in range(algebra.dim)]
     for i in range(algebra.dim):
-        ei = unit_vector(algebra.dim, i)
-        dei = d.apply(ei)
         for j in range(i + 1, algebra.dim):
-            ej = unit_vector(algebra.dim, j)
             lhs = d.apply(algebra.table[i][j])
-            rhs = add_vec(algebra.bracket(dei, ej), algebra.bracket(ei, d.apply(ej)))
+            rhs = add_vec(
+                algebra.bracket(images[i], units[j]),
+                algebra.bracket(units[i], images[j]),
+            )
             if not is_zero_vec(sub_vec(lhs, rhs)):
                 return (i, j)
     return None

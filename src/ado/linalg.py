@@ -235,21 +235,6 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix([row for m in mats for row in m.rows], ncols=ncols)
 
 
-def block_diag(mats: Sequence[Matrix]) -> Matrix:
-    """Block diagonal matrix; blocks may be rectangular or empty."""
-    total_r = sum(m.nrows for m in mats)
-    total_c = sum(m.ncols for m in mats)
-    rows = []
-    col_off = 0
-    for m in mats:
-        left = col_off
-        right = total_c - col_off - m.ncols
-        for row in m.rows:
-            rows.append((QZERO,) * left + row + (QZERO,) * right)
-        col_off += m.ncols
-    return Matrix(rows, ncols=total_c) if rows else Matrix([], ncols=total_c)
-
-
 def _add_scaled(target: dict, source: dict, coeff: Q) -> None:
     """target += coeff * source for sparse dict vectors, dropping zeros.
 
@@ -278,18 +263,6 @@ class SparseMatrix:
     def from_columns(cls, columns: Sequence[Sequence[Q]], nrows: int) -> "SparseMatrix":
         cols = [{i: x for i, x in enumerate(col) if x} for col in columns]
         return cls(nrows, len(cols), cols)
-
-    @classmethod
-    def from_dense(cls, m: Matrix) -> "SparseMatrix":
-        columns = list(zip(*m.rows)) if m.nrows else [()] * m.ncols
-        return cls.from_columns(columns, m.nrows)
-
-    def to_dense(self) -> Matrix:
-        rows = [[QZERO] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, x in col.items():
-                rows[i][j] = x
-        return Matrix._of_rows(tuple(map(tuple, rows)), self.ncols)
 
     def is_zero(self) -> bool:
         return not any(self.cols)

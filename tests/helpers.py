@@ -8,7 +8,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from ado.linalg import Matrix, Subspace, block_diag, kernel, solve, unit_vector
+from ado.linalg import Matrix, SparseMatrix, Subspace, kernel, solve, unit_vector
 
 
 def rationals(max_num: int = 4, max_den: int = 3) -> st.SearchStrategy[Q]:
@@ -31,6 +31,32 @@ def square_matrices(max_n: int = 4) -> st.SearchStrategy[Matrix]:
     return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: matrices(n, n)
     )
+
+
+def block_diag(mats) -> Matrix:
+    """Dense block diagonal matrix; blocks may be rectangular or empty."""
+    total_c = sum(m.ncols for m in mats)
+    rows = []
+    col_off = 0
+    for m in mats:
+        right = total_c - col_off - m.ncols
+        rows.extend((Q(0),) * col_off + row + (Q(0),) * right for row in m.rows)
+        col_off += m.ncols
+    return Matrix(rows, ncols=total_c)
+
+
+# the dense bridge: tests compare sparse results with the dense reference
+def from_dense(m: Matrix) -> SparseMatrix:
+    columns = list(zip(*m.rows)) if m.nrows else [()] * m.ncols
+    return SparseMatrix.from_columns(columns, m.nrows)
+
+
+def to_dense(m: SparseMatrix) -> Matrix:
+    rows = [[Q(0)] * m.ncols for _ in range(m.nrows)]
+    for j, col in enumerate(m.cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return Matrix(rows, ncols=m.ncols)
 
 
 def seeded_matrix(rng: random.Random, nrows: int, ncols: int, span: int = 3) -> Matrix:
@@ -413,3 +439,52 @@ def strictly_upper_triangular(n):
                 if entry:
                     brackets[(a, b)] = entry
     return LieAlgebra.from_sparse(len(units), brackets)
+
+
+def nilpotent_closure(gens):
+    """Lie closure of strictly upper triangular matrices, as a LieAlgebra.
+
+    The basis is the generators and their brackets in the order they
+    turn up, skipping dependent ones, so it is rarely adapted to the
+    lower central series; each structure constant comes from one solve.
+    """
+    from ado.lie import LieAlgebra
+
+    basis = []
+    queue = list(gens)
+    while queue:
+        m = queue.pop(0)
+        flats = [b.flatten() for b in basis] + [m.flatten()]
+        if Subspace.from_vectors(m.nrows * m.ncols, flats).dim > len(basis):
+            queue.extend(b * m - m * b for b in basis)
+            basis.append(m)
+    if not basis:
+        return LieAlgebra.from_sparse(0, {})
+    change = Matrix([b.flatten() for b in basis]).transpose()
+    brackets = {}
+    for i, a in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            b = basis[j]
+            coeffs = solve(change, (a * b - b * a).flatten())
+            brackets[(i, j)] = {k: c for k, c in enumerate(coeffs) if c}
+    return LieAlgebra.from_sparse(len(basis), brackets)
+
+
+def nilpotent_algebras():
+    """Lie closures of 2-3 random strictly upper triangular integer 4 x 4
+    matrices with entries in -2..2."""
+    size = 4
+    cells = [(i, j) for i in range(size) for j in range(i + 1, size)]
+
+    def upper(entries):
+        rows = [[0] * size for _ in range(size)]
+        for (i, j), x in zip(cells, entries):
+            rows[i][j] = x
+        return Matrix(rows)
+
+    entries = st.lists(
+        st.integers(min_value=-2, max_value=2),
+        min_size=len(cells),
+        max_size=len(cells),
+    )
+    return st.lists(entries.map(upper), min_size=2, max_size=3).map(nilpotent_closure)

@@ -29,7 +29,6 @@ from ado.jordan import derivation_witness, jc_decompose, jc_decompose_derivation
 from ado.linalg import (
     Matrix,
     Polynomial,
-    SparseMatrix,
     Subspace,
     kernel,
     minimal_polynomial,
@@ -40,12 +39,14 @@ from ado.pipeline import adapted_basis, ado_representation, verify_representatio
 
 from helpers import (
     conjugated_jordan,
+    from_dense,
     heavy_insert_failures,
     module_disagreements,
     oracle_weights,
     seeded_change_of_basis,
     seeded_matrix,
     semisimple_from_eigenvalues,
+    to_dense,
 )
 
 CATALOG_CASES = (
@@ -163,7 +164,7 @@ def test_solv2_golden_run(capsys):
 
         result = ado_representation(g)
         assert result.dim_v == 3
-        rho1, rho2 = (m.to_dense() for m in result.matrices)
+        rho1, rho2 = (to_dense(m) for m in result.matrices)
         assert rho2.power(2).is_zero()
         assert not rho2.is_zero()
         # the split generator acts by the monomial weight, which runs 0..1
@@ -330,7 +331,7 @@ def test_negative_controls(tmp_path, capsys):
     with criterion(capsys, 8, "negative controls"):
         # the adjoint map of a nilpotent algebra keeps its centre in the kernel
         g = catalog_algebra("heisenberg")
-        adjoint = tuple(SparseMatrix.from_dense(g.ad(unit_vector(3, i))) for i in range(3))
+        adjoint = tuple(from_dense(g.ad(unit_vector(3, i))) for i in range(3))
         report = verify_representation(g, adjoint, 3)
         assert report.homomorphism
         assert report.kernel_dimension == 1

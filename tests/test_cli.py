@@ -96,10 +96,11 @@ def test_catalog_list(capsys):
 
 
 def test_trace_flag_prints_saturation(capsys):
-    code, _, err = run(capsys, "compute", "--catalog", "t3", "--truncation", "1")
+    code, out, _ = run(capsys, "compute", "--catalog", "t3", "--truncation", "3")
     assert code == 0
-    assert "warning: truncation 1 is below the default 2" in err
-    assert "retried one order deeper" in err
+    data = json.loads(out)
+    assert data["verification"]["verified"] is True
+    assert data["provenance"]["blocks"][0]["truncation"] == 3
     code, _, err = run(
         capsys, "compute", "--catalog", "solv2", "--trace"
     )
@@ -107,22 +108,22 @@ def test_trace_flag_prints_saturation(capsys):
     assert "step: generator (1, 0)" in err
 
 
-def test_retry_note_and_no_retry_failure(capsys, tmp_path):
+def test_truncation_below_the_floor_exits_one(capsys, tmp_path):
     source = tmp_path / "filiform.json"
     source.write_text(json.dumps(FILIFORM_FILE), encoding="utf-8")
     code, out, err = run(
         capsys, "compute", str(source), "--truncation", "2"
     )
-    assert code == 0
-    assert "retried one order deeper" in err
-    assert json.loads(out)["provenance"]["retried"] is True
-    code, out, err = run(
-        capsys, "compute", str(source), "--truncation", "2", "--no-retry"
-    )
-    assert code == 3
+    assert code == 1
     assert out == ""
-    error = json.loads(err)["error"]
-    assert error["kind"] == "FaithfulnessError"
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert (error["stage"], error["kind"]) == ("module", "InputError")
+    assert error["detail"] == {"minimum": 3, "truncation": 2}
+    with pytest.raises(SystemExit) as info:
+        main(["compute", str(source), "--no-retry"])
+    assert info.value.code == 1
 
 
 @pytest.mark.parametrize(
@@ -135,6 +136,7 @@ def test_retry_note_and_no_retry_failure(capsys, tmp_path):
         (["compute", "/nonexistent/path.json"], "cannot read"),
         (["verify", "/nonexistent/path.json"], "cannot read"),
         (["catalog", "show", "nope"], "unknown catalog name"),
+        (["compute", "--catalog", "t3", "--truncation", "1"], "largest generator weight"),
     ],
 )
 def test_input_errors_exit_one(capsys, argv, fragment):

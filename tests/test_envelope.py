@@ -18,11 +18,17 @@ from ado.envelope import (
     verify_module_axioms,
     weighted_monomials,
 )
-from ado.errors import FaithfulnessError, InputError, TripwireError
+from ado.errors import InputError, TripwireError
 from ado.lie import LieAlgebra
 from ado.linalg import Matrix, SparseMatrix
 
-from helpers import change_of_basis, module_disagreements, oracle_straighten
+from helpers import (
+    change_of_basis,
+    from_dense,
+    module_disagreements,
+    oracle_straighten,
+    to_dense,
+)
 
 
 HEIS = catalog_algebra("heisenberg")
@@ -96,13 +102,14 @@ def test_abelian_modules_are_full_polynomial_truncations():
             assert built.module.dim == comb(m + truncation, m)
 
 
-def test_generator_independence_enforced():
-    # e4 has weight 3, so truncation 2 drops it from the module
+def test_truncation_floor_is_the_largest_weight():
+    # e4 has weight 3: truncation 2 would drop it, so it is refused
     filiform = LieAlgebra.from_sparse(4, FILIFORM)
     assert filiform.nilpotency_index() == 4
-    with pytest.raises(FaithfulnessError) as exc:
+    with pytest.raises(InputError) as exc:
         build_module(filiform, truncation=2)
-    assert exc.value.payload == {"truncation": 2, "generators": [3]}
+    assert exc.value.stage == "module"
+    assert exc.value.payload == {"truncation": 2, "minimum": 3}
     built = build_module(filiform)
     assert built.module.truncation == 3
     assert built.module.weights == (1, 1, 2, 3)
@@ -182,7 +189,7 @@ def test_derivation_action_frozen_weights():
             [0, 0, 0, 0, 0, 0, 2],
         ]
     )
-    assert action.to_dense() == expected
+    assert to_dense(action) == expected
 
 
 def test_derivation_axioms_with_two_derivations():
@@ -193,9 +200,9 @@ def test_derivation_axioms_with_two_derivations():
 
 
 def _bump(m: SparseMatrix, r: int, c: int) -> SparseMatrix:
-    rows = [list(row) for row in m.to_dense().rows]
+    rows = [list(row) for row in to_dense(m).rows]
     rows[r][c] += 1
-    return SparseMatrix.from_dense(Matrix(rows))
+    return from_dense(Matrix(rows))
 
 
 def _tamper_derivation_call(monkeypatch, call: int) -> None:
@@ -249,7 +256,7 @@ def test_module_axioms_name_a_tampered_commutator(monkeypatch):
 def test_left_action_of_x_frozen():
     built = build_module(HEIS, truncation=2)
     # basis 1, z, y, x, y^2, xy, x^2; x kills xz-bound images
-    assert built.left[0].to_dense() == Matrix(
+    assert to_dense(built.left[0]) == Matrix(
         [
             [0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0],

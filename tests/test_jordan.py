@@ -11,13 +11,17 @@ from ado.jordan import derivation_witness, jc_decompose, jc_decompose_derivation
 from ado.linalg import (
     Matrix,
     Polynomial,
-    block_diag,
     minimal_polynomial,
     poly_gcd,
     unit_vector,
 )
 
-from helpers import conjugated_jordan, jordan_block, semisimple_from_eigenvalues
+from helpers import (
+    block_diag,
+    conjugated_jordan,
+    jordan_block,
+    semisimple_from_eigenvalues,
+)
 
 
 def test_zero_matrix():

@@ -12,7 +12,6 @@ from ado.linalg import (
     SparseMatrix,
     SparseSpan,
     Subspace,
-    block_diag,
     bracket_residual,
     compose_mod,
     extended_gcd,
@@ -29,7 +28,7 @@ from ado.linalg import (
     vstack,
 )
 
-from helpers import matrices, rationals, square_matrices
+from helpers import block_diag, from_dense, matrices, rationals, square_matrices, to_dense
 
 
 def test_rref_of_dependent_rows():
@@ -289,8 +288,8 @@ def test_polynomial_divmod_identity(fc, gc):
 
 @given(matrices(3, 4))
 def test_sparse_round_trip(m):
-    sparse = SparseMatrix.from_dense(m)
-    assert sparse.to_dense() == m
+    sparse = from_dense(m)
+    assert to_dense(sparse) == m
     assert sparse.is_zero() == m.is_zero()
     columns = [m.column(j) for j in range(m.ncols)]
     assert SparseMatrix.from_columns(columns, m.nrows).cols == sparse.cols
@@ -300,9 +299,9 @@ def test_sparse_round_trip(m):
 
 @given(matrices(3, 3), matrices(3, 3), rationals(), rationals())
 def test_sparse_combination_matches_dense(a, b, c, d):
-    mats = (SparseMatrix.from_dense(a), SparseMatrix.from_dense(b))
-    assert sparse_combination((c, d), mats, 3, 3).to_dense() == a.scale(c) + b.scale(d)
-    assert sparse_combination((), (), 2, 3).to_dense() == Matrix.zeros(2, 3)
+    mats = (from_dense(a), from_dense(b))
+    assert to_dense(sparse_combination((c, d), mats, 3, 3)) == a.scale(c) + b.scale(d)
+    assert to_dense(sparse_combination((), (), 2, 3)) == Matrix.zeros(2, 3)
 
 
 @given(
@@ -315,19 +314,19 @@ def test_bracket_residual_matches_dense(a, b, mats, coeffs):
     expected = a * b - b * a
     for c, m in zip(coeffs, mats):
         expected = expected - m.scale(c)
-    sa, sb = SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)
-    got = bracket_residual(sa, sb, coeffs, [SparseMatrix.from_dense(m) for m in mats])
-    assert got.to_dense() == expected
+    sa, sb = from_dense(a), from_dense(b)
+    got = bracket_residual(sa, sb, coeffs, [from_dense(m) for m in mats])
+    assert to_dense(got) == expected
     # a commutator minus itself leaves nothing
-    commutator = SparseMatrix.from_dense(a * b - b * a)
+    commutator = from_dense(a * b - b * a)
     assert bracket_residual(sa, sb, (Q(1),), (commutator,)).is_zero()
 
 
 @given(matrices(2, 3), matrices(3, 1), matrices(1, 2))
 def test_sparse_block_diag_matches_dense(a, b, c):
     blocks = [a, b, c]
-    sparse = sparse_block_diag([SparseMatrix.from_dense(m) for m in blocks])
-    assert sparse.to_dense() == block_diag(blocks)
+    sparse = sparse_block_diag([from_dense(m) for m in blocks])
+    assert to_dense(sparse) == block_diag(blocks)
 
 
 @given(
@@ -340,7 +339,7 @@ def test_sparse_span_rank_matches_rref(mats, coeffs):
         mats = mats + [mats[0].scale(coeffs[0]) + mats[1].scale(coeffs[1])]
     span = SparseSpan()
     for m in mats:
-        span.add(SparseMatrix.from_dense(m).flatten())
+        span.add(from_dense(m).flatten())
     assert span.dim == rank(Matrix([m.flatten() for m in mats], ncols=6))
 
 

@@ -4,9 +4,10 @@ from fractions import Fraction as Q
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
 from ado.catalog import catalog_algebra
-from ado.errors import FaithfulnessError
+from ado.errors import InputError
 from ado.expansion import saturate
 from ado.lie import LieAlgebra
 from ado.linalg import (
@@ -26,10 +27,13 @@ from ado.pipeline import (
 
 from helpers import (
     change_of_basis,
+    from_dense,
+    nilpotent_algebras,
     seeded_change_of_basis,
     sl2_plus_solv2,
     sl2_semidirect_plane,
     strictly_upper_triangular,
+    to_dense,
 )
 
 
@@ -106,10 +110,10 @@ def test_zero_algebra():
 
 def test_solv2_scaling_spectrum():
     res = ado_representation(catalog_algebra("solv2"))
-    reduced = squarefree_part(minimal_polynomial(res.matrices[0].to_dense()))
+    reduced = squarefree_part(minimal_polynomial(to_dense(res.matrices[0])))
     # eigenvalues 0 and 1: the weights of the monomials of weight <= 1
     assert reduced.coeffs == (0, -1, 1)
-    step = res.matrices[1].to_dense()
+    step = to_dense(res.matrices[1])
     assert step.power(2) == Matrix.zeros(3, 3)
     assert step != Matrix.zeros(3, 3)
 
@@ -122,16 +126,13 @@ def test_provenance_is_json_serializable():
     assert res.provenance["saturation"][0]["stage"] == "initial"
 
 
-def test_forced_truncation_trips_then_retry_recovers():
+def test_truncation_below_the_floor_is_input_error():
     fil = LieAlgebra.from_sparse(4, FILIFORM)
-    with pytest.raises(FaithfulnessError):
-        ado_representation(fil, truncation=2, retry=False)
-    res = ado_representation(fil, truncation=2)
-    assert res.provenance["retried"] is True
-    assert res.provenance["blocks"][0]["truncation"] == 3
-    assert res.dim_v == 14
-    assert res.verification.verified
+    with pytest.raises(InputError) as exc:
+        ado_representation(fil, truncation=2)
+    assert exc.value.payload == {"truncation": 2, "minimum": 3}
     default = ado_representation(fil)
+    assert default.verification.verified
     assert default.provenance["blocks"][0]["truncation"] == 3
     assert default.dim_v == 14
     assert default.provenance["retried"] is False
@@ -246,9 +247,20 @@ def test_strictly_upper_triangular_verifies(n, dim_v):
     assert res.provenance["blocks"][0]["weights"] == weights
 
 
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_algebras())
+def test_random_nilpotent_algebras_verify_at_the_default_truncation(g):
+    # faithful by construction: a TripwireError here would fail the test
+    res = ado_representation(g)
+    assert res.verification.verified
+    if g.dim:
+        block = res.provenance["blocks"][0]
+        assert block["truncation"] == max(1, g.nilpotency_index() - 1)
+
+
 def test_adjoint_of_heisenberg_is_not_faithful():
     g = catalog_algebra("heisenberg")
-    ads = tuple(SparseMatrix.from_dense(g.ad(unit_vector(3, i))) for i in range(3))
+    ads = tuple(from_dense(g.ad(unit_vector(3, i))) for i in range(3))
     report = verify_representation(g, ads, 3)
     assert report.homomorphism
     assert report.residual_pairs == ()
@@ -259,9 +271,9 @@ def test_adjoint_of_heisenberg_is_not_faithful():
 
 def test_tampered_matrix_fails_verification():
     res = ado_representation(catalog_algebra("gl2"))
-    rows = [list(row) for row in res.matrices[0].to_dense().rows]
+    rows = [list(row) for row in to_dense(res.matrices[0]).rows]
     rows[0][1] += 1
-    tampered = (SparseMatrix.from_dense(Matrix(rows)),) + res.matrices[1:]
+    tampered = (from_dense(Matrix(rows)),) + res.matrices[1:]
     report = verify_representation(res.algebra, tampered, res.dim_v)
     assert not report.verified
     assert report.residual_pairs != ()
@@ -271,7 +283,7 @@ def test_verify_rejects_ragged_input():
     g = catalog_algebra("abelian:2")
 
     def zeros(nrows, ncols):
-        return SparseMatrix.from_dense(Matrix.zeros(nrows, ncols))
+        return from_dense(Matrix.zeros(nrows, ncols))
 
     with pytest.raises(ValueError):
         verify_representation(g, (zeros(2, 2),), 2)
@@ -288,7 +300,7 @@ def test_reductive_representation_of_sl2():
     mats = reductive_representation(g)
     assert all(isinstance(m, SparseMatrix) for m in mats)
     assert [(m.nrows, m.ncols) for m in mats] == [(4, 4)] * 3
-    dense = [m.to_dense() for m in mats]
+    dense = [to_dense(m) for m in mats]
     assert [dense[0][i, i] for i in range(4)] == [0, 2, -2, 0]
     # the top left block is the adjoint matrix
     for i, m in enumerate(dense):
@@ -302,8 +314,8 @@ def test_reductive_representation_of_abelian_algebra():
     mats = reductive_representation(g)
     assert [(m.nrows, m.ncols) for m in mats] == [(5, 5), (5, 5)]
     # translation column carries each central coordinate
-    assert mats[0].to_dense().column(2) == (0, 0, 0, 1, 0)
-    assert mats[1].to_dense().column(2) == (0, 0, 0, 0, 1)
+    assert to_dense(mats[0]).column(2) == (0, 0, 0, 1, 0)
+    assert to_dense(mats[1]).column(2) == (0, 0, 0, 0, 1)
     report = verify_representation(g, mats, 5)
     assert report.verified
 
