@@ -16,21 +16,19 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import InputError, TripwireError
+from .errors import InputError
 from .linalg import (
     Matrix,
     Q,
+    QONE,
     QZERO,
     SparseSpan,
     Subspace,
     Vector,
     kernel,
-    rank,
-    solve,
     to_q,
     unit_vector,
     vec,
-    vstack,
 )
 
 
@@ -147,10 +145,7 @@ class LieAlgebra:
         for u in left.vectors():
             for v in right.vectors():
                 span.add(dict(enumerate(self.bracket(u, v))))
-        return Subspace.from_vectors(
-            self.dim,
-            [[row.get(k, QZERO) for k in range(self.dim)] for row in span.rows.values()],
-        )
+        return Subspace.from_span(self.dim, span)
 
     def derived_subalgebra(self) -> Subspace:
         full = self.full_space()
@@ -196,8 +191,7 @@ class LieAlgebra:
         """Everything whose bracket with the given subspace vanishes."""
         if s.dim == 0:
             return self.full_space()
-        stacked = vstack([self.ad(v) for v in s.vectors()])
-        return kernel(stacked)
+        return kernel(Matrix([row for v in s.vectors() for row in self.ad(v).rows], ncols=self.dim))
 
     def killing_form(self) -> Matrix:
         """K[i][j] = trace(ad e_i ad e_j) = sum over l, k of c(i, l, k) c(j, k, l)."""
@@ -226,33 +220,28 @@ class LieAlgebra:
         Returns the subalgebra in the given basis (order preserved, no
         re-echelonization) together with the inclusion matrix whose
         columns are the basis vectors.  Raises if the vectors are
-        dependent or the span is not bracket-closed.
+        dependent or the span is not bracket-closed.  Basis vector s
+        enters one span with a tag coordinate at dim + s, so reducing a
+        bracket against it leaves minus its coordinates on the tags.
         """
         rows = [vec(v) for v in basis]
-        m = len(rows)
-        if rows and rank(Matrix(rows, ncols=self.dim)) != m:
-            raise ValueError("subalgebra basis is linearly dependent")
-        span = Subspace.from_vectors(self.dim, rows)
         inclusion = Matrix.from_columns(rows, nrows=self.dim)
-        # column r of change: coordinates in the given basis of echelon vector r
-        change = []
-        for echelon in span.vectors():
-            coeffs = solve(inclusion, echelon)
-            if coeffs is None:
-                raise TripwireError("subalgebra", "echelon vector outside the span")
-            change.append(coeffs)
+        span = SparseSpan()
+        for s, u in enumerate(rows):
+            tagged = dict(enumerate(u))
+            tagged[self.dim + s] = QONE
+            if min(span.add(tagged)) >= self.dim:
+                raise ValueError("subalgebra basis is linearly dependent")
         table = []
         for u in rows:
             row_entries = []
             for v in rows:
-                w = self.bracket(u, v)
-                if not span.member(w):
+                residue = span.reduce(dict(enumerate(self.bracket(u, v))))
+                if min(residue, default=self.dim) < self.dim:
                     raise ValueError("span is not closed under the bracket")
-                coeffs = [QZERO] * m
-                for p, column in zip(span.pivots, change):
-                    if w[p]:
-                        for s, c in enumerate(column):
-                            coeffs[s] += w[p] * c
+                coeffs = [QZERO] * len(rows)
+                for k, c in residue.items():
+                    coeffs[k - self.dim] = -c
                 row_entries.append(tuple(coeffs))
             table.append(row_entries)
         return LieAlgebra(table), inclusion

@@ -2,13 +2,18 @@
 
 All scalars are fractions.Fraction values; there is no floating point
 anywhere in this package.  Matrices are immutable and operations return
-new values.  Subspaces are kept in reduced row echelon form so that
-equality, membership, coordinates and complements are all canonical:
-two computations that produce the same subspace produce the same basis.
+new values.
 
-Work the size of a representation uses SparseMatrix instead: columns
-holding only their nonzero entries, one residual routine for brackets
-and an echelon span (SparseSpan) for ranks and residues of sparse vectors.
+SparseSpan, an echelon span of sparse vectors, is the package's one
+Gaussian elimination: ranks, residues, reduced row echelon forms,
+kernels, solutions, minimal polynomials and subalgebra coordinates all
+come out of it.  Matrix and Subspace are dense views of its reduced
+rows.  Subspaces are kept in reduced row echelon form so that equality,
+membership, coordinates and complements are all canonical: two
+computations that produce the same subspace produce the same basis.
+
+Work the size of a representation uses SparseMatrix: columns holding
+only their nonzero entries and one residual routine for brackets.
 
 Polynomials live here too (dense, coefficients listed from the constant
 term up) together with the handful of polynomial operations the rest of
@@ -19,6 +24,7 @@ extended Euclidean algorithm, and composition modulo a polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 Q = Fraction
@@ -226,15 +232,6 @@ class Matrix:
         return f"Matrix({[list(map(str, row)) for row in self.rows]!r})"
 
 
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    ncols = mats[0].ncols
-    if any(m.ncols != ncols for m in mats):
-        raise ValueError("column count mismatch")
-    return Matrix([row for m in mats for row in m.rows], ncols=ncols)
-
-
 def _add_scaled(target: dict, source: dict, coeff: Q) -> None:
     """target += coeff * source for sparse dict vectors, dropping zeros.
 
@@ -315,8 +312,10 @@ def sparse_block_diag(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
 class SparseSpan:
     """Echelon span of sparse vectors; each row is keyed by its pivot (lowest index, entry 1)."""
 
-    def __init__(self):
+    def __init__(self, vectors: Iterable[dict[int, Q]] = ()):
         self.rows: dict[int, dict[int, Q]] = {}
+        for v in vectors:
+            self.add(v)
 
     @property
     def dim(self) -> int:
@@ -350,34 +349,26 @@ class SparseSpan:
                 _add_scaled(v, row, -v[i])
         return out
 
+    def reduced(self) -> dict[int, dict[int, Q]]:
+        """The rows by increasing pivot, each pivot coordinate cleared from every other row.
+
+        The reduced row echelon basis of the span; self.rows is left as it is.
+        """
+        done: dict[int, dict[int, Q]] = {}
+        for p in sorted(self.rows, reverse=True):
+            row = dict(self.rows[p])
+            # rows already done carry no pivot coordinate but their own
+            for q in [k for k in row if k in done]:
+                _add_scaled(row, done[q], -row[q])
+            done[p] = row
+        return dict(reversed(done.items()))
+
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = QONE / rows[pr][pc]
-        if inv != 1:
-            rows[pr] = [x * inv for x in rows[pr]]
-        for r in range(nrows):
-            if r != pr and rows[r][pc]:
-                f = rows[r][pc]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return Matrix._of_rows(tuple(map(tuple, rows)), ncols), tuple(pivots)
+    echelon = Subspace.from_span(m.ncols, SparseSpan(dict(enumerate(row)) for row in m.rows))
+    padding = (zero_vector(m.ncols),) * (m.nrows - echelon.dim)
+    return Matrix._of_rows(echelon.basis.rows + padding, m.ncols), echelon.pivots
 
 
 def rank(m: Matrix) -> int:
@@ -438,11 +429,16 @@ class Subspace:
         rows = [vec(v) for v in vectors]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("vector length disagrees with ambient dimension")
-        if not rows:
-            return cls(ambient_dim, Matrix([], ncols=ambient_dim), ())
-        reduced, pivots = rref(Matrix._of_rows(tuple(rows), ambient_dim))
-        basis = Matrix._of_rows(reduced.rows[: len(pivots)], ambient_dim)
-        return cls(ambient_dim, basis, pivots)
+        return cls.from_span(ambient_dim, SparseSpan(dict(enumerate(r)) for r in rows))
+
+    @classmethod
+    def from_span(cls, ambient_dim: int, span: SparseSpan) -> "Subspace":
+        """The span's reduced rows as a dense echelon basis."""
+        reduced = span.reduced()
+        rows = tuple(
+            tuple(row.get(j, QZERO) for j in range(ambient_dim)) for row in reduced.values()
+        )
+        return cls(ambient_dim, Matrix._of_rows(rows, ambient_dim), tuple(reduced))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -755,42 +751,23 @@ def compose_mod(
 def minimal_polynomial(m: Matrix) -> Polynomial:
     """Monic least-degree polynomial annihilating m.
 
-    Found by feeding the vectorized powers I, m, m^2, ... into an exact
-    elimination that tracks, for each reduced row, its expression in
-    terms of the original powers.  The first power that reduces to zero
-    yields the (automatically monic) minimal relation.
+    Each vectorized power m^d enters one span with a tag coordinate at
+    n^2 + d; the first residue left only on the tags holds the minimal
+    relation among the powers.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.nrows
     if n == 0:
         return Polynomial.one()
-    reduced: list[tuple[list[Q], int, list[Q]]] = []
+    size = n * n
+    span = SparseSpan()
     power = Matrix.identity(n)
-    degree = 0
-    while True:
-        v = list(power.flatten())
-        combo = [QZERO] * (degree + 1)
-        combo[degree] = QONE
-        for row, lead, expr in reduced:
-            c = v[lead]
-            if c:
-                for j, y in enumerate(row):
-                    if y:
-                        v[j] -= c * y
-                for j, y in enumerate(expr):
-                    if y:
-                        combo[j] -= c * y
-        lead_idx = next((j for j, x in enumerate(v) if x), None)
-        if lead_idx is None:
-            return Polynomial(combo)
-        inv = QONE / v[lead_idx]
-        if inv != 1:
-            v = [x * inv for x in v]
-            combo = [x * inv for x in combo]
-        combo += [QZERO] * (degree + 1 - len(combo))
-        reduced.append((v, lead_idx, combo))
+    # by Cayley-Hamilton a relation turns up by degree n
+    for degree in count():
+        tagged = dict(enumerate(power.flatten()))
+        tagged[size + degree] = QONE
+        residue = span.add(tagged)
+        if min(residue) >= size:
+            return Polynomial(residue.get(size + d, QZERO) for d in range(degree + 1)).monic()
         power = power * m
-        degree += 1
-        if degree > n:
-            raise AssertionError("power independence exceeded the space dimension")

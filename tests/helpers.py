@@ -8,7 +8,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from ado.linalg import Matrix, SparseMatrix, Subspace, kernel, solve, unit_vector
+from ado.linalg import QONE, Matrix, SparseMatrix, Subspace, kernel, solve, unit_vector
 
 
 def rationals(max_num: int = 4, max_den: int = 3) -> st.SearchStrategy[Q]:
@@ -31,6 +31,35 @@ def square_matrices(max_n: int = 4) -> st.SearchStrategy[Matrix]:
     return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: matrices(n, n)
     )
+
+
+def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reference reduced row echelon form by dense Gauss-Jordan, with the pivot columns."""
+    rows = [list(r) for r in m.rows]
+    nrows, ncols = m.nrows, m.ncols
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = None
+        for r in range(pr, nrows):
+            if rows[r][pc]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = QONE / rows[pr][pc]
+        if inv != 1:
+            rows[pr] = [x * inv for x in rows[pr]]
+        for r in range(nrows):
+            if r != pr and rows[r][pc]:
+                f = rows[r][pc]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return Matrix._of_rows(tuple(map(tuple, rows)), ncols), tuple(pivots)
 
 
 def block_diag(mats) -> Matrix:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ado import expansion, lie, pipeline
+from ado import expansion, pipeline
 from ado.cli import main
 
 
@@ -178,7 +178,7 @@ def test_error_objects_are_single_json_lines(capsys):
 
 @pytest.mark.parametrize(
     "module, stage",
-    [(pipeline, "pipeline"), (expansion, "expand"), (lie, "subalgebra")],
+    [(pipeline, "pipeline"), (expansion, "expand")],
 )
 def test_unsolvable_system_is_a_tripwire_naming_its_stage(capsys, monkeypatch, module, stage):
     # a solve that should always succeed fails: a structured exit 2, not a TypeError

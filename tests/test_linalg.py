@@ -25,10 +25,17 @@ from ado.linalg import (
     sparse_block_diag,
     sparse_combination,
     squarefree_part,
-    vstack,
 )
 
-from helpers import block_diag, from_dense, matrices, rationals, square_matrices, to_dense
+from helpers import (
+    block_diag,
+    dense_rref,
+    from_dense,
+    matrices,
+    rationals,
+    square_matrices,
+    to_dense,
+)
 
 
 def test_rref_of_dependent_rows():
@@ -99,11 +106,6 @@ def test_block_diag_shapes():
     assert b == Matrix([[1, 0, 0], [0, 2, 3], [0, 4, 5]])
     empty = block_diag([])
     assert (empty.nrows, empty.ncols) == (0, 0)
-
-
-def test_vstack():
-    v = vstack([Matrix([[1, 2]]), Matrix([[3, 4]])])
-    assert v == Matrix([[1, 2], [3, 4]])
 
 
 def test_subspace_membership_and_coordinates():
@@ -214,6 +216,17 @@ def test_rref_idempotent(m):
     assert pivots2 == pivots
 
 
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(lambda n: matrices(n, 4)),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+)
+def test_rref_matches_dense_gauss_jordan(m, picks):
+    # repeated rows and zero rows on top of the drawn ones; 0 x n when none are drawn
+    extra = [m.rows[i % m.nrows] for i in picks if m.nrows] + [(Q(0),) * 4] * (len(picks) % 2)
+    m = Matrix(list(m.rows) + extra, ncols=4)
+    assert rref(m) == dense_rref(m)
+
+
 @given(matrices(3, 5))
 def test_rank_nullity(m):
     assert rank(m) + kernel(m).dim == m.ncols
@@ -245,7 +258,7 @@ def test_minimal_polynomial_annihilates(m):
     for _ in range(p.degree):
         powers.append(acc.flatten())
         acc = acc * m
-    assert rank(Matrix(powers, ncols=m.nrows * m.nrows)) == p.degree
+    assert len(dense_rref(Matrix(powers, ncols=m.nrows * m.nrows))[1]) == p.degree
 
 
 @given(square_matrices(3))
@@ -340,7 +353,7 @@ def test_sparse_span_rank_matches_rref(mats, coeffs):
     span = SparseSpan()
     for m in mats:
         span.add(from_dense(m).flatten())
-    assert span.dim == rank(Matrix([m.flatten() for m in mats], ncols=6))
+    assert span.dim == len(dense_rref(Matrix([m.flatten() for m in mats], ncols=6))[1])
 
 
 @given(
@@ -362,4 +375,12 @@ def test_sparse_span_reduce_matches_subspace(m, v, coeffs):
         residue = span.reduce(dict(enumerate(vec)))
         assert tuple(residue.get(j, Q(0)) for j in range(5)) == dense.reduce(vec)
         assert 0 not in residue.values()
+    reduced = span.reduced()
+    assert list(reduced) == sorted(reduced)
+    for p, row in reduced.items():
+        assert row[p] == 1
+        assert all(p not in other for q, other in reduced.items() if q != p)
+    assert [tuple(row.get(j, Q(0)) for j in range(5)) for row in reduced.values()] == list(
+        dense.basis.rows
+    )
     assert span.rows == stored
