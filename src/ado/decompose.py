@@ -122,19 +122,16 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
     rhs = []
     for a in range(m):
         for b in range(a + 1, m):
-            deviation = sub_vec(
-                g.bracket(lifts[a], lifts[b]), sect.apply(q.table[a][b])
-            )
+            cbar = q.nonzero[a][b]
+            deviation = sub_vec(g.bracket(lifts[a], lifts[b]), sect.apply_pairs(cbar))
             z_coords = r.coordinates_of(deviation)
-            cbar = q.table[a][b]
             for t in range(rdim):
                 row = [QZERO] * (m * rdim)
                 for s in range(rdim):
                     row[b * rdim + s] += actions[a].rows[t][s]
                     row[a * rdim + s] -= actions[b].rows[t][s]
-                for k in range(m):
-                    if cbar[k]:
-                        row[k * rdim + t] -= cbar[k]
+                for k, c in cbar:
+                    row[k * rdim + t] -= c
                 rows.append(row)
                 rhs.append(-z_coords[t])
     if rows:

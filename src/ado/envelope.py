@@ -310,24 +310,25 @@ def verify_module_axioms(
         if not residual.is_zero():
             raise TripwireError("module", message, **where)
 
-    table = built.module.algebra.table
+    nonzero = built.module.algebra.nonzero
     left = built.left
     r = len(left)
     for i in range(r):
         for j in range(i + 1, r):
-            residual = bracket_residual(left[i], left[j], table[i][j], left)
+            residual = bracket_residual(left[i], left[j], [(c, left[k]) for k, c in nonzero[i][j]])
             check(residual, "left actions do not represent the bracket", pair=[i, j])
     actions = [built.derivation_action(d) for d in derivations]
     for a, (d, action) in enumerate(zip(derivations, actions)):
         for i in range(r):
-            residual = bracket_residual(action, left[i], d.column(i), left)
+            terms = [(c, m) for c, m in zip(d.column(i), left) if c]
+            residual = bracket_residual(action, left[i], terms)
             message = "derivation action fails against a left action"
             check(residual, message, derivation=a, generator=i)
     for a in range(len(actions)):
         for b in range(a + 1, len(actions)):
             commutator = derivations[a] * derivations[b] - derivations[b] * derivations[a]
             target = built.derivation_action(commutator)
-            residual = bracket_residual(actions[a], actions[b], (QONE,), (target,))
+            residual = bracket_residual(actions[a], actions[b], [(QONE, target)])
             message = "derivation actions do not respect their commutator"
             check(residual, message, pair=[a, b])
     return actions

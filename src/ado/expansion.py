@@ -88,7 +88,7 @@ def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
     images = [embed.column(i) for i in range(original.dim)]
     for i in range(original.dim):
         for j in range(i + 1, original.dim):
-            lhs = embed.apply(original.table[i][j])
+            lhs = embed.apply_pairs(original.nonzero[i][j])
             if lhs != q.bracket(images[i], images[j]):
                 raise TripwireError(
                     "presentation",
@@ -140,21 +140,15 @@ def expansion_step(pres: Presentation) -> Presentation:
     def embedded(vec):
         return (QZERO, QZERO) + tuple(vec)
 
-    zero_new = (QZERO,) * dim_new
-    table = [[zero_new for _ in range(dim_new)] for _ in range(dim_new)]
+    brackets = {}
     for j in range(idim):
-        ej = unit_vector(idim, j)
-        semi = embedded(dec.semisimple.apply(ej))
-        nil = embedded(dec.nilpotent.apply(ej))
-        table[0][j + 2] = semi
-        table[j + 2][0] = tuple(-c for c in semi)
-        table[1][j + 2] = nil
-        table[j + 2][1] = tuple(-c for c in nil)
+        brackets[0, j + 2] = {k + 2: c for k, c in enumerate(dec.semisimple.column(j))}
+        brackets[1, j + 2] = {k + 2: c for k, c in enumerate(dec.nilpotent.column(j))}
     for a in range(idim):
-        for b in range(idim):
-            table[a + 2][b + 2] = embedded(ialg.table[a][b])
+        for b in range(a + 1, idim):
+            brackets[a + 2, b + 2] = {k + 2: c for k, c in ialg.nonzero[a][b]}
     try:
-        extended = LieAlgebra(table)
+        extended = LieAlgebra.from_sparse(dim_new, brackets)
     except InputError as exc:
         raise TripwireError(
             "expand", f"extension table failed validation: {exc.message}"

@@ -105,7 +105,7 @@ def derivation_witness(
     images = [d.column(i) for i in range(algebra.dim)]
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            lhs = d.apply(algebra.table[i][j])
+            lhs = d.apply_pairs(algebra.nonzero[i][j])
             rhs = add_vec(
                 algebra.bracket(images[i], units[j]),
                 algebra.bracket(units[i], images[j]),

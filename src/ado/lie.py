@@ -1,20 +1,19 @@
-"""Lie algebras over Q given by structure constants.
+"""Lie algebras over Q given by sparse structure constants.
 
-An algebra is a full bracket table: table[i][j] is the coordinate vector
-of the bracket of basis elements i and j.  Next to it, built once on
-construction, nonzero[i][j] holds only the nonzero entries of that
-bracket as (k, c) pairs; structure constants are mostly zeros, and the
-bracket, the Jacobi check, the Killing form and subalgebra coordinates
-all run over these pairs.  The table is validated on construction
-(antisymmetry and the Jacobi identity, with a witness in the error when
-either fails), so every LieAlgebra in circulation is genuine.
-Subalgebras and quotients come with the matrices that move vectors
-between coordinate systems.
+An algebra is its dimension and nonzero: nonzero[i][j] holds the
+nonzero coordinates of the bracket of basis elements i and j as (k, c)
+pairs by increasing k.  Structure constants are mostly zeros, and the
+bracket, the Jacobi check, the Killing form, centralizers and subalgebra
+coordinates all run over these pairs; no dense bracket table is kept.
+The constants are validated on construction (antisymmetry and the
+Jacobi identity, with a witness in the error when either fails), so
+every LieAlgebra in circulation is genuine.  Subalgebras and quotients
+come with the matrices that move vectors between coordinate systems.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .linalg import (
@@ -25,7 +24,7 @@ from .linalg import (
     SparseSpan,
     Subspace,
     Vector,
-    kernel,
+    span_kernel,
     to_q,
     unit_vector,
     vec,
@@ -35,26 +34,25 @@ from .linalg import (
 class LieAlgebra:
     """A finite-dimensional Lie algebra over Q in a fixed basis."""
 
-    __slots__ = ("dim", "table", "nonzero")
+    __slots__ = ("dim", "nonzero", "_memo")
 
     def __init__(self, table: Sequence[Sequence[Sequence]]):
-        rows = tuple(tuple(vec(entry) for entry in row) for row in table)
-        dim = len(rows)
+        """From a dense table: table[i][j] is the coordinate vector of [e_i, e_j]."""
+        rows = [[vec(entry) for entry in row] for row in table]
         for row in rows:
-            if len(row) != dim or any(len(entry) != dim for entry in row):
+            if len(row) != len(rows) or any(len(entry) != len(rows) for entry in row):
                 raise InputError(
                     "validate", "bracket table is not a dim x dim x dim array"
                 )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", rows)
-        object.__setattr__(
-            self,
-            "nonzero",
-            tuple(
-                tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
-                for row in rows
-            ),
-        )
+        self._build([[enumerate(entry) for entry in row] for row in rows])
+
+    def _build(self, entries: Sequence[Sequence[Iterable[tuple[int, Q]]]]) -> None:
+        """Keep the nonzero (k, c) pairs of each entries[i][j], by increasing k; validate."""
+        nonzero = tuple(tuple(tuple((k, c) for k, c in e if c) for e in row) for row in entries)
+        object.__setattr__(self, "dim", len(entries))
+        object.__setattr__(self, "nonzero", nonzero)
+        # derived terms are computed once; the algebra never changes
+        object.__setattr__(self, "_memo", {})
         self._validate()
 
     def __setattr__(self, name, value):
@@ -65,7 +63,7 @@ class LieAlgebra:
         cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]]
     ) -> "LieAlgebra":
         """Build from brackets of basis pairs i < j; antisymmetry is filled in."""
-        table = [[[QZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        entries: list[list[dict[int, Q]]] = [[{} for _ in range(dim)] for _ in range(dim)]
         for (i, j), entry in brackets.items():
             if not (0 <= i < j < dim):
                 raise InputError(
@@ -83,9 +81,23 @@ class LieAlgebra:
                         index=int(k),
                     )
                 value = to_q(c)
-                table[i][j][int(k)] = value
-                table[j][i][int(k)] = -value
-        return cls(table)
+                entries[i][j][int(k)] = value
+                entries[j][i][int(k)] = -value
+        algebra = object.__new__(cls)
+        algebra._build([[sorted(entry.items()) for entry in row] for row in entries])
+        return algebra
+
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """Dense view, built on each read, for the benchmark's input generators:
+        table[i][j] is the coordinate vector of [e_i, e_j]."""
+        def dense(pairs: tuple[tuple[int, Q], ...]) -> Vector:
+            out = [QZERO] * self.dim
+            for k, c in pairs:
+                out[k] = c
+            return tuple(out)
+
+        return tuple(tuple(map(dense, row)) for row in self.nonzero)
 
     def _validate(self):
         nonzero = self.nonzero
@@ -131,11 +143,6 @@ class LieAlgebra:
                     out[k] += ab * c
         return tuple(out)
 
-    def ad(self, x: Sequence[Q]) -> Matrix:
-        """Matrix of y -> [x, y] in the algebra basis."""
-        cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols, nrows=self.dim)
-
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
@@ -145,29 +152,28 @@ class LieAlgebra:
         for u in left.vectors():
             for v in right.vectors():
                 span.add(dict(enumerate(self.bracket(u, v))))
-        return Subspace.from_span(self.dim, span)
+        return Subspace(self.dim, span)
 
     def derived_subalgebra(self) -> Subspace:
-        full = self.full_space()
-        return self.bracket_span(full, full)
+        if "derived" not in self._memo:
+            full = self.full_space()
+            self._memo["derived"] = self.bracket_span(full, full)
+        return self._memo["derived"]
 
-    def lower_central_series(self) -> list[Subspace]:
+    def lower_central_series(self) -> tuple[Subspace, ...]:
         """Terms g, [g, g], [g, [g, g]], ... until the series stabilizes."""
-        full = self.full_space()
-        series = [full]
-        while True:
-            nxt = self.bracket_span(full, series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-        return series
+        if "lower central" not in self._memo:
+            full = self.full_space()
+            series, nxt = [full], self.derived_subalgebra()
+            while nxt != series[-1]:
+                series.append(nxt)
+                nxt = self.bracket_span(full, nxt)
+            self._memo["lower central"] = tuple(series)
+        return self._memo["lower central"]
 
     def derived_series(self) -> list[Subspace]:
         series = [self.full_space()]
-        while True:
-            nxt = self.bracket_span(series[-1], series[-1])
-            if nxt == series[-1]:
-                break
+        while (nxt := self.bracket_span(series[-1], series[-1])) != series[-1]:
             series.append(nxt)
         return series
 
@@ -188,10 +194,22 @@ class LieAlgebra:
         return self.centralizer(self.full_space())
 
     def centralizer(self, s: Subspace) -> Subspace:
-        """Everything whose bracket with the given subspace vanishes."""
-        if s.dim == 0:
-            return self.full_space()
-        return kernel(Matrix([row for v in s.vectors() for row in self.ad(v).rows], ncols=self.dim))
+        """Everything whose bracket with the given subspace vanishes.
+
+        For each v in s, constraint row k takes x to the e_k coordinate of
+        [v, x]; its entries are read off the nonzero structure constants.
+        """
+        span = SparseSpan()
+        for v in s.span.rows.values():
+            rows: dict[int, dict[int, Q]] = {}
+            for i, a in v.items():
+                for j, pairs in enumerate(self.nonzero[i]):
+                    for k, c in pairs:
+                        row = rows.setdefault(k, {})
+                        row[j] = row.get(j, QZERO) + a * c
+            for row in rows.values():
+                span.add(row)
+        return span_kernel(span, self.dim)
 
     def killing_form(self) -> Matrix:
         """K[i][j] = trace(ad e_i ad e_j) = sum over l, k of c(i, l, k) c(j, k, l)."""
@@ -232,19 +250,14 @@ class LieAlgebra:
             tagged[self.dim + s] = QONE
             if min(span.add(tagged)) >= self.dim:
                 raise ValueError("subalgebra basis is linearly dependent")
-        table = []
-        for u in rows:
-            row_entries = []
-            for v in rows:
-                residue = span.reduce(dict(enumerate(self.bracket(u, v))))
+        brackets = {}
+        for s, u in enumerate(rows):
+            for t in range(s + 1, len(rows)):
+                residue = span.reduce(dict(enumerate(self.bracket(u, rows[t]))))
                 if min(residue, default=self.dim) < self.dim:
                     raise ValueError("span is not closed under the bracket")
-                coeffs = [QZERO] * len(rows)
-                for k, c in residue.items():
-                    coeffs[k - self.dim] = -c
-                row_entries.append(tuple(coeffs))
-            table.append(row_entries)
-        return LieAlgebra(table), inclusion
+                brackets[s, t] = {k - self.dim: -c for k, c in residue.items()}
+        return LieAlgebra.from_sparse(len(rows), brackets), inclusion
 
     def is_ideal(self, s: Subspace) -> bool:
         return s.contains(self.bracket_span(self.full_space(), s))
@@ -261,8 +274,7 @@ class LieAlgebra:
         """
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        pivot_set = set(ideal.pivots)
-        nonpivots = [j for j in range(self.dim) if j not in pivot_set]
+        nonpivots = [j for j in range(self.dim) if j not in ideal.span.rows]
         qdim = len(nonpivots)
 
         def project(v: Sequence[Q]) -> Vector:
@@ -275,20 +287,22 @@ class LieAlgebra:
         section = Matrix.from_columns(
             [unit_vector(self.dim, j) for j in nonpivots], nrows=self.dim
         )
-        table = [
-            [
-                project(self.bracket(unit_vector(self.dim, a), unit_vector(self.dim, b)))
-                for b in nonpivots
-            ]
+        position = {j: s for s, j in enumerate(nonpivots)}
+        brackets = {
+            (position[a], position[b]): {
+                position[k]: c for k, c in ideal.span.reduce(dict(self.nonzero[a][b])).items()
+            }
             for a in nonpivots
-        ]
-        return LieAlgebra(table), projection, section
+            for b in nonpivots
+            if a < b
+        }
+        return LieAlgebra.from_sparse(qdim, brackets), projection, section
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LieAlgebra) and self.table == other.table
+        return isinstance(other, LieAlgebra) and self.nonzero == other.nonzero
 
     def __hash__(self):
-        return hash(self.table)
+        return hash(self.nonzero)
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim})"

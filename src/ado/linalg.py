@@ -7,10 +7,12 @@ new values.
 SparseSpan, an echelon span of sparse vectors, is the package's one
 Gaussian elimination: ranks, residues, reduced row echelon forms,
 kernels, solutions, minimal polynomials and subalgebra coordinates all
-come out of it.  Matrix and Subspace are dense views of its reduced
-rows.  Subspaces are kept in reduced row echelon form so that equality,
-membership, coordinates and complements are all canonical: two
-computations that produce the same subspace produce the same basis.
+come out of it.  A Subspace keeps a SparseSpan of reduced rows, so that
+equality, membership, coordinates and complements are all canonical:
+two computations that produce the same subspace produce the same basis.
+Membership, sums, intersections and complements work on those rows;
+the dense basis matrix is a view of them for callers that read
+coordinates.
 
 Work the size of a representation uses SparseMatrix: columns holding
 only their nonzero entries and one residual routine for brackets.
@@ -123,9 +125,6 @@ class Matrix:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
 
@@ -202,6 +201,10 @@ class Matrix:
                     s += a * x
             out.append(s)
         return tuple(out)
+
+    def apply_pairs(self, pairs: Sequence[tuple[int, Q]]) -> Vector:
+        """Matrix times the column vector with the given nonzero (index, value) pairs."""
+        return tuple(sum((c * row[k] for k, c in pairs), QZERO) for row in self.rows)
 
     def power(self, k: int) -> "Matrix":
         if not self.is_square():
@@ -282,10 +285,10 @@ def sparse_combination(
 
 
 def bracket_residual(
-    a: SparseMatrix, b: SparseMatrix, coeffs: Iterable[Q], mats: Sequence[SparseMatrix]
+    a: SparseMatrix, b: SparseMatrix, terms: Iterable[tuple[Q, SparseMatrix]]
 ) -> SparseMatrix:
-    """ab - ba - sum of c_k M_k, for square matrices of one size."""
-    terms = [(-c, m) for c, m in zip(coeffs, mats) if c]
+    """ab - ba - sum of c M over the (c, M) terms, for square matrices of one size."""
+    terms = [(-c, m) for c, m in terms]
     cols = []
     for t in range(a.ncols):
         out: dict[int, Q] = {}
@@ -366,7 +369,7 @@ class SparseSpan:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    echelon = Subspace.from_span(m.ncols, SparseSpan(dict(enumerate(row)) for row in m.rows))
+    echelon = Subspace(m.ncols, SparseSpan(dict(enumerate(row)) for row in m.rows))
     padding = (zero_vector(m.ncols),) * (m.nrows - echelon.dim)
     return Matrix._of_rows(echelon.basis.rows + padding, m.ncols), echelon.pivots
 
@@ -377,17 +380,17 @@ def rank(m: Matrix) -> int:
 
 def kernel(m: Matrix) -> "Subspace":
     """Right kernel {v : m v = 0} as a canonical subspace."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [QZERO] * m.ncols
-        v[f] = QONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.rows[r][f]
-        basis.append(tuple(v))
-    return Subspace.from_vectors(m.ncols, basis)
+    return span_kernel(SparseSpan(dict(enumerate(row)) for row in m.rows), m.ncols)
+
+
+def span_kernel(span: SparseSpan, n: int) -> "Subspace":
+    """The vectors of Q^n that every row of the span annihilates."""
+    reduced = span.reduced()
+    return Subspace(n, SparseSpan(
+        {f: QONE, **{p: -row[f] for p, row in reduced.items() if f in row}}
+        for f in range(n)
+        if f not in reduced
+    ))
 
 
 def solve(a: Matrix, b: Sequence[Q]) -> Vector | None:
@@ -407,19 +410,27 @@ def solve(a: Matrix, b: Sequence[Q]) -> Vector | None:
 
 
 class Subspace:
-    """Subspace of Q^n held as a reduced row echelon basis.
+    """Subspace of Q^n held as the reduced rows of a SparseSpan.
 
-    The basis matrix has full row rank, pivots strictly increasing, each
-    pivot entry 1 and each pivot column zero elsewhere.  This makes the
-    representation canonical: equal subspaces compare equal.
+    Each row has its pivot entry 1 and every other pivot coordinate 0,
+    which makes the representation canonical: equal subspaces compare
+    equal.  basis is the dense view of the same rows by increasing
+    pivot, for callers that read coordinates.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "span", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
+    def __init__(self, ambient_dim: int, span: SparseSpan):
+        """The span of the given rows; the span itself is left as it is."""
+        reduced = SparseSpan()
+        reduced.rows = span.reduced()
+        rows = tuple(
+            tuple(row.get(j, QZERO) for j in range(ambient_dim)) for row in reduced.rows.values()
+        )
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "span", reduced)
+        object.__setattr__(self, "basis", Matrix._of_rows(rows, ambient_dim))
+        object.__setattr__(self, "pivots", tuple(reduced.rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -429,26 +440,15 @@ class Subspace:
         rows = [vec(v) for v in vectors]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("vector length disagrees with ambient dimension")
-        return cls.from_span(ambient_dim, SparseSpan(dict(enumerate(r)) for r in rows))
-
-    @classmethod
-    def from_span(cls, ambient_dim: int, span: SparseSpan) -> "Subspace":
-        """The span's reduced rows as a dense echelon basis."""
-        reduced = span.reduced()
-        rows = tuple(
-            tuple(row.get(j, QZERO) for j in range(ambient_dim)) for row in reduced.values()
-        )
-        return cls(ambient_dim, Matrix._of_rows(rows, ambient_dim), tuple(reduced))
+        return cls(ambient_dim, SparseSpan(dict(enumerate(r)) for r in rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix([], ncols=ambient_dim), ())
+        return cls(ambient_dim, SparseSpan())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(
-            ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim))
-        )
+        return cls(ambient_dim, SparseSpan({i: QONE} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -457,26 +457,26 @@ class Subspace:
     def vectors(self) -> Iterator[Vector]:
         return iter(self.basis.rows)
 
-    def reduce(self, v: Sequence[Q]) -> Vector:
-        """Residual of v after eliminating all pivot coordinates."""
+    def _residue(self, v: Sequence[Q]) -> dict[int, Q]:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length disagrees with ambient dimension")
-        w = list(to_q(x) for x in v)
-        for row, p in zip(self.basis.rows, self.pivots):
-            c = w[p]
-            if c:
-                for j, y in enumerate(row):
-                    if y:
-                        w[j] -= c * y
-        return tuple(w)
+        return self.span.reduce(dict(enumerate(map(to_q, v))))
+
+    def reduce(self, v: Sequence[Q]) -> Vector:
+        """Residual of v after eliminating all pivot coordinates."""
+        residue = self._residue(v)
+        return tuple(residue.get(j, QZERO) for j in range(self.ambient_dim))
 
     def member(self, v: Sequence[Q]) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not self._residue(v)
 
-    def contains(self, other: "Subspace") -> bool:
+    def _check_ambient(self, other: "Subspace") -> None:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.member(row) for row in other.basis.rows)
+
+    def contains(self, other: "Subspace") -> bool:
+        self._check_ambient(other)
+        return not any(map(self.span.reduce, other.span.rows.values()))
 
     def coordinates_of(self, v: Sequence[Q]) -> Vector:
         """Coefficients of v in the echelon basis; v must lie in the span."""
@@ -485,28 +485,23 @@ class Subspace:
         return tuple(to_q(v[p]) for p in self.pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(
-            self.ambient_dim, list(self.basis.rows) + list(other.basis.rows)
-        )
+        self._check_ambient(other)
+        rows = [*self.span.rows.values(), *other.span.rows.values()]
+        return Subspace(self.ambient_dim, SparseSpan(rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # coefficients (a, b) with a . basis_S = b . basis_T
-        s, t = self.dim, other.dim
-        constraints = []
-        for c in range(self.ambient_dim):
-            row = [self.basis.rows[i][c] for i in range(s)]
-            row += [-other.basis.rows[j][c] for j in range(t)]
-            constraints.append(tuple(row))
-        coeff_kernel = kernel(Matrix(constraints, ncols=s + t))
-        combine = self.basis.transpose()
-        vectors = [combine.apply(coeffs[:s]) for coeffs in coeff_kernel.vectors()]
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        """Zassenhaus: rows (u, u) for u in self and (w, 0) for w in other
+        span a space of Q^2n whose rows with their pivot in the second
+        half have u + w = 0, so their second halves span the intersection.
+        """
+        self._check_ambient(other)
+        n = self.ambient_dim
+        doubled = ({**u, **{n + j: c for j, c in u.items()}} for u in self.span.rows.values())
+        span = SparseSpan(doubled)
+        for w in other.span.rows.values():
+            span.add(w)
+        meet = ({j - n: c for j, c in row.items()} for p, row in span.rows.items() if p >= n)
+        return Subspace(n, SparseSpan(meet))
 
     def extend_complement(self, within: "Subspace | None" = None) -> "Subspace":
         """Deterministic complement T with self + T = within, direct sum.
@@ -519,22 +514,16 @@ class Subspace:
         """
         if within is None:
             within = Subspace.full(self.ambient_dim)
-        if within.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
+        within._check_ambient(self)
         if not within.contains(self):
             raise ValueError("subspace is not contained in the given space")
-        if self.dim == 0:
-            return within
-        coords = Matrix(
-            [within.coordinates_of(row) for row in self.basis.rows],
-            ncols=within.dim,
+        # a vector of within has its coordinates at within's pivots
+        coords = SparseSpan(
+            {k: row[p] for k, p in enumerate(within.pivots) if p in row}
+            for row in self.span.rows.values()
         )
-        _, pivots = rref(coords)
-        pivot_set = set(pivots)
-        chosen = [
-            within.basis.rows[i] for i in range(within.dim) if i not in pivot_set
-        ]
-        return Subspace.from_vectors(self.ambient_dim, chosen)
+        chosen = (row for k, row in enumerate(within.span.rows.values()) if k not in coords.rows)
+        return Subspace(self.ambient_dim, SparseSpan(chosen))
 
     def __eq__(self, other) -> bool:
         return (

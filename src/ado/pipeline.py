@@ -107,7 +107,7 @@ def reductive_representation(algebra: LieAlgebra) -> tuple[SparseMatrix, ...]:
         columns = [(QZERO,) + tuple(central)]
         columns += [(QZERO,) * sigma_width] * dz
         # column j of ad(e_i) is [e_i, e_j]
-        ad = SparseMatrix.from_columns(algebra.table[i], algebra.dim)
+        ad = SparseMatrix(algebra.dim, algebra.dim, map(dict, algebra.nonzero[i]))
         mats.append(sparse_block_diag([ad, SparseMatrix.from_columns(columns, sigma_width)]))
     return tuple(mats)
 
@@ -125,7 +125,9 @@ def verify_representation(
         (i, j)
         for i in range(algebra.dim)
         for j in range(i + 1, algebra.dim)
-        if not bracket_residual(matrices[i], matrices[j], algebra.table[i][j], matrices).is_zero()
+        if not bracket_residual(
+            matrices[i], matrices[j], [(c, matrices[k]) for k, c in algebra.nonzero[i][j]]
+        ).is_zero()
     ]
     # the kernel of the coefficient map c -> sum c_k M_k, by the rank of
     # the flattened matrices

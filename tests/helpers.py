@@ -62,6 +62,41 @@ def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix._of_rows(tuple(map(tuple, rows)), ncols), tuple(pivots)
 
 
+def dense_kernel(m: Matrix) -> Subspace:
+    """Reference right kernel, read off the dense reduced row echelon form."""
+    reduced, pivots = dense_rref(m)
+    basis = []
+    for f in (j for j in range(m.ncols) if j not in pivots):
+        v = [Q(0)] * m.ncols
+        v[f] = QONE
+        for r, p in enumerate(pivots):
+            v[p] = -reduced.rows[r][f]
+        basis.append(v)
+    return Subspace.from_vectors(m.ncols, basis)
+
+
+def dense_intersect(s: Subspace, t: Subspace) -> Subspace:
+    """Reference intersection: the kernel of the coefficients (a, b) with a.S = b.T."""
+    if s.dim == 0 or t.dim == 0:
+        return Subspace.zero(s.ambient_dim)
+    constraints = [
+        [row[c] for row in s.basis.rows] + [-row[c] for row in t.basis.rows]
+        for c in range(s.ambient_dim)
+    ]
+    coeffs = dense_kernel(Matrix(constraints, ncols=s.dim + t.dim))
+    combine = s.basis.transpose()
+    return Subspace.from_vectors(s.ambient_dim, [combine.apply(a[: s.dim]) for a in coeffs.vectors()])
+
+
+def dense_complement(s: Subspace, within: Subspace) -> Subspace:
+    """Reference complement: the basis vectors of within at the non-pivot
+    columns of the dense echelon form of s in within's coordinates."""
+    coords = Matrix([within.coordinates_of(row) for row in s.basis.rows], ncols=within.dim)
+    _, pivots = dense_rref(coords)
+    chosen = [row for i, row in enumerate(within.basis.rows) if i not in pivots]
+    return Subspace.from_vectors(s.ambient_dim, chosen)
+
+
 def block_diag(mats) -> Matrix:
     """Dense block diagonal matrix; blocks may be rectangular or empty."""
     total_c = sum(m.ncols for m in mats)
@@ -120,9 +155,23 @@ def seeded_change_of_basis(rng: random.Random, g):
             return change_of_basis(g, t)
 
 
+def dense_ad(g, x) -> Matrix:
+    """Reference adjoint: the matrix of y -> [x, y], one bracket per unit vector."""
+    cols = [g.bracket(x, unit_vector(g.dim, j)) for j in range(g.dim)]
+    return Matrix.from_columns(cols, nrows=g.dim)
+
+
+def dense_centralizer(g, s: Subspace) -> Subspace:
+    """Reference centralizer: the kernel of the stacked dense ad(v) over s's basis."""
+    if s.dim == 0:
+        return g.full_space()
+    rows = [row for v in s.vectors() for row in dense_ad(g, v).rows]
+    return dense_kernel(Matrix(rows, ncols=g.dim))
+
+
 def dense_killing_form(g) -> Matrix:
     """Reference Killing form: the traces of full products of adjoint matrices."""
-    ads = [g.ad(unit_vector(g.dim, i)) for i in range(g.dim)]
+    ads = [dense_ad(g, unit_vector(g.dim, i)) for i in range(g.dim)]
     return Matrix(
         [[(ads[i] * ads[j]).trace() for j in range(g.dim)] for i in range(g.dim)],
         ncols=g.dim,

@@ -38,6 +38,7 @@ from ado.linalg import (
 from ado.pipeline import adapted_basis, ado_representation, verify_representation
 
 from helpers import (
+    dense_ad,
     conjugated_jordan,
     from_dense,
     heavy_insert_failures,
@@ -191,7 +192,7 @@ def test_jordan_decomposition_suite(capsys):
         for name in CATALOG_CASES:
             g = catalog_algebra(name)
             for i in range(g.dim):
-                _check_split(g.ad(unit_vector(g.dim, i)))
+                _check_split(dense_ad(g, unit_vector(g.dim, i)))
         rng = random.Random(20260817)
         for trial in range(100):
             n = rng.randint(1, 6)
@@ -216,7 +217,7 @@ def test_derivation_split_laws(capsys):
         for name in CATALOG_CASES:
             g = catalog_algebra(name)
             for i in range(g.dim):
-                d = g.ad(unit_vector(g.dim, i))
+                d = dense_ad(g, unit_vector(g.dim, i))
                 dec = jc_decompose_derivation(g, d)
                 assert derivation_witness(g, dec.semisimple) is None
                 assert derivation_witness(g, dec.nilpotent) is None
@@ -331,7 +332,7 @@ def test_negative_controls(tmp_path, capsys):
     with criterion(capsys, 8, "negative controls"):
         # the adjoint map of a nilpotent algebra keeps its centre in the kernel
         g = catalog_algebra("heisenberg")
-        adjoint = tuple(from_dense(g.ad(unit_vector(3, i))) for i in range(3))
+        adjoint = tuple(from_dense(dense_ad(g, unit_vector(3, i))) for i in range(3))
         report = verify_representation(g, adjoint, 3)
         assert report.homomorphism
         assert report.kernel_dimension == 1

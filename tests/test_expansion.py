@@ -12,6 +12,7 @@ from ado.expansion import (
     saturate,
     verify_presentation,
 )
+from ado.lie import LieAlgebra
 from ado.linalg import Matrix, Subspace, add_vec, unit_vector
 
 from helpers import change_of_basis, seeded_matrix, sl2_plus_solv2
@@ -224,3 +225,34 @@ def test_verify_rejects_non_injective_embedding():
     )
     with pytest.raises(TripwireError, match="injective"):
         verify_presentation(bad, g)
+
+
+def test_saturate_reads_the_kept_derived_terms(monkeypatch):
+    # the same saturation with [g, g] and the lower central series rebuilt
+    # on every call, as a frozen algebra would not need
+    def rebuilt_derived(self):
+        full = self.full_space()
+        return self.bracket_span(full, full)
+
+    def rebuilt_lower_central(self):
+        full = self.full_space()
+        series = [full]
+        while (nxt := self.bracket_span(full, series[-1])) != series[-1]:
+            series.append(nxt)
+        return tuple(series)
+
+    calls = []
+    original = LieAlgebra.bracket_span
+
+    def counting(self, left, right):
+        calls.append(1)
+        return original(self, left, right)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", counting)
+    kept = saturate(catalog_algebra("t3"))
+    kept_calls = len(calls)
+    monkeypatch.setattr(LieAlgebra, "derived_subalgebra", rebuilt_derived)
+    monkeypatch.setattr(LieAlgebra, "lower_central_series", rebuilt_lower_central)
+    calls.clear()
+    assert saturate(catalog_algebra("t3")) == kept
+    assert kept_calls < len(calls)

@@ -17,6 +17,7 @@ from ado.linalg import (
 )
 
 from helpers import (
+    dense_ad,
     block_diag,
     conjugated_jordan,
     jordan_block,
@@ -61,7 +62,7 @@ def test_mixed_spectrum_frozen_witness():
 
 def test_rotation_is_already_semisimple():
     # eigenvalues are not rational, yet the split is exact over Q
-    d = catalog_algebra("rot3").ad(unit_vector(3, 0))
+    d = dense_ad(catalog_algebra("rot3"), unit_vector(3, 0))
     assert d == Matrix([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
     dec = jc_decompose(d)
     assert dec.semisimple == d
@@ -70,7 +71,7 @@ def test_rotation_is_already_semisimple():
 
 
 def test_jordan3_generator_action():
-    d = catalog_algebra("jordan3").ad(unit_vector(3, 0))
+    d = dense_ad(catalog_algebra("jordan3"), unit_vector(3, 0))
     assert d == Matrix([[0, 0, 0], [0, 1, 1], [0, 0, 1]])
     dec = jc_decompose(d)
     assert dec.semisimple == Matrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -115,7 +116,7 @@ def test_derivation_witness_accepts_inner_derivations():
     for name in ("heisenberg", "sl2", "t3", "jordan3", "rot3"):
         algebra = catalog_algebra(name)
         for i in range(algebra.dim):
-            d = algebra.ad(unit_vector(algebra.dim, i))
+            d = dense_ad(algebra, unit_vector(algebra.dim, i))
             assert derivation_witness(algebra, d) is None
 
 
@@ -131,7 +132,7 @@ def test_derivation_witness_size_mismatch():
 
 def test_jc_decompose_derivation_on_t3_torus():
     t3 = catalog_algebra("t3")
-    d = t3.ad(unit_vector(6, 0))
+    d = dense_ad(t3, unit_vector(6, 0))
     dec = jc_decompose_derivation(t3, d)
     assert dec.semisimple == d
     assert dec.nilpotent.is_zero()
@@ -139,7 +140,7 @@ def test_jc_decompose_derivation_on_t3_torus():
 
 def test_jc_decompose_derivation_splits_jordan3():
     algebra = catalog_algebra("jordan3")
-    d = algebra.ad(unit_vector(3, 0))
+    d = dense_ad(algebra, unit_vector(3, 0))
     dec = jc_decompose_derivation(algebra, d)
     # both parts are again derivations
     assert derivation_witness(algebra, dec.semisimple) is None

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ado.catalog import catalog_algebra, catalog_entry, catalog_names
 from ado.errors import InputError
@@ -12,10 +14,14 @@ from ado.linalg import Matrix, Subspace, unit_vector
 
 from helpers import (
     change_of_basis,
+    dense_ad,
+    dense_centralizer,
     dense_jacobi_failures,
     dense_killing_form,
     dense_subalgebra_table,
     invert,
+    matrices,
+    nilpotent_algebras,
     seeded_matrix,
 )
 
@@ -79,10 +85,28 @@ def test_bracket_rejects_vectors_of_the_wrong_length():
         sl2.bracket((1, 0, 0), (0, 1, 0, 0))
 
 
+@pytest.mark.parametrize("g", CATALOG_AND_REBASED)
+def test_dense_and_sparse_constructions_give_one_algebra(g):
+    dense = LieAlgebra(g.table)
+    pairs = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)]
+    sparse = LieAlgebra.from_sparse(g.dim, {(i, j): dict(g.nonzero[i][j]) for i, j in pairs})
+    for other in (dense, sparse):
+        assert other == g and hash(other) == hash(g)
+        assert other.nonzero == g.nonzero
+
+
+@settings(max_examples=30, deadline=None)
+@given(nilpotent_algebras(), st.data())
+def test_centralizer_matches_dense_kernel(g, data):
+    rows = data.draw(st.integers(min_value=0, max_value=2).flatmap(lambda k: matrices(k, g.dim)))
+    for s in (Subspace.from_vectors(g.dim, rows.rows), g.full_space(), g.derived_subalgebra()):
+        assert g.centralizer(s) == dense_centralizer(g, s)
+
+
 def test_ad_matrix_matches_bracket():
     sl2 = catalog_algebra("sl2")
     h = unit_vector(3, 0)
-    ad_h = sl2.ad(h)
+    ad_h = dense_ad(sl2, h)
     assert ad_h == Matrix([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
 
 

@@ -29,6 +29,8 @@ from ado.linalg import (
 
 from helpers import (
     block_diag,
+    dense_complement,
+    dense_intersect,
     dense_rref,
     from_dense,
     matrices,
@@ -239,6 +241,24 @@ def test_dimension_formula_for_sum_and_intersection(a, b):
     assert s.sum(t).dim + s.intersect(t).dim == s.dim + t.dim
 
 
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=3).flatmap(lambda k: matrices(k, 5)),
+    st.integers(min_value=0, max_value=3).flatmap(lambda k: matrices(k, 5)),
+    matrices(1, 5),
+)
+def test_intersect_and_complement_match_dense(a, b, shared):
+    # one row in both, so the intersection is seldom zero
+    s = Subspace.from_vectors(5, a.rows + shared.rows)
+    t = Subspace.from_vectors(5, b.rows + shared.rows)
+    meet = s.intersect(t)
+    assert meet == dense_intersect(s, t)
+    assert s.sum(t) == Subspace.from_vectors(5, s.basis.rows + t.basis.rows)
+    for within in (s, t, Subspace.full(5)):
+        assert meet.extend_complement(within) == dense_complement(meet, within)
+    assert s.extend_complement() == dense_complement(s, Subspace.full(5))
+
+
 @given(matrices(3, 3), st.lists(rationals(), min_size=3, max_size=3))
 def test_solve_produces_solutions(m, b):
     x = solve(m, tuple(b))
@@ -328,11 +348,11 @@ def test_bracket_residual_matches_dense(a, b, mats, coeffs):
     for c, m in zip(coeffs, mats):
         expected = expected - m.scale(c)
     sa, sb = from_dense(a), from_dense(b)
-    got = bracket_residual(sa, sb, coeffs, [from_dense(m) for m in mats])
+    got = bracket_residual(sa, sb, [(c, from_dense(m)) for c, m in zip(coeffs, mats)])
     assert to_dense(got) == expected
     # a commutator minus itself leaves nothing
     commutator = from_dense(a * b - b * a)
-    assert bracket_residual(sa, sb, (Q(1),), (commutator,)).is_zero()
+    assert bracket_residual(sa, sb, [(Q(1), commutator)]).is_zero()
 
 
 @given(matrices(2, 3), matrices(3, 1), matrices(1, 2))

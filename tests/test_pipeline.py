@@ -26,6 +26,7 @@ from ado.pipeline import (
 )
 
 from helpers import (
+    dense_ad,
     change_of_basis,
     from_dense,
     nilpotent_algebras,
@@ -260,7 +261,7 @@ def test_random_nilpotent_algebras_verify_at_the_default_truncation(g):
 
 def test_adjoint_of_heisenberg_is_not_faithful():
     g = catalog_algebra("heisenberg")
-    ads = tuple(from_dense(g.ad(unit_vector(3, i))) for i in range(3))
+    ads = tuple(from_dense(dense_ad(g, unit_vector(3, i))) for i in range(3))
     report = verify_representation(g, ads, 3)
     assert report.homomorphism
     assert report.residual_pairs == ()
@@ -304,7 +305,7 @@ def test_reductive_representation_of_sl2():
     assert [dense[0][i, i] for i in range(4)] == [0, 2, -2, 0]
     # the top left block is the adjoint matrix
     for i, m in enumerate(dense):
-        assert [row[:3] for row in m.rows[:3]] == list(g.ad(unit_vector(3, i)).rows)
+        assert [row[:3] for row in m.rows[:3]] == list(dense_ad(g, unit_vector(3, i)).rows)
     report = verify_representation(g, mats, 4)
     assert report.verified
 
