@@ -56,7 +56,7 @@ def levi_decomposition(g: LieAlgebra) -> LeviData:
     r = radical(g)
     if not g.is_ideal(r):
         raise TripwireError("levi", "radical is not an ideal")
-    rsub, _ = g.subalgebra_on_basis(r.basis.rows)
+    rsub, _ = g.subalgebra_on_basis(r.basis)
     if not rsub.is_solvable():
         raise TripwireError("levi", "radical is not solvable")
     levi = _levi_subspace(g, r)
@@ -78,18 +78,18 @@ def _levi_subspace(g: LieAlgebra, r: Subspace) -> Subspace:
         return g.full_space()
     if r.dim == g.dim:
         return Subspace.zero(g.dim)
-    rsub, rincl = g.subalgebra_on_basis(r.basis.rows)
+    rsub, rincl = g.subalgebra_on_basis(r.basis)
     rr_local = rsub.derived_subalgebra()
     rr = Subspace.from_vectors(
         g.dim, [rincl.apply(v) for v in rr_local.vectors()]
     )
     if rr.dim > 0:
         # factor out [r, r], split there, then split its preimage
-        q, _, sect = g.quotient(rr)
+        q, sect = g.quotient(rr)
         levi_q = _levi_subspace(q, radical(q))
         g1_vectors = [sect.apply(v) for v in levi_q.vectors()] + list(rr.vectors())
         g1 = Subspace.from_vectors(g.dim, g1_vectors)
-        sub, incl = g.subalgebra_on_basis(g1.basis.rows)
+        sub, incl = g.subalgebra_on_basis(g1.basis)
         levi_sub = _levi_subspace(sub, radical(sub))
         return Subspace.from_vectors(
             g.dim, [incl.apply(v) for v in levi_sub.vectors()]
@@ -108,7 +108,7 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
 
     a linear system over the coordinates of the u_a in r.
     """
-    q, _, sect = g.quotient(r)
+    q, sect = g.quotient(r)
     m = q.dim
     rdim = r.dim
     lifts = [sect.apply(unit_vector(m, a)) for a in range(m)]
@@ -128,8 +128,8 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
             for t in range(rdim):
                 row = [QZERO] * (m * rdim)
                 for s in range(rdim):
-                    row[b * rdim + s] += actions[a].rows[t][s]
-                    row[a * rdim + s] -= actions[b].rows[t][s]
+                    row[b * rdim + s] += actions[a][t, s]
+                    row[a * rdim + s] -= actions[b][t, s]
                 for k, c in cbar:
                     row[k * rdim + t] -= c
                 rows.append(row)
@@ -145,7 +145,7 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
             )
     else:
         solution = (QZERO,) * (m * rdim)
-    from_r = r.basis.transpose()
+    from_r = Matrix.from_columns(r.basis, nrows=g.dim)
     corrected = [
         add_vec(lifts[a], from_r.apply(solution[a * rdim : (a + 1) * rdim]))
         for a in range(m)
@@ -157,17 +157,17 @@ def nilpotent_seed(g: LieAlgebra, decomposition: LeviData) -> Subspace:
     """Nilpotent ideal containing [g, radical]: the radical itself when
     it is nilpotent, otherwise the span of [g, radical]."""
     r = decomposition.radical
-    rsub, _ = g.subalgebra_on_basis(r.basis.rows)
-    if rsub.is_nilpotent():
-        n = r
-    else:
-        n = g.bracket_span(g.full_space(), r)
-    nsub, _ = g.subalgebra_on_basis(n.basis.rows)
+    full = g.full_space()
+    g_r = g.bracket_span(full, r)
+    rsub, _ = g.subalgebra_on_basis(r.basis)
+    n = r if rsub.is_nilpotent() else g_r
+    nsub, _ = g.subalgebra_on_basis(n.basis)
     if not nsub.is_nilpotent():
         raise TripwireError("seed", "candidate ideal is not nilpotent")
-    if not g.is_ideal(n):
+    # [g, n] is [g, r] when n is the radical
+    if not n.contains(g_r if n is r else g.bracket_span(full, n)):
         raise TripwireError("seed", "candidate is not an ideal")
-    if not n.contains(g.bracket_span(g.full_space(), r)):
+    if not n.contains(g_r):
         raise TripwireError("seed", "candidate misses part of [g, radical]")
     if not decomposition.levi.sum(n).contains(g.derived_subalgebra()):
         raise TripwireError(
@@ -188,7 +188,7 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
     kernel_whole = g.centralizer(n)
     p_kernel = p.intersect(kernel_whole)
 
-    palg, pincl = g.subalgebra_on_basis(p.basis.rows)
+    palg, pincl = g.subalgebra_on_basis(p.basis)
     derived = palg.derived_subalgebra()
     centre = palg.center()
     if derived.intersect(centre).dim != 0 or derived.dim + centre.dim != palg.dim:
@@ -211,7 +211,7 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
         )
 
     if derived.dim:
-        dalg, dincl = palg.subalgebra_on_basis(derived.basis.rows)
+        dalg, dincl = palg.subalgebra_on_basis(derived.basis)
         killing = dalg.killing_form()
         if rank(killing) != dalg.dim:
             raise TripwireError(

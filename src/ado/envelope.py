@@ -37,7 +37,6 @@ from .linalg import (
     Q,
     QONE,
     QZERO,
-    SparseMatrix,
     _add_scaled,
     bracket_residual,
     sparse_combination,
@@ -151,11 +150,9 @@ class StraighteningEngine:
         word = monomial_word(mono)
         out: Element = {}
         for t, letter in enumerate(word):
-            for k in range(self.ngens):
-                c = derivation.rows[k][letter]
-                if c:
-                    replaced = word[:t] + (k,) + word[t + 1 :]
-                    _add_scaled(out, self.straighten_word(replaced), c)
+            for k, c in derivation.cols[letter].items():
+                replaced = word[:t] + (k,) + word[t + 1 :]
+                _add_scaled(out, self.straighten_word(replaced), c)
         return out
 
 
@@ -182,35 +179,34 @@ class TruncatedModule:
         """Sparse module coordinates of an element: its heavy terms dropped."""
         return {i: c for m, c in element.items() if (i := self.index.get(m)) is not None}
 
-    def action_matrix(self, image: Callable[[Monomial], Element]) -> SparseMatrix:
+    def action_matrix(self, image: Callable[[Monomial], Element]) -> Matrix:
         """Matrix sending each basis monomial m to the coordinates of image(m)."""
         cols = [self.coordinates(image(mono)) for mono in self.monomials]
-        return SparseMatrix(self.dim, self.dim, cols)
+        return Matrix.from_sparse(self.dim, self.dim, cols)
 
 
 @dataclass(frozen=True)
 class BuiltModule:
     module: TruncatedModule
     engine: StraighteningEngine
-    left: tuple[SparseMatrix, ...]
+    left: tuple[Matrix, ...]
 
-    def left_action(self, coords: Sequence[Q]) -> SparseMatrix:
+    def left_action(self, coords: Sequence[Q]) -> Matrix:
         """Matrix of left multiplication by an algebra element."""
         return sparse_combination(coords, self.left, self.module.dim, self.module.dim)
 
-    def derivation_action(self, derivation: Matrix) -> SparseMatrix:
+    def derivation_action(self, derivation: Matrix) -> Matrix:
         """Matrix of the Leibniz extension of a derivation of the algebra.
 
         Raises TripwireError when the derivation sends a generator to one
         of lower weight, which would not preserve the heavy monomials.
         """
         weights = self.module.weights
-        for k, row in enumerate(derivation.rows):
-            for i, c in enumerate(row):
-                if c and weights[k] < weights[i]:
-                    raise TripwireError(
-                        "module", "derivation lowers the weight", entry=[k, i]
-                    )
+        lowering = [
+            [k, i] for i, col in enumerate(derivation.cols) for k in col if weights[k] < weights[i]
+        ]
+        if lowering:
+            raise TripwireError("module", "derivation lowers the weight", entry=min(lowering))
         return self.module.action_matrix(partial(self.engine.derive_monomial, derivation))
 
 
@@ -297,7 +293,7 @@ def build_module(
 
 def verify_module_axioms(
     built: BuiltModule, derivations: Sequence[Matrix] = ()
-) -> list[SparseMatrix]:
+) -> list[Matrix]:
     """Check the bracket compatibilities of the built actions.
 
     Left actions must represent the algebra, derivation actions must
@@ -306,7 +302,7 @@ def verify_module_axioms(
     left action of the derived element.  Returns the derivation action
     matrices so callers can reuse them.
     """
-    def check(residual: SparseMatrix, message: str, **where) -> None:
+    def check(residual: Matrix, message: str, **where) -> None:
         if not residual.is_zero():
             raise TripwireError("module", message, **where)
 
@@ -320,7 +316,7 @@ def verify_module_axioms(
     actions = [built.derivation_action(d) for d in derivations]
     for a, (d, action) in enumerate(zip(derivations, actions)):
         for i in range(r):
-            terms = [(c, m) for c, m in zip(d.column(i), left) if c]
+            terms = [(c, left[k]) for k, c in d.cols[i].items()]
             residual = bracket_residual(action, left[i], terms)
             message = "derivation action fails against a left action"
             check(residual, message, derivation=a, generator=i)

@@ -71,7 +71,7 @@ def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
         raise TripwireError("presentation", "reductive part is not a subalgebra")
     if not q.is_ideal(n):
         raise TripwireError("presentation", "nilpotent part is not an ideal")
-    nsub, _ = q.subalgebra_on_basis(n.basis.rows)
+    nsub, _ = q.subalgebra_on_basis(n.basis)
     if not nsub.is_nilpotent():
         raise TripwireError("presentation", "nilpotent part is not nilpotent")
     if p.intersect(n).dim != 0:
@@ -104,7 +104,7 @@ def expansion_step(pres: Presentation) -> Presentation:
     absorbed = p.sum(n)
 
     x = None
-    for row in q.centralizer(p).basis.rows:
+    for row in q.centralizer(p).basis:
         if not absorbed.member(row):
             x = row
             break
@@ -119,12 +119,12 @@ def expansion_step(pres: Presentation) -> Presentation:
     if ideal.dim != q.dim - 1 or ideal.member(x):
         raise TripwireError("expand", "hyperplane misses or swallows the generator")
     try:
-        ialg, _ = q.subalgebra_on_basis(ideal.basis.rows)
+        ialg, _ = q.subalgebra_on_basis(ideal.basis)
     except ValueError:
         raise TripwireError("expand", "hyperplane is not closed under the bracket") from None
 
     cols = []
-    for v in ideal.basis.rows:
+    for v in ideal.basis:
         image = q.bracket(x, v)
         if not n.member(image):
             raise TripwireError(
@@ -142,8 +142,8 @@ def expansion_step(pres: Presentation) -> Presentation:
 
     brackets = {}
     for j in range(idim):
-        brackets[0, j + 2] = {k + 2: c for k, c in enumerate(dec.semisimple.column(j))}
-        brackets[1, j + 2] = {k + 2: c for k, c in enumerate(dec.nilpotent.column(j))}
+        brackets[0, j + 2] = {k + 2: c for k, c in dec.semisimple.cols[j].items()}
+        brackets[1, j + 2] = {k + 2: c for k, c in dec.nilpotent.cols[j].items()}
     for a in range(idim):
         for b in range(a + 1, idim):
             brackets[a + 2, b + 2] = {k + 2: c for k, c in ialg.nonzero[a][b]}
@@ -156,9 +156,7 @@ def expansion_step(pres: Presentation) -> Presentation:
 
     # express old basis vectors through x and the hyperplane, then map
     # x to the sum of the two new directions
-    decomposition_basis = Matrix(
-        [x] + list(ideal.basis.rows), ncols=q.dim
-    ).transpose()
+    decomposition_basis = Matrix.from_columns([x, *ideal.basis], nrows=q.dim)
     embed_cols = []
     for j in range(q.dim):
         coeffs = solve(decomposition_basis, unit_vector(q.dim, j))

@@ -16,7 +16,7 @@ import re
 
 from .errors import InputError
 from .lie import LieAlgebra
-from .linalg import Q, SparseMatrix
+from .linalg import Matrix, Q
 
 _RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?", re.ASCII)
 _PAIR_KEY = re.compile(r"(\d+),(\d+)", re.ASCII)
@@ -114,7 +114,7 @@ def algebra_from_json(data: object) -> tuple[str, tuple[str, ...], LieAlgebra]:
     return name, tuple(labels), LieAlgebra.from_sparse(dim, sparse)
 
 
-def matrix_to_json(m: SparseMatrix) -> list:
+def matrix_to_json(m: Matrix) -> list:
     rows = [["0"] * m.ncols for _ in range(m.nrows)]
     for j, col in enumerate(m.cols):
         for i, x in col.items():
@@ -122,7 +122,7 @@ def matrix_to_json(m: SparseMatrix) -> list:
     return rows
 
 
-def matrix_from_json(data: object, where: str, size: int) -> SparseMatrix:
+def matrix_from_json(data: object, where: str, size: int) -> Matrix:
     _require(isinstance(data, list) and len(data) == size, f"{where}: expected {size} rows")
     cols: list[dict[int, Q]] = [{} for _ in range(size)]
     for r, raw_row in enumerate(data):
@@ -132,9 +132,10 @@ def matrix_from_json(data: object, where: str, size: int) -> SparseMatrix:
         )
         label = f"{where}[{r}]"
         for col, x in zip(cols, raw_row):
-            if x != "0" and (value := parse_rational(x, label)):
-                col[r] = value
-    return SparseMatrix(size, size, cols)
+            if x != "0":
+                col[r] = parse_rational(x, label)
+    # from_sparse drops the zeros spelled otherwise, such as "0/1" and "-0"
+    return Matrix.from_sparse(size, size, cols)
 
 
 def representation_to_json(

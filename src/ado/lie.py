@@ -7,8 +7,9 @@ bracket, the Jacobi check, the Killing form, centralizers and subalgebra
 coordinates all run over these pairs; no dense bracket table is kept.
 The constants are validated on construction (antisymmetry and the
 Jacobi identity, with a witness in the error when either fails), so
-every LieAlgebra in circulation is genuine.  Subalgebras and quotients
-come with the matrices that move vectors between coordinate systems.
+every LieAlgebra in circulation is genuine.  A subalgebra comes with
+its inclusion matrix and a quotient with a section, the matrices that
+move vectors into the ambient coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .linalg import (
     Vector,
     span_kernel,
     to_q,
-    unit_vector,
     vec,
 )
 
@@ -262,31 +262,19 @@ class LieAlgebra:
     def is_ideal(self, s: Subspace) -> bool:
         return s.contains(self.bracket_span(self.full_space(), s))
 
-    def quotient(self, ideal: Subspace) -> tuple["LieAlgebra", Matrix, Matrix]:
-        """Quotient by an ideal, with the projection and a section.
+    def quotient(self, ideal: Subspace) -> tuple["LieAlgebra", Matrix]:
+        """Quotient by an ideal, with a section.
 
         The quotient basis is the image of the standard vectors at the
         non-pivot indices of the ideal's echelon basis.  Returns
-        (algebra, projection, section): projection maps ambient
-        coordinates to quotient coordinates, section maps quotient
-        coordinates back to the chosen representatives, and projection
-        composed with section is the identity.
+        (algebra, section): section maps quotient coordinates to the
+        chosen representatives, those standard vectors.
         """
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
         nonpivots = [j for j in range(self.dim) if j not in ideal.span.rows]
         qdim = len(nonpivots)
-
-        def project(v: Sequence[Q]) -> Vector:
-            residual = ideal.reduce(v)
-            return tuple(residual[j] for j in nonpivots)
-
-        projection = Matrix.from_columns(
-            [project(unit_vector(self.dim, j)) for j in range(self.dim)], nrows=qdim
-        )
-        section = Matrix.from_columns(
-            [unit_vector(self.dim, j) for j in nonpivots], nrows=self.dim
-        )
+        section = Matrix.from_sparse(self.dim, qdim, ({j: QONE} for j in nonpivots))
         position = {j: s for s, j in enumerate(nonpivots)}
         brackets = {
             (position[a], position[b]): {
@@ -296,7 +284,7 @@ class LieAlgebra:
             for b in nonpivots
             if a < b
         }
-        return LieAlgebra.from_sparse(qdim, brackets), projection, section
+        return LieAlgebra.from_sparse(qdim, brackets), section
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LieAlgebra) and self.nonzero == other.nonzero

@@ -1,21 +1,20 @@
 """Exact linear algebra over the rationals.
 
 All scalars are fractions.Fraction values; there is no floating point
-anywhere in this package.  Matrices are immutable and operations return
-new values.
+anywhere in this package.  Matrix is the one matrix type: immutable,
+held as columns of its nonzero entries, with one residual routine for
+brackets.  Operations return new values.
 
 SparseSpan, an echelon span of sparse vectors, is the package's one
 Gaussian elimination: ranks, residues, reduced row echelon forms,
 kernels, solutions, minimal polynomials and subalgebra coordinates all
-come out of it.  A Subspace keeps a SparseSpan of reduced rows, so that
-equality, membership, coordinates and complements are all canonical:
-two computations that produce the same subspace produce the same basis.
+come out of it; rank, kernel and solve feed it a matrix's rows.  A
+Subspace keeps a SparseSpan of reduced rows, so that equality,
+membership, coordinates and complements are all canonical: two
+computations that produce the same subspace produce the same basis.
 Membership, sums, intersections and complements work on those rows;
-the dense basis matrix is a view of them for callers that read
-coordinates.
-
-Work the size of a representation uses SparseMatrix: columns holding
-only their nonzero entries and one residual routine for brackets.
+the basis, a tuple of the same rows in dense form, is there for
+callers that read coordinates.
 
 Polynomials live here too (dense, coefficients listed from the constant
 term up) together with the handful of polynomial operations the rest of
@@ -46,10 +45,6 @@ def to_q(value) -> Q:
     raise TypeError(f"cannot use {value!r} as an exact rational")
 
 
-def zero_vector(n: int) -> Vector:
-    return (QZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(QONE if j == i else QZERO for j in range(n))
 
@@ -66,21 +61,24 @@ def sub_vec(u: Sequence[Q], v: Sequence[Q]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def scale_vec(c: Q, v: Sequence[Q]) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def is_zero_vec(v: Sequence[Q]) -> bool:
     return all(a == 0 for a in v)
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, stored as a tuple of row tuples."""
+    """Immutable exact matrix held as columns {row: value} of its nonzero entries.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    The public constructors drop zero entries and the sparse routines
+    never store one, so equal matrices hold equal columns.  Dense rows,
+    columns and flatten() are views built on each read; the package
+    works on the columns.
+    """
+
+    __slots__ = ("nrows", "ncols", "cols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        data = tuple(tuple(to_q(x) for x in row) for row in rows)
+        """From dense rows."""
+        data = [vec(row) for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -90,78 +88,118 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ValueError("ncols required for a matrix with no rows")
-        object.__setattr__(self, "nrows", len(data))
+        cols: list[dict[int, Q]] = [{} for _ in range(ncols)]
+        for i, row in enumerate(data):
+            for col, x in zip(cols, row):
+                if x:
+                    col[i] = x
+        self._fill(len(data), ncols, cols)
+
+    def _fill(self, nrows: int, ncols: int, cols: Iterable[dict[int, Q]]) -> None:
+        object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "cols", tuple(cols))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _of_rows(cls, rows: tuple[Vector, ...], ncols: int) -> "Matrix":
-        """Wrap rows that already hold Fractions, without coercing them."""
+    def _wrap(cls, nrows: int, ncols: int, cols: Iterable[dict[int, Q]]) -> "Matrix":
+        """Wrap columns that hold no zero entry, as _add_scaled leaves them.
+
+        Products, sums, residuals and block diagonals build through here:
+        dropping zeros again there nearly doubled verify_representation.
+        """
         m = object.__new__(cls)
-        object.__setattr__(m, "nrows", len(rows))
-        object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "rows", rows)
+        m._fill(nrows, ncols, cols)
         return m
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([zero_vector(ncols) for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vector(n, i) for i in range(n)], ncols=n)
+    def from_sparse(cls, nrows: int, ncols: int, cols: Iterable[dict[int, Q]]) -> "Matrix":
+        """From columns {row: value}; zero entries are dropped."""
+        return cls._wrap(nrows, ncols, ({i: x for i, x in c.items() if x} for c in cols))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Q]], nrows: int) -> "Matrix":
+        """From dense columns."""
         cols = [vec(c) for c in columns]
         if any(len(c) != nrows for c in cols):
             raise ValueError("column length disagrees with nrows")
-        return cls([tuple(c[i] for c in cols) for i in range(nrows)], ncols=len(cols))
+        return cls.from_sparse(nrows, len(cols), map(dict, map(enumerate, cols)))
+
+    @classmethod
+    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
+        return cls._wrap(nrows, ncols, ({} for _ in range(ncols)))
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        return cls._wrap(n, n, ({j: QONE} for j in range(n)))
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """Dense rows, built on each read."""
+        return tuple(tuple(col.get(i, QZERO) for col in self.cols) for i in range(self.nrows))
 
     def __getitem__(self, key: tuple[int, int]) -> Q:
         i, j = key
-        return self.rows[i][j]
+        return self.cols[j].get(i, QZERO)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
+        col = self.cols[j]
+        return tuple(col.get(i, QZERO) for i in range(self.nrows))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of_rows(tuple(self.column(j) for j in range(self.ncols)), self.nrows)
+        rows: list[dict[int, Q]] = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return Matrix._wrap(self.ncols, self.nrows, rows)
 
     def trace(self) -> Q:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), QZERO)
+        return sum((col.get(j, QZERO) for j, col in enumerate(self.cols)), QZERO)
+
+    def entries(self) -> dict[int, Q]:
+        """Nonzero entries keyed by their row-major position."""
+        return {i * self.ncols + j: x for j, col in enumerate(self.cols) for i, x in col.items()}
 
     def flatten(self) -> Vector:
-        return tuple(x for row in self.rows for x in row)
+        """Dense row-major entries."""
+        out = [QZERO] * (self.nrows * self.ncols)
+        for k, x in self.entries().items():
+            out[k] = x
+        return tuple(out)
 
-    def _rowwise(self, other, op) -> "Matrix":
+    def _check_shape(self, other: "Matrix") -> None:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix([op(a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._rowwise(other, add_vec) if isinstance(other, Matrix) else NotImplemented
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        self._check_shape(other)
+        return sparse_combination((QONE, QONE), (self, other), self.nrows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._rowwise(other, sub_vec) if isinstance(other, Matrix) else NotImplemented
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        self._check_shape(other)
+        return sparse_combination((QONE, -QONE), (self, other), self.nrows, self.ncols)
 
     def __neg__(self) -> "Matrix":
         return self.scale(Q(-1))
 
     def scale(self, c) -> "Matrix":
         c = to_q(c)
-        return Matrix([scale_vec(c, row) for row in self.rows], ncols=self.ncols)
+        cols = ({i: c * x for i, x in col.items()} for col in self.cols)
+        return Matrix.from_sparse(self.nrows, self.ncols, cols)
 
     def __rmul__(self, other) -> "Matrix":
         if isinstance(other, (int, Q)):
@@ -175,36 +213,28 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        # skip zero entries; the large matrices in this package are sparse
-        brows = other.rows
-        out = []
-        for arow in self.rows:
-            acc = [QZERO] * other.ncols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = brows[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(out, ncols=other.ncols)
+        # column t of the product combines the columns of self named in column t of other
+        cols = []
+        for bcol in other.cols:
+            out: dict[int, Q] = {}
+            for s, x in bcol.items():
+                _add_scaled(out, self.cols[s], x)
+            cols.append(out)
+        return Matrix._wrap(self.nrows, other.ncols, cols)
 
     def apply(self, v: Sequence[Q]) -> Vector:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            s = QZERO
-            for a, x in zip(row, v):
-                if a and x:
-                    s += a * x
-            out.append(s)
-        return tuple(out)
+        return self.apply_pairs([(j, x) for j, x in enumerate(v) if x])
 
     def apply_pairs(self, pairs: Sequence[tuple[int, Q]]) -> Vector:
         """Matrix times the column vector with the given nonzero (index, value) pairs."""
-        return tuple(sum((c * row[k] for k, c in pairs), QZERO) for row in self.rows)
+        out = [QZERO] * self.nrows
+        for j, x in pairs:
+            for i, a in self.cols[j].items():
+                out[i] += a * x
+        return tuple(out)
 
     def power(self, k: int) -> "Matrix":
         if not self.is_square():
@@ -225,11 +255,11 @@ class Matrix:
             isinstance(other, Matrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.cols == other.cols
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, tuple(frozenset(col.items()) for col in self.cols)))
 
     def __repr__(self) -> str:
         return f"Matrix({[list(map(str, row)) for row in self.rows]!r})"
@@ -248,45 +278,21 @@ def _add_scaled(target: dict, source: dict, coeff: Q) -> None:
             target.pop(key, None)
 
 
-class SparseMatrix:
-    """Exact matrix held as columns {row: value} of its nonzero entries.
-
-    For matrices the size of a representation; immutable once built.
-    """
-
-    __slots__ = ("nrows", "ncols", "cols")
-
-    def __init__(self, nrows: int, ncols: int, cols: Iterable[dict[int, Q]]):
-        self.nrows, self.ncols, self.cols = nrows, ncols, tuple(cols)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Q]], nrows: int) -> "SparseMatrix":
-        cols = [{i: x for i, x in enumerate(col) if x} for col in columns]
-        return cls(nrows, len(cols), cols)
-
-    def is_zero(self) -> bool:
-        return not any(self.cols)
-
-    def flatten(self) -> dict[int, Q]:
-        """Nonzero entries keyed by their row-major position."""
-        return {i * self.ncols + j: x for j, col in enumerate(self.cols) for i, x in col.items()}
-
-
 def sparse_combination(
-    coeffs: Iterable[Q], mats: Iterable[SparseMatrix], nrows: int, ncols: int
-) -> SparseMatrix:
+    coeffs: Iterable[Q], mats: Iterable[Matrix], nrows: int, ncols: int
+) -> Matrix:
     """The nrows x ncols sum of c_k M_k."""
     cols: list[dict[int, Q]] = [{} for _ in range(ncols)]
     for c, m in zip(coeffs, mats):
         if c:
             for acc, col in zip(cols, m.cols):
                 _add_scaled(acc, col, c)
-    return SparseMatrix(nrows, ncols, cols)
+    return Matrix._wrap(nrows, ncols, cols)
 
 
 def bracket_residual(
-    a: SparseMatrix, b: SparseMatrix, terms: Iterable[tuple[Q, SparseMatrix]]
-) -> SparseMatrix:
+    a: Matrix, b: Matrix, terms: Iterable[tuple[Q, Matrix]]
+) -> Matrix:
     """ab - ba - sum of c M over the (c, M) terms, for square matrices of one size."""
     terms = [(-c, m) for c, m in terms]
     cols = []
@@ -299,17 +305,17 @@ def bracket_residual(
         for c, m in terms:
             _add_scaled(out, m.cols[t], c)
         cols.append(out)
-    return SparseMatrix(a.nrows, a.ncols, cols)
+    return Matrix._wrap(a.nrows, a.ncols, cols)
 
 
-def sparse_block_diag(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
+def sparse_block_diag(blocks: Sequence[Matrix]) -> Matrix:
     """Block diagonal matrix; blocks may be rectangular or empty."""
     cols: list[dict[int, Q]] = []
     offset = 0
     for m in blocks:
         cols.extend({i + offset: x for i, x in col.items()} for col in m.cols)
         offset += m.nrows
-    return SparseMatrix(offset, len(cols), cols)
+    return Matrix._wrap(offset, len(cols), cols)
 
 
 class SparseSpan:
@@ -367,20 +373,13 @@ class SparseSpan:
         return dict(reversed(done.items()))
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    echelon = Subspace(m.ncols, SparseSpan(dict(enumerate(row)) for row in m.rows))
-    padding = (zero_vector(m.ncols),) * (m.nrows - echelon.dim)
-    return Matrix._of_rows(echelon.basis.rows + padding, m.ncols), echelon.pivots
-
-
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return SparseSpan(m.transpose().cols).dim
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Right kernel {v : m v = 0} as a canonical subspace."""
-    return span_kernel(SparseSpan(dict(enumerate(row)) for row in m.rows), m.ncols)
+    return span_kernel(SparseSpan(m.transpose().cols), m.ncols)
 
 
 def span_kernel(span: SparseSpan, n: int) -> "Subspace":
@@ -394,18 +393,20 @@ def span_kernel(span: SparseSpan, n: int) -> "Subspace":
 
 
 def solve(a: Matrix, b: Sequence[Q]) -> Vector | None:
-    """One solution of a x = b with free variables set to zero, or None."""
+    """One solution of a x = b with free variables set to zero, or None.
+
+    Row i of a enters one span with b_i at the extra coordinate a.ncols;
+    a reduced row with its pivot there makes the system inconsistent.
+    """
     if len(b) != a.nrows:
         raise ValueError("right hand side length mismatch")
-    if a.nrows == 0:
-        return zero_vector(a.ncols)
-    aug = Matrix._of_rows(tuple(row + (bi,) for row, bi in zip(a.rows, vec(b))), a.ncols + 1)
-    reduced, pivots = rref(aug)
-    if pivots and pivots[-1] == a.ncols:
+    n = a.ncols
+    reduced = SparseSpan({**row, n: bi} for row, bi in zip(a.transpose().cols, vec(b))).reduced()
+    if n in reduced:
         return None
-    x = [QZERO] * a.ncols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.rows[r][a.ncols]
+    x = [QZERO] * n
+    for p, row in reduced.items():
+        x[p] = row.get(n, QZERO)
     return tuple(x)
 
 
@@ -414,8 +415,8 @@ class Subspace:
 
     Each row has its pivot entry 1 and every other pivot coordinate 0,
     which makes the representation canonical: equal subspaces compare
-    equal.  basis is the dense view of the same rows by increasing
-    pivot, for callers that read coordinates.
+    equal.  basis is the tuple of the same rows in dense form by
+    increasing pivot, for callers that read coordinates.
     """
 
     __slots__ = ("ambient_dim", "span", "basis", "pivots")
@@ -424,12 +425,12 @@ class Subspace:
         """The span of the given rows; the span itself is left as it is."""
         reduced = SparseSpan()
         reduced.rows = span.reduced()
-        rows = tuple(
+        basis = tuple(
             tuple(row.get(j, QZERO) for j in range(ambient_dim)) for row in reduced.rows.values()
         )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "span", reduced)
-        object.__setattr__(self, "basis", Matrix._of_rows(rows, ambient_dim))
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(reduced.rows))
 
     def __setattr__(self, name, value):
@@ -452,10 +453,10 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.basis)
 
     def vectors(self) -> Iterator[Vector]:
-        return iter(self.basis.rows)
+        return iter(self.basis)
 
     def _residue(self, v: Sequence[Q]) -> dict[int, Q]:
         if len(v) != self.ambient_dim:
@@ -754,7 +755,7 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     power = Matrix.identity(n)
     # by Cayley-Hamilton a relation turns up by degree n
     for degree in count():
-        tagged = dict(enumerate(power.flatten()))
+        tagged = power.entries()
         tagged[size + degree] = QONE
         residue = span.add(tagged)
         if min(residue) >= size:

@@ -26,8 +26,6 @@ from .lie import LieAlgebra
 from .linalg import (
     Matrix,
     QONE,
-    QZERO,
-    SparseMatrix,
     SparseSpan,
     Subspace,
     Vector,
@@ -66,13 +64,13 @@ class VerificationReport:
 @dataclass(frozen=True)
 class RepresentationResult:
     algebra: LieAlgebra
-    matrices: tuple[SparseMatrix, ...]
+    matrices: tuple[Matrix, ...]
     dim_v: int
     verification: VerificationReport
     provenance: dict
 
 
-def reductive_representation(algebra: LieAlgebra) -> tuple[SparseMatrix, ...]:
+def reductive_representation(algebra: LieAlgebra) -> tuple[Matrix, ...]:
     """Adjoint representation padded by one translation column.
 
     Faithful on any reductive algebra: the adjoint block sees everything
@@ -90,30 +88,28 @@ def reductive_representation(algebra: LieAlgebra) -> tuple[SparseMatrix, ...]:
     if not split_cleanly:
         raise ValueError("algebra is not reductive")
     if derived.dim:
-        dsub, _ = algebra.subalgebra_on_basis(derived.basis.rows)
+        dsub, _ = algebra.subalgebra_on_basis(derived.basis)
         if rank(dsub.killing_form()) != dsub.dim:
             raise ValueError("algebra is not reductive")
     dz = centre.dim
-    change = Matrix(
-        list(derived.basis.rows) + list(centre.basis.rows), ncols=algebra.dim
-    ).transpose()
+    change = Matrix.from_columns([*derived.basis, *centre.basis], nrows=algebra.dim)
     sigma_width = 1 + dz
     mats = []
     for i in range(algebra.dim):
         coeffs = solve(change, unit_vector(algebra.dim, i))
         if coeffs is None:
             raise TripwireError("pipeline", "basis vector outside derived + centre", index=i)
-        central = coeffs[derived.dim :]
-        columns = [(QZERO,) + tuple(central)]
-        columns += [(QZERO,) * sigma_width] * dz
+        # the translation column holds the central component below a zero
+        translation = [dict(enumerate(coeffs[derived.dim :], 1))] + [{}] * dz
         # column j of ad(e_i) is [e_i, e_j]
-        ad = SparseMatrix(algebra.dim, algebra.dim, map(dict, algebra.nonzero[i]))
-        mats.append(sparse_block_diag([ad, SparseMatrix.from_columns(columns, sigma_width)]))
+        ad = Matrix.from_sparse(algebra.dim, algebra.dim, map(dict, algebra.nonzero[i]))
+        sigma = Matrix.from_sparse(sigma_width, sigma_width, translation)
+        mats.append(sparse_block_diag([ad, sigma]))
     return tuple(mats)
 
 
 def verify_representation(
-    algebra: LieAlgebra, matrices: tuple[SparseMatrix, ...], dim_v: int
+    algebra: LieAlgebra, matrices: tuple[Matrix, ...], dim_v: int
 ) -> VerificationReport:
     """Re-derive the verdict from the dim_v x dim_v matrices alone."""
     if len(matrices) != algebra.dim:
@@ -133,7 +129,7 @@ def verify_representation(
     # the flattened matrices
     span = SparseSpan()
     for m in matrices:
-        span.add(m.flatten())
+        span.add(m.entries())
     kernel_dimension = len(matrices) - span.dim
     return VerificationReport(
         dim_v=dim_v,
@@ -158,9 +154,9 @@ def adapted_basis(q: LieAlgebra, nil: Subspace) -> tuple[Vector, ...]:
     # dimensions fall strictly in a nilpotent ideal, so nil.dim steps reach 0
     for _ in range(nil.dim):
         series.append(q.bracket_span(nil, series[-1]))
-    echelon = set(nil.basis.rows)
+    echelon = set(nil.basis)
     if all(row in echelon for term in series for row in term.vectors()):
-        return nil.basis.rows
+        return nil.basis
     return tuple(
         v
         for upper, lower in zip(series, series[1:])
@@ -188,7 +184,7 @@ def ado_representation(
     kernel_part, acting_part = split.kernel_part, split.acting_part
 
     built: BuiltModule | None = None
-    action_mats: list[SparseMatrix] = []
+    action_mats: list[Matrix] = []
     nil_basis = adapted_basis(q, nil)
     if acting_part.dim + nil.dim:
         nalg, inclusion = q.subalgebra_on_basis(nil_basis)
@@ -201,20 +197,17 @@ def ado_representation(
             derivations.append(Matrix.from_columns(cols, nrows=nil.dim))
         action_mats = verify_module_axioms(built, derivations)
 
-    red_mats: list[SparseMatrix] = []
+    red_mats: list[Matrix] = []
     if kernel_part.dim:
-        p1alg, _ = q.subalgebra_on_basis(kernel_part.basis.rows)
+        p1alg, _ = q.subalgebra_on_basis(kernel_part.basis)
         try:
             red_mats = list(reductive_representation(p1alg))
         except ValueError as exc:
             raise TripwireError("pipeline", str(exc)) from None
 
-    change = Matrix(
-        list(kernel_part.basis.rows)
-        + list(acting_part.basis.rows)
-        + list(nil_basis),
-        ncols=q.dim,
-    ).transpose()
+    change = Matrix.from_columns(
+        [*kernel_part.basis, *acting_part.basis, *nil_basis], nrows=q.dim
+    )
     env_dim = built.module.dim if built else 0
     red_dim = red_mats[0].nrows if red_mats else 0
     matrices = []

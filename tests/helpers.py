@@ -8,7 +8,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from ado.linalg import QONE, Matrix, SparseMatrix, Subspace, kernel, solve, unit_vector
+from ado.linalg import QONE, Matrix, Subspace, kernel, solve, unit_vector
 
 
 def rationals(max_num: int = 4, max_den: int = 3) -> st.SearchStrategy[Q]:
@@ -59,7 +59,7 @@ def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pr += 1
         if pr == nrows:
             break
-    return Matrix._of_rows(tuple(map(tuple, rows)), ncols), tuple(pivots)
+    return Matrix(rows, ncols=ncols), tuple(pivots)
 
 
 def dense_kernel(m: Matrix) -> Subspace:
@@ -80,20 +80,21 @@ def dense_intersect(s: Subspace, t: Subspace) -> Subspace:
     if s.dim == 0 or t.dim == 0:
         return Subspace.zero(s.ambient_dim)
     constraints = [
-        [row[c] for row in s.basis.rows] + [-row[c] for row in t.basis.rows]
+        [row[c] for row in s.basis] + [-row[c] for row in t.basis]
         for c in range(s.ambient_dim)
     ]
     coeffs = dense_kernel(Matrix(constraints, ncols=s.dim + t.dim))
-    combine = s.basis.transpose()
-    return Subspace.from_vectors(s.ambient_dim, [combine.apply(a[: s.dim]) for a in coeffs.vectors()])
+    combine = Matrix.from_columns(s.basis, nrows=s.ambient_dim)
+    vectors = [dense_apply(combine, a[: s.dim]) for a in coeffs.vectors()]
+    return Subspace.from_vectors(s.ambient_dim, vectors)
 
 
 def dense_complement(s: Subspace, within: Subspace) -> Subspace:
     """Reference complement: the basis vectors of within at the non-pivot
     columns of the dense echelon form of s in within's coordinates."""
-    coords = Matrix([within.coordinates_of(row) for row in s.basis.rows], ncols=within.dim)
+    coords = Matrix([within.coordinates_of(row) for row in s.basis], ncols=within.dim)
     _, pivots = dense_rref(coords)
-    chosen = [row for i, row in enumerate(within.basis.rows) if i not in pivots]
+    chosen = [row for i, row in enumerate(within.basis) if i not in pivots]
     return Subspace.from_vectors(s.ambient_dim, chosen)
 
 
@@ -109,18 +110,46 @@ def block_diag(mats) -> Matrix:
     return Matrix(rows, ncols=total_c)
 
 
-# the dense bridge: tests compare sparse results with the dense reference
-def from_dense(m: Matrix) -> SparseMatrix:
-    columns = list(zip(*m.rows)) if m.nrows else [()] * m.ncols
-    return SparseMatrix.from_columns(columns, m.nrows)
+# dense row-major references for the column-sparse Matrix
 
 
-def to_dense(m: SparseMatrix) -> Matrix:
-    rows = [[Q(0)] * m.ncols for _ in range(m.nrows)]
-    for j, col in enumerate(m.cols):
-        for i, x in col.items():
-            rows[i][j] = x
-    return Matrix(rows, ncols=m.ncols)
+def dense_product(a: Matrix, b: Matrix) -> Matrix:
+    """Reference product: each row of a combines the rows of b."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in product")
+    brows = b.rows
+    out = []
+    for arow in a.rows:
+        acc = [Q(0)] * b.ncols
+        for k, x in enumerate(arow):
+            if x:
+                for j, y in enumerate(brows[k]):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return Matrix(out, ncols=b.ncols)
+
+
+def dense_apply(m: Matrix, v) -> tuple:
+    """Reference matrix times column vector, one dot product per row."""
+    if len(v) != m.ncols:
+        raise ValueError("vector length mismatch")
+    out = []
+    for row in m.rows:
+        s = Q(0)
+        for a, x in zip(row, v):
+            if a and x:
+                s += a * x
+        out.append(s)
+    return tuple(out)
+
+
+def dense_rowwise(a: Matrix, b: Matrix, op) -> Matrix:
+    """Reference entrywise op(x, y) of two matrices of one shape, row by row."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
+    rows = [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+    return Matrix(rows, ncols=a.ncols)
 
 
 def seeded_matrix(rng: random.Random, nrows: int, ncols: int, span: int = 3) -> Matrix:

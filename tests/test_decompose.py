@@ -5,9 +5,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ado.catalog import catalog_algebra
+from ado.catalog import catalog_algebra, catalog_names
 from ado.decompose import levi_decomposition, nilpotent_seed, radical, reductive_split
 from ado.errors import TripwireError
+from ado.lie import LieAlgebra
 from ado.linalg import Matrix, Subspace, unit_vector
 
 from helpers import (
@@ -115,6 +116,27 @@ def test_nilpotent_seed_frozen_cases():
     assert nilpotent_seed(g, levi_decomposition(g)) == span_of(5, 3, 4)
     rot3 = catalog_algebra("rot3")
     assert nilpotent_seed(rot3, levi_decomposition(rot3)) == span_of(3, 1, 2)
+
+
+def test_nilpotent_seed_brackets_g_with_the_radical_once(monkeypatch):
+    # [g, radical] is the seed or the bracket inside its ideal check, and
+    # the check that the seed contains it reuses it
+    original = LieAlgebra.bracket_span
+    calls = []
+
+    def recording(self, left, right):
+        calls.append((self, left, right))
+        return original(self, left, right)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", recording)
+    for name in [n for n in catalog_names() if n != "abelian:N"] + ["abelian:3"]:
+        g = catalog_algebra(name)
+        data = levi_decomposition(g)
+        calls.clear()
+        nilpotent_seed(g, data)
+        full = g.full_space()
+        on_g = [(left, right) for h, left, right in calls if h is g]
+        assert on_g.count((full, data.radical)) == 1, name
 
 
 def test_reductive_split_torus_on_nilradical():

@@ -20,14 +20,12 @@ from ado.envelope import (
 )
 from ado.errors import InputError, TripwireError
 from ado.lie import LieAlgebra
-from ado.linalg import Matrix, SparseMatrix
+from ado.linalg import Matrix
 
 from helpers import (
     change_of_basis,
-    from_dense,
     module_disagreements,
     oracle_straighten,
-    to_dense,
 )
 
 
@@ -189,7 +187,7 @@ def test_derivation_action_frozen_weights():
             [0, 0, 0, 0, 0, 0, 2],
         ]
     )
-    assert to_dense(action) == expected
+    assert action == expected
 
 
 def test_derivation_axioms_with_two_derivations():
@@ -199,10 +197,10 @@ def test_derivation_axioms_with_two_derivations():
     verify_module_axioms(built, [d1, d2])
 
 
-def _bump(m: SparseMatrix, r: int, c: int) -> SparseMatrix:
-    rows = [list(row) for row in to_dense(m).rows]
+def _bump(m: Matrix, r: int, c: int) -> Matrix:
+    rows = [list(row) for row in m.rows]
     rows[r][c] += 1
-    return from_dense(Matrix(rows))
+    return Matrix(rows)
 
 
 def _tamper_derivation_call(monkeypatch, call: int) -> None:
@@ -256,7 +254,7 @@ def test_module_axioms_name_a_tampered_commutator(monkeypatch):
 def test_left_action_of_x_frozen():
     built = build_module(HEIS, truncation=2)
     # basis 1, z, y, x, y^2, xy, x^2; x kills xz-bound images
-    assert to_dense(built.left[0]) == Matrix(
+    assert built.left[0] == Matrix(
         [
             [0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0],

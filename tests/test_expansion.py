@@ -19,7 +19,7 @@ from helpers import change_of_basis, seeded_matrix, sl2_plus_solv2
 
 
 def nilpotency_index_of_part(pres, part):
-    sub, _ = pres.algebra.subalgebra_on_basis(part.basis.rows)
+    sub, _ = pres.algebra.subalgebra_on_basis(part.basis)
     return sub.nilpotency_index()
 
 

@@ -19,7 +19,7 @@ from ado.formats import (
 from ado.linalg import Q
 from ado.pipeline import ado_representation
 
-from helpers import rationals, to_dense
+from helpers import rationals
 
 
 @given(rationals())
@@ -159,7 +159,7 @@ def test_load_json_reports_unreadable_files(tmp_path):
 
 def test_matrix_zero_entries_share_one_value():
     m = matrix_from_json([["0", "1/2"], [0, "-3"]], "m", 2)
-    assert to_dense(m).rows == ((0, Q(1, 2)), (0, -3))
+    assert m.rows == ((0, Q(1, 2)), (0, -3))
     # no zero is stored, whatever spelling it had in the file
     assert m.cols == ({}, {0: Q(1, 2), 1: -3})
     assert matrix_from_json([["0/1", "-0"], [0, "0"]], "m", 2).cols == ({}, {})

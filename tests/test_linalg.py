@@ -1,6 +1,7 @@
 """Exact linear algebra: echelon forms, subspaces, polynomials."""
 
 from fractions import Fraction as Q
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from ado.linalg import (
     Matrix,
     Polynomial,
-    SparseMatrix,
     SparseSpan,
     Subspace,
     bracket_residual,
@@ -20,7 +20,6 @@ from ado.linalg import (
     modular_inverse,
     poly_gcd,
     rank,
-    rref,
     solve,
     sparse_block_diag,
     sparse_combination,
@@ -31,38 +30,50 @@ from helpers import (
     block_diag,
     dense_complement,
     dense_intersect,
+    dense_apply,
+    dense_product,
+    dense_rowwise,
     dense_rref,
-    from_dense,
     matrices,
     rationals,
     square_matrices,
-    to_dense,
 )
 
 
+def echelon(m: Matrix) -> Subspace:
+    """The row space of m; its basis and pivots are the reduced row echelon form."""
+    return Subspace.from_vectors(m.ncols, m.rows)
+
+
 def test_rref_of_dependent_rows():
-    reduced, pivots = rref(Matrix([[2, 4], [1, 2]]))
-    assert reduced == Matrix([[1, 2], [0, 0]])
-    assert pivots == (0,)
+    m = Matrix([[2, 4], [1, 2]])
+    assert echelon(m).basis == ((1, 2),)
+    assert echelon(m).pivots == (0,)
+    assert rank(m) == 1
+    assert dense_rref(m) == (Matrix([[1, 2], [0, 0]]), (0,))
 
 
 def test_rref_identity_fixed_point():
     m = Matrix.identity(3)
-    reduced, pivots = rref(m)
-    assert reduced == m
-    assert pivots == (0, 1, 2)
+    assert echelon(m).basis == m.rows
+    assert echelon(m).pivots == (0, 1, 2)
+    assert rank(m) == 3
+    assert solve(m, (1, 2, 3)) == (1, 2, 3)
 
 
 def test_rref_pivot_normalization():
-    reduced, pivots = rref(Matrix([[0, 3, 6], [2, 1, 1]]))
-    assert pivots == (0, 1)
-    assert reduced == Matrix([[1, 0, Q(-1, 2)], [0, 1, 2]])
+    m = Matrix([[0, 3, 6], [2, 1, 1]])
+    assert echelon(m).pivots == (0, 1)
+    assert echelon(m).basis == ((1, 0, Q(-1, 2)), (0, 1, 2))
+    assert dense_rref(m) == (Matrix(echelon(m).basis), (0, 1))
+    # the third column is the free one, so the solution has it zero
+    assert solve(m, (3, 1)) == (Q(0), Q(1), Q(0))
 
 
 def test_kernel_of_sum_functional():
     ker = kernel(Matrix([[1, 1]]))
     assert ker.dim == 1
-    assert ker.basis == Matrix([[1, -1]])
+    assert ker.basis == ((1, -1),)
 
 
 def test_kernel_of_invertible_is_zero():
@@ -89,9 +100,9 @@ def test_solve_and_from_vectors_coerce_int_inputs_to_fractions():
     assert all(type(c) is Q for c in x)
     assert solve(Matrix([[1, 1], [2, 2]]), (1, 3)) is None
     s = Subspace.from_vectors(3, [(2, 4, 6), (0, 3, 1)])
-    assert s.basis == Matrix([[1, 0, Q(7, 3)], [0, 1, Q(1, 3)]])
+    assert s.basis == ((1, 0, Q(7, 3)), (0, 1, Q(1, 3)))
     assert s.pivots == (0, 1)
-    assert all(type(c) is Q for row in s.basis.rows for c in row)
+    assert all(type(c) is Q for row in s.basis for c in row)
     with pytest.raises(ValueError):
         Subspace.from_vectors(3, [(1, 2)])
 
@@ -133,7 +144,7 @@ def test_extend_complement_full_space():
     assert s.sum(c).dim == 3
     assert s.intersect(c).dim == 0
     # complement made of standard vectors at non-pivot indices
-    assert c.basis == Matrix([[0, 1, 0], [0, 0, 1]])
+    assert c.basis == ((0, 1, 0), (0, 0, 1))
 
 
 def test_extend_complement_within_subspace():
@@ -212,21 +223,35 @@ def test_polynomial_zero_conventions():
 
 @given(matrices(3, 4))
 def test_rref_idempotent(m):
-    reduced, pivots = rref(m)
-    again, pivots2 = rref(reduced)
-    assert again == reduced
-    assert pivots2 == pivots
+    s = echelon(m)
+    again = Subspace.from_vectors(4, s.basis)
+    assert again.basis == s.basis
+    assert again.pivots == s.pivots
 
 
 @given(
     st.integers(min_value=0, max_value=4).flatmap(lambda n: matrices(n, 4)),
     st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+    st.lists(rationals(), min_size=8, max_size=8),
 )
-def test_rref_matches_dense_gauss_jordan(m, picks):
+def test_rref_matches_dense_gauss_jordan(m, picks, b):
     # repeated rows and zero rows on top of the drawn ones; 0 x n when none are drawn
     extra = [m.rows[i % m.nrows] for i in picks if m.nrows] + [(Q(0),) * 4] * (len(picks) % 2)
     m = Matrix(list(m.rows) + extra, ncols=4)
-    assert rref(m) == dense_rref(m)
+    reduced, pivots = dense_rref(m)
+    assert echelon(m).basis == reduced.rows[: len(pivots)]
+    assert echelon(m).pivots == pivots
+    assert rank(m) == len(pivots)
+    # solve against the dense echelon form of the augmented system
+    b = tuple(b[: m.nrows])
+    aug_reduced, aug_pivots = dense_rref(Matrix([r + (x,) for r, x in zip(m.rows, b)], ncols=5))
+    if 4 in aug_pivots:
+        assert solve(m, b) is None
+    else:
+        expected = [Q(0)] * 4
+        for r, p in enumerate(aug_pivots):
+            expected[p] = aug_reduced[r, 4]
+        assert solve(m, b) == tuple(expected)
 
 
 @given(matrices(3, 5))
@@ -253,7 +278,7 @@ def test_intersect_and_complement_match_dense(a, b, shared):
     t = Subspace.from_vectors(5, b.rows + shared.rows)
     meet = s.intersect(t)
     assert meet == dense_intersect(s, t)
-    assert s.sum(t) == Subspace.from_vectors(5, s.basis.rows + t.basis.rows)
+    assert s.sum(t) == Subspace.from_vectors(5, s.basis + t.basis)
     for within in (s, t, Subspace.full(5)):
         assert meet.extend_complement(within) == dense_complement(meet, within)
     assert s.extend_complement() == dense_complement(s, Subspace.full(5))
@@ -316,25 +341,71 @@ def test_polynomial_divmod_identity(fc, gc):
     assert r.degree < g.degree
 
 
-# the sparse type against the dense Matrix as the reference: equal exactly
+# the column-sparse Matrix against dense row-major references: equal exactly
+
+
+def sparse_copy(m: Matrix) -> Matrix:
+    """The same matrix built from sparse columns, explicit zeros included."""
+    cols = [dict(enumerate(m.column(j))) for j in range(m.ncols)]
+    return Matrix.from_sparse(m.nrows, m.ncols, cols)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            matrices(n, n),
+            matrices(n, n),
+            matrices(n, 3),
+            st.lists(rationals(), min_size=n, max_size=n),
+        )
+    ),
+    rationals(),
+    st.integers(min_value=0, max_value=3),
+)
+def test_matrix_matches_dense_reference(drawn, c, k):
+    a, b, r, v = drawn
+    n = a.nrows
+    for m in (a, b, r, Matrix.zeros(n, 3)):
+        # from dense rows with their zeros, and from sparse columns with theirs
+        copy = sparse_copy(m)
+        assert copy == m and hash(copy) == hash(m)
+        assert all(0 not in col.values() for col in m.cols)
+        assert m.flatten() == tuple(x for row in m.rows for x in row)
+        assert m.entries() == {i: x for i, x in enumerate(m.flatten()) if x}
+        assert m.transpose().rows == tuple(zip(*m.rows))
+        assert m.is_zero() == (not any(m.flatten()))
+    assert a * b == dense_product(a, b)
+    assert a * r == dense_product(a, r)
+    assert a + b == dense_rowwise(a, b, add)
+    assert a - b == dense_rowwise(a, b, sub)
+    assert a.scale(c) == dense_rowwise(a, a, lambda x, _: c * x)
+    assert a.apply(v) == dense_apply(a, v)
+    assert r.transpose().apply(v) == dense_apply(r.transpose(), v)
+    expected = Matrix.identity(n)
+    for _ in range(k):
+        expected = dense_product(expected, a)
+    assert a.power(k) == expected
+    assert (a == b) == (a.rows == b.rows)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 @given(matrices(3, 4))
 def test_sparse_round_trip(m):
-    sparse = from_dense(m)
-    assert to_dense(sparse) == m
-    assert sparse.is_zero() == m.is_zero()
     columns = [m.column(j) for j in range(m.ncols)]
-    assert SparseMatrix.from_columns(columns, m.nrows).cols == sparse.cols
-    assert sparse.flatten() == {k: x for k, x in enumerate(m.flatten()) if x}
-    assert all(0 not in col.values() for col in sparse.cols)
+    assert Matrix.from_columns(columns, m.nrows) == m
+    assert Matrix(m.rows, ncols=m.ncols).cols == m.cols
+    assert tuple(zip(*columns)) == m.rows
+    assert m.entries() == {k: x for k, x in enumerate(m.flatten()) if x}
+    assert all(0 not in col.values() for col in m.cols)
 
 
 @given(matrices(3, 3), matrices(3, 3), rationals(), rationals())
 def test_sparse_combination_matches_dense(a, b, c, d):
-    mats = (from_dense(a), from_dense(b))
-    assert to_dense(sparse_combination((c, d), mats, 3, 3)) == a.scale(c) + b.scale(d)
-    assert to_dense(sparse_combination((), (), 2, 3)) == Matrix.zeros(2, 3)
+    expected = dense_rowwise(a, b, lambda x, y: c * x + d * y)
+    assert sparse_combination((c, d), (a, b), 3, 3) == expected
+    assert sparse_combination((), (), 2, 3) == Matrix.zeros(2, 3)
 
 
 @given(
@@ -344,22 +415,19 @@ def test_sparse_combination_matches_dense(a, b, c, d):
     st.lists(rationals(), min_size=3, max_size=3),
 )
 def test_bracket_residual_matches_dense(a, b, mats, coeffs):
-    expected = a * b - b * a
+    expected = dense_rowwise(dense_product(a, b), dense_product(b, a), sub)
     for c, m in zip(coeffs, mats):
-        expected = expected - m.scale(c)
-    sa, sb = from_dense(a), from_dense(b)
-    got = bracket_residual(sa, sb, [(c, from_dense(m)) for c, m in zip(coeffs, mats)])
-    assert to_dense(got) == expected
+        expected = dense_rowwise(expected, m, lambda x, y: x - c * y)
+    got = bracket_residual(a, b, list(zip(coeffs, mats)))
+    assert got == expected
     # a commutator minus itself leaves nothing
-    commutator = from_dense(a * b - b * a)
-    assert bracket_residual(sa, sb, [(Q(1), commutator)]).is_zero()
+    assert bracket_residual(a, b, [(Q(1), a * b - b * a)]).is_zero()
 
 
 @given(matrices(2, 3), matrices(3, 1), matrices(1, 2))
 def test_sparse_block_diag_matches_dense(a, b, c):
     blocks = [a, b, c]
-    sparse = sparse_block_diag([from_dense(m) for m in blocks])
-    assert to_dense(sparse) == block_diag(blocks)
+    assert sparse_block_diag(blocks) == block_diag(blocks)
 
 
 @given(
@@ -372,7 +440,7 @@ def test_sparse_span_rank_matches_rref(mats, coeffs):
         mats = mats + [mats[0].scale(coeffs[0]) + mats[1].scale(coeffs[1])]
     span = SparseSpan()
     for m in mats:
-        span.add(from_dense(m).flatten())
+        span.add(m.entries())
     assert span.dim == len(dense_rref(Matrix([m.flatten() for m in mats], ncols=6))[1])
 
 
@@ -400,7 +468,7 @@ def test_sparse_span_reduce_matches_subspace(m, v, coeffs):
     for p, row in reduced.items():
         assert row[p] == 1
         assert all(p not in other for q, other in reduced.items() if q != p)
-    assert [tuple(row.get(j, Q(0)) for j in range(5)) for row in reduced.values()] == list(
-        dense.basis.rows
+    assert tuple(tuple(row.get(j, Q(0)) for j in range(5)) for row in reduced.values()) == (
+        dense.basis
     )
     assert span.rows == stored

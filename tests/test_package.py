@@ -1,10 +1,12 @@
-"""The package imports nothing outside the standard library, its
-representation matrices never leave the sparse type, its algebras are
-read through their sparse structure constants, and the benchmark's
-input generators still run on it."""
+"""The package imports nothing outside the standard library, keeps one
+matrix type, reads its algebras through their sparse structure
+constants, and the benchmark's input generators and traced path still
+run on it."""
 
 import ast
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -31,9 +33,9 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_package_never_converts_between_dense_and_sparse():
-    # from_dense, to_dense and the dense block_diag are a bridge that
-    # lives in tests/helpers.py, for tests against the dense reference;
-    # the package neither defines nor uses them
+    # block_diag is a dense reference in tests/helpers.py, and from_dense
+    # and to_dense name a dense-to-sparse bridge; the package builds its
+    # block diagonals with sparse_block_diag and uses none of these
     bridge = {"from_dense", "to_dense", "block_diag"}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -48,6 +50,13 @@ def test_package_never_converts_between_dense_and_sparse():
             assert name not in bridge, (path.name, node.lineno)
 
 
+def test_package_has_one_matrix_type():
+    # Matrix is the one matrix type, and SparseSpan the one echelon form
+    for path in sorted(SRC.glob("*.py")):
+        found = re.findall(r"SparseMatrix|rref|_of_rows", path.read_text())
+        assert not found, (path.name, found)
+
+
 def test_only_lie_reads_the_dense_table():
     # LieAlgebra.table is a dense view built on each read; the package
     # works on LieAlgebra.nonzero
@@ -59,12 +68,38 @@ def test_only_lie_reads_the_dense_table():
                 assert node.attr != "table", (path.name, node.lineno)
 
 
+def load_bench_module(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("workload", ["module", "rebased", "reductive"])
 def test_bench_input_generators_run(workload, tmp_path):
     # a package change that breaks the generators shows here, not first
     # in a benchmark run
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = load_bench_module("inputs")
     inputs.write_inputs(workload, 1, tmp_path)
     assert sorted(tmp_path.glob("*.json"))
+
+
+def test_bench_traced_path_runs(tmp_path):
+    # the tracer wraps the package's functions and methods by name, so a
+    # rename that breaks it shows here, not first in a benchmark run
+    from ado import cli
+
+    tracing = load_bench_module("tracer")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.span(tracing.ROOT_COMPUTE):
+            code = cli.main(["compute", "--catalog", "t3", "-o", str(tmp_path / "t3.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    summary = tracer.summarize()
+    assert summary["linalg.matmul_calls"] > 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(summary) <= {metric["name"] for metric in declared}

@@ -12,7 +12,6 @@ from ado.expansion import saturate
 from ado.lie import LieAlgebra
 from ado.linalg import (
     Matrix,
-    SparseMatrix,
     Subspace,
     minimal_polynomial,
     squarefree_part,
@@ -28,13 +27,11 @@ from ado.pipeline import (
 from helpers import (
     dense_ad,
     change_of_basis,
-    from_dense,
     nilpotent_algebras,
     seeded_change_of_basis,
     sl2_plus_solv2,
     sl2_semidirect_plane,
     strictly_upper_triangular,
-    to_dense,
 )
 
 
@@ -111,10 +108,10 @@ def test_zero_algebra():
 
 def test_solv2_scaling_spectrum():
     res = ado_representation(catalog_algebra("solv2"))
-    reduced = squarefree_part(minimal_polynomial(to_dense(res.matrices[0])))
+    reduced = squarefree_part(minimal_polynomial(res.matrices[0]))
     # eigenvalues 0 and 1: the weights of the monomials of weight <= 1
     assert reduced.coeffs == (0, -1, 1)
-    step = to_dense(res.matrices[1])
+    step = res.matrices[1]
     assert step.power(2) == Matrix.zeros(3, 3)
     assert step != Matrix.zeros(3, 3)
 
@@ -194,7 +191,7 @@ def unadapted_cases():
 @pytest.mark.parametrize("q, nil", unadapted_cases())
 def test_adapted_basis_spans_every_lower_central_term(q, nil):
     terms = lower_central_terms(q, nil)
-    assert not all(spanned_by_subset(term, nil.basis.rows) for term in terms)
+    assert not all(spanned_by_subset(term, nil.basis) for term in terms)
     basis = adapted_basis(q, nil)
     assert Subspace.from_vectors(q.dim, basis) == nil and len(basis) == nil.dim
     assert all(spanned_by_subset(term, basis) for term in terms)
@@ -210,8 +207,8 @@ def test_adapted_echelon_basis_comes_back_unchanged(g):
     q, nil = pres.algebra, pres.nilpotent_part
     terms = lower_central_terms(q, nil)
     assert len(terms) > 2
-    assert all(spanned_by_subset(term, nil.basis.rows) for term in terms)
-    assert adapted_basis(q, nil) == nil.basis.rows
+    assert all(spanned_by_subset(term, nil.basis) for term in terms)
+    assert adapted_basis(q, nil) == nil.basis
 
 
 @pytest.mark.parametrize(
@@ -261,7 +258,7 @@ def test_random_nilpotent_algebras_verify_at_the_default_truncation(g):
 
 def test_adjoint_of_heisenberg_is_not_faithful():
     g = catalog_algebra("heisenberg")
-    ads = tuple(from_dense(dense_ad(g, unit_vector(3, i))) for i in range(3))
+    ads = tuple(dense_ad(g, unit_vector(3, i)) for i in range(3))
     report = verify_representation(g, ads, 3)
     assert report.homomorphism
     assert report.residual_pairs == ()
@@ -272,9 +269,9 @@ def test_adjoint_of_heisenberg_is_not_faithful():
 
 def test_tampered_matrix_fails_verification():
     res = ado_representation(catalog_algebra("gl2"))
-    rows = [list(row) for row in to_dense(res.matrices[0]).rows]
+    rows = [list(row) for row in res.matrices[0].rows]
     rows[0][1] += 1
-    tampered = (from_dense(Matrix(rows)),) + res.matrices[1:]
+    tampered = (Matrix(rows),) + res.matrices[1:]
     report = verify_representation(res.algebra, tampered, res.dim_v)
     assert not report.verified
     assert report.residual_pairs != ()
@@ -284,7 +281,7 @@ def test_verify_rejects_ragged_input():
     g = catalog_algebra("abelian:2")
 
     def zeros(nrows, ncols):
-        return from_dense(Matrix.zeros(nrows, ncols))
+        return Matrix.zeros(nrows, ncols)
 
     with pytest.raises(ValueError):
         verify_representation(g, (zeros(2, 2),), 2)
@@ -299,12 +296,11 @@ def test_verify_rejects_ragged_input():
 def test_reductive_representation_of_sl2():
     g = catalog_algebra("sl2")
     mats = reductive_representation(g)
-    assert all(isinstance(m, SparseMatrix) for m in mats)
+    assert all(isinstance(m, Matrix) for m in mats)
     assert [(m.nrows, m.ncols) for m in mats] == [(4, 4)] * 3
-    dense = [to_dense(m) for m in mats]
-    assert [dense[0][i, i] for i in range(4)] == [0, 2, -2, 0]
+    assert [mats[0][i, i] for i in range(4)] == [0, 2, -2, 0]
     # the top left block is the adjoint matrix
-    for i, m in enumerate(dense):
+    for i, m in enumerate(mats):
         assert [row[:3] for row in m.rows[:3]] == list(dense_ad(g, unit_vector(3, i)).rows)
     report = verify_representation(g, mats, 4)
     assert report.verified
@@ -315,8 +311,8 @@ def test_reductive_representation_of_abelian_algebra():
     mats = reductive_representation(g)
     assert [(m.nrows, m.ncols) for m in mats] == [(5, 5), (5, 5)]
     # translation column carries each central coordinate
-    assert to_dense(mats[0]).column(2) == (0, 0, 0, 1, 0)
-    assert to_dense(mats[1]).column(2) == (0, 0, 0, 0, 1)
+    assert mats[0].column(2) == (0, 0, 0, 1, 0)
+    assert mats[1].column(2) == (0, 0, 0, 0, 1)
     report = verify_representation(g, mats, 5)
     assert report.verified
 
