@@ -17,6 +17,7 @@ are canonically serialized, so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .catalog import catalog_entry, catalog_names
@@ -41,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ado",

@@ -17,14 +17,15 @@ from .errors import TripwireError
 from .lie import LieAlgebra
 from .linalg import (
     Matrix,
+    QONE,
     QZERO,
+    SparseSpan,
     Subspace,
+    _add_scaled,
     add_vec,
     kernel,
     rank,
     solve,
-    sub_vec,
-    unit_vector,
 )
 
 
@@ -111,10 +112,10 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
     q, sect = g.quotient(r)
     m = q.dim
     rdim = r.dim
-    lifts = [sect.apply(unit_vector(m, a)) for a in range(m)]
+    lifts = sect.cols
 
     def action_on_r(x):
-        cols = [r.coordinates_of(g.bracket(x, v)) for v in r.vectors()]
+        cols = [r.coordinates_of(g._bracket(x, v)) for v in r.span.rows.values()]
         return Matrix.from_columns(cols, nrows=rdim)
 
     actions = [action_on_r(x) for x in lifts]
@@ -123,7 +124,8 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
     for a in range(m):
         for b in range(a + 1, m):
             cbar = q.nonzero[a][b]
-            deviation = sub_vec(g.bracket(lifts[a], lifts[b]), sect.apply_pairs(cbar))
+            deviation = sect.apply_pairs((k, -c) for k, c in cbar)
+            _add_scaled(deviation, g._bracket(lifts[a], lifts[b]), QONE)
             z_coords = r.coordinates_of(deviation)
             for t in range(rdim):
                 row = [QZERO] * (m * rdim)
@@ -147,7 +149,7 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
         solution = (QZERO,) * (m * rdim)
     from_r = Matrix.from_columns(r.basis, nrows=g.dim)
     corrected = [
-        add_vec(lifts[a], from_r.apply(solution[a * rdim : (a + 1) * rdim]))
+        add_vec(sect.column(a), from_r.apply(solution[a * rdim : (a + 1) * rdim]))
         for a in range(m)
     ]
     return Subspace.from_vectors(g.dim, corrected)
@@ -201,7 +203,7 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
         )
 
     kernel_local = Subspace.from_vectors(
-        palg.dim, [p.coordinates_of(v) for v in p_kernel.vectors()]
+        palg.dim, [p.coordinates_of(v) for v in p_kernel.span.rows.values()]
     )
     semisimple_kernel = kernel_local.intersect(derived)
     central_kernel = kernel_local.intersect(centre)
@@ -221,7 +223,7 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
             constraints = Matrix(
                 [
                     killing.apply(derived.coordinates_of(v))
-                    for v in semisimple_kernel.vectors()
+                    for v in semisimple_kernel.span.rows.values()
                 ],
                 ncols=dalg.dim,
             )
@@ -248,17 +250,12 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
         raise TripwireError("split", "kernel and acting parts do not split p")
     if g.bracket_span(p_kernel, p_acting).dim != 0:
         raise TripwireError("split", "kernel and acting parts do not commute")
-    if p_acting.dim and n.dim:
-        action_rows = [
-            tuple(x for w in n.vectors() for x in g.bracket(v, w))
-            for v in p_acting.vectors()
-        ]
-        if rank(Matrix(action_rows, ncols=g.dim * n.dim)) != p_acting.dim:
-            raise TripwireError(
-                "split", "acting part does not act faithfully on the ideal"
-            )
-    elif p_acting.dim and not n.dim:
-        raise TripwireError(
-            "split", "acting part does not act faithfully on the ideal"
-        )
+    # v acts as its brackets [v, w] with n's rows w, laid end to end
+    n_rows = list(n.span.rows.values())
+    action = SparseSpan(
+        {t * g.dim + k: c for t, w in enumerate(n_rows) for k, c in g._bracket(v, w).items()}
+        for v in p_acting.span.rows.values()
+    )
+    if action.dim != p_acting.dim:
+        raise TripwireError("split", "acting part does not act faithfully on the ideal")
     return ReductiveSplit(kernel_part=p_kernel, acting_part=p_acting)

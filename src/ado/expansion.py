@@ -85,11 +85,11 @@ def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
         raise TripwireError("presentation", "embedding has the wrong shape")
     if rank(embed) != original.dim:
         raise TripwireError("presentation", "embedding is not injective")
-    images = [embed.column(i) for i in range(original.dim)]
+    cols = embed.cols
     for i in range(original.dim):
         for j in range(i + 1, original.dim):
             lhs = embed.apply_pairs(original.nonzero[i][j])
-            if lhs != q.bracket(images[i], images[j]):
+            if lhs != q._bracket(cols[i], cols[j]):
                 raise TripwireError(
                     "presentation",
                     "embedding does not respect the bracket",
@@ -124,9 +124,10 @@ def expansion_step(pres: Presentation) -> Presentation:
         raise TripwireError("expand", "hyperplane is not closed under the bracket") from None
 
     cols = []
-    for v in ideal.basis:
-        image = q.bracket(x, v)
-        if not n.member(image):
+    generator = {k: c for k, c in enumerate(x) if c}
+    for v in ideal.span.rows.values():
+        image = q._bracket(generator, v)
+        if n.span.reduce(image):
             raise TripwireError(
                 "expand", "generator action escapes the nilpotent ideal"
             )
@@ -176,12 +177,12 @@ def expansion_step(pres: Presentation) -> Presentation:
     new_p = Subspace.from_vectors(
         dim_new,
         [unit_vector(dim_new, 0)]
-        + [embedded(ideal.coordinates_of(v)) for v in p.vectors()],
+        + [embedded(ideal.coordinates_of(v)) for v in p.span.rows.values()],
     )
     new_n = Subspace.from_vectors(
         dim_new,
         [unit_vector(dim_new, 1)]
-        + [embedded(ideal.coordinates_of(v)) for v in n.vectors()],
+        + [embedded(ideal.coordinates_of(v)) for v in n.span.rows.values()],
     )
     record = {
         "stage": "expand",

@@ -18,16 +18,14 @@ from .lie import LieAlgebra
 from .linalg import (
     Matrix,
     Polynomial,
-    add_vec,
+    QONE,
+    _add_scaled,
     compose_mod,
-    is_zero_vec,
     kernel,
     minimal_polynomial,
     modular_inverse,
     poly_gcd,
     squarefree_part,
-    sub_vec,
-    unit_vector,
 )
 
 
@@ -100,17 +98,14 @@ def derivation_witness(
     """First basis pair on which d breaks the Leibniz rule, or None."""
     if d.nrows != algebra.dim or d.ncols != algebra.dim:
         raise ValueError("matrix size disagrees with the algebra dimension")
-    units = [unit_vector(algebra.dim, i) for i in range(algebra.dim)]
     # d e_i is the i-th column of d
-    images = [d.column(i) for i in range(algebra.dim)]
+    cols = d.cols
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
             lhs = d.apply_pairs(algebra.nonzero[i][j])
-            rhs = add_vec(
-                algebra.bracket(images[i], units[j]),
-                algebra.bracket(units[i], images[j]),
-            )
-            if not is_zero_vec(sub_vec(lhs, rhs)):
+            rhs = algebra._bracket(cols[i], {j: QONE})
+            _add_scaled(rhs, algebra._bracket({i: QONE}, cols[j]), QONE)
+            if lhs != rhs:
                 return (i, j)
     return None
 
@@ -137,12 +132,12 @@ def jc_decompose_derivation(algebra: LieAlgebra, d: Matrix) -> JCDecomposition:
                 pair=list(bad),
             )
     ker = kernel(d)
-    for v in ker.vectors():
-        if not is_zero_vec(dec.semisimple.apply(v)):
+    for v in ker.span.rows.values():
+        if dec.semisimple.apply_pairs(v.items()):
             raise TripwireError(
                 "jordan", "kernel vector escapes the semisimple part"
             )
-        if not is_zero_vec(dec.nilpotent.apply(v)):
+        if dec.nilpotent.apply_pairs(v.items()):
             raise TripwireError(
                 "jordan", "kernel vector escapes the nilpotent part"
             )

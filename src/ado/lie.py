@@ -5,6 +5,8 @@ nonzero coordinates of the bracket of basis elements i and j as (k, c)
 pairs by increasing k.  Structure constants are mostly zeros, and the
 bracket, the Jacobi check, the Killing form, centralizers and subalgebra
 coordinates all run over these pairs; no dense bracket table is kept.
+Brackets take and give vectors as {index: value} dicts of their nonzero
+coordinates; bracket is a dense view of them for coordinate tuples.
 The constants are validated on construction (antisymmetry and the
 Jacobi identity, with a witness in the error when either fails), so
 every LieAlgebra in circulation is genuine.  A subalgebra comes with
@@ -127,21 +129,26 @@ class LieAlgebra:
                             residual=[str(s.get(m, QZERO)) for m in range(self.dim)],
                         )
 
+    def _bracket(self, u: Mapping[int, Q], v: Mapping[int, Q]) -> dict[int, Q]:
+        """[u, v] for vectors {index: value}, read off nonzero[i][j] for the
+        keys i of u and j of v only; the result holds no zero."""
+        out: dict[int, Q] = {}
+        for i, a in u.items():
+            row = self.nonzero[i]
+            for j, b in v.items():
+                if row[j]:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] = out.get(k, QZERO) + ab * c
+        return {k: c for k, c in out.items() if c}
+
     def bracket(self, u: Sequence[Q], v: Sequence[Q]) -> Vector:
-        """Bilinear extension of the table to arbitrary coordinate vectors."""
+        """Dense view of _bracket, for coordinate tuples."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("bracket arguments must have length dim")
-        out = [QZERO] * self.dim
-        right = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.nonzero[i]
-            for j, b in right:
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] += ab * c
-        return tuple(out)
+        u, v = ({i: a for i, a in enumerate(w) if a} for w in (u, v))
+        out = self._bracket(u, v)
+        return tuple(out.get(k, QZERO) for k in range(self.dim))
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -149,9 +156,11 @@ class LieAlgebra:
     def bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
         """Span of all brackets of the two subspaces."""
         span = SparseSpan()
-        for u in left.vectors():
-            for v in right.vectors():
-                span.add(dict(enumerate(self.bracket(u, v))))
+        rows = list(right.span.rows.values())
+        for s, u in enumerate(left.span.rows.values()):
+            # [v, u] = -[u, v], so a span with itself needs only the later rows
+            for v in rows[s + 1 :] if left == right else rows:
+                span.add(self._bracket(u, v))
         return Subspace(self.dim, span)
 
     def derived_subalgebra(self) -> Subspace:
@@ -242,18 +251,16 @@ class LieAlgebra:
         enters one span with a tag coordinate at dim + s, so reducing a
         bracket against it leaves minus its coordinates on the tags.
         """
-        rows = [vec(v) for v in basis]
-        inclusion = Matrix.from_columns(rows, nrows=self.dim)
+        inclusion = Matrix.from_columns(basis, nrows=self.dim)
+        rows = inclusion.cols
         span = SparseSpan()
         for s, u in enumerate(rows):
-            tagged = dict(enumerate(u))
-            tagged[self.dim + s] = QONE
-            if min(span.add(tagged)) >= self.dim:
+            if min(span.add({**u, self.dim + s: QONE})) >= self.dim:
                 raise ValueError("subalgebra basis is linearly dependent")
         brackets = {}
         for s, u in enumerate(rows):
             for t in range(s + 1, len(rows)):
-                residue = span.reduce(dict(enumerate(self.bracket(u, rows[t]))))
+                residue = span.reduce(self._bracket(u, rows[t]))
                 if min(residue, default=self.dim) < self.dim:
                     raise ValueError("span is not closed under the bracket")
                 brackets[s, t] = {k - self.dim: -c for k, c in residue.items()}

@@ -12,9 +12,9 @@ come out of it; rank, kernel and solve feed it a matrix's rows.  A
 Subspace keeps a SparseSpan of reduced rows, so that equality,
 membership, coordinates and complements are all canonical: two
 computations that produce the same subspace produce the same basis.
-Membership, sums, intersections and complements work on those rows;
-the basis, a tuple of the same rows in dense form, is there for
-callers that read coordinates.
+Membership, coordinates, sums, intersections and complements work on
+those rows; the basis, a tuple of the same rows in dense form, is
+there for callers that take dense rows.
 
 Polynomials live here too (dense, coefficients listed from the constant
 term up) together with the handful of polynomial operations the rest of
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Q = Fraction
 
@@ -55,14 +55,6 @@ def vec(values: Iterable) -> Vector:
 
 def add_vec(u: Sequence[Q], v: Sequence[Q]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def sub_vec(u: Sequence[Q], v: Sequence[Q]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def is_zero_vec(v: Sequence[Q]) -> bool:
-    return all(a == 0 for a in v)
 
 
 class Matrix:
@@ -226,15 +218,15 @@ class Matrix:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return self.apply_pairs([(j, x) for j, x in enumerate(v) if x])
+        out = self.apply_pairs((j, x) for j, x in enumerate(v) if x)
+        return tuple(out.get(i, QZERO) for i in range(self.nrows))
 
-    def apply_pairs(self, pairs: Sequence[tuple[int, Q]]) -> Vector:
-        """Matrix times the column vector with the given nonzero (index, value) pairs."""
-        out = [QZERO] * self.nrows
+    def apply_pairs(self, pairs: Iterable[tuple[int, Q]]) -> dict[int, Q]:
+        """Matrix times the column vector with the given (index, value) pairs, as {row: value}."""
+        out: dict[int, Q] = {}
         for j, x in pairs:
-            for i, a in self.cols[j].items():
-                out[i] += a * x
-        return tuple(out)
+            _add_scaled(out, self.cols[j], x)
+        return out
 
     def power(self, k: int) -> "Matrix":
         if not self.is_square():
@@ -416,7 +408,7 @@ class Subspace:
     Each row has its pivot entry 1 and every other pivot coordinate 0,
     which makes the representation canonical: equal subspaces compare
     equal.  basis is the tuple of the same rows in dense form by
-    increasing pivot, for callers that read coordinates.
+    increasing pivot, for callers that take dense rows.
     """
 
     __slots__ = ("ambient_dim", "span", "basis", "pivots")
@@ -479,11 +471,11 @@ class Subspace:
         self._check_ambient(other)
         return not any(map(self.span.reduce, other.span.rows.values()))
 
-    def coordinates_of(self, v: Sequence[Q]) -> Vector:
-        """Coefficients of v in the echelon basis; v must lie in the span."""
-        if not self.member(v):
+    def coordinates_of(self, v: Mapping[int, Q]) -> Vector:
+        """Echelon-basis coefficients of v, given as {index: value}; v must lie in the span."""
+        if self.span.reduce(v):
             raise ValueError("vector does not lie in the subspace")
-        return tuple(to_q(v[p]) for p in self.pivots)
+        return tuple(v.get(p, QZERO) for p in self.pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

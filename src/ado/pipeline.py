@@ -190,8 +190,10 @@ def ado_representation(
         nalg, inclusion = q.subalgebra_on_basis(nil_basis)
         built = build_module(nalg, truncation)
         derivations = []
-        for w in acting_part.vectors():
-            cols = [solve(inclusion, q.bracket(w, v)) for v in nil_basis]
+        for w in acting_part.span.rows.values():
+            # column t is [w, v_t] for the t-th adapted basis vector v_t
+            images = Matrix.from_sparse(q.dim, nil.dim, (q._bracket(w, v) for v in inclusion.cols))
+            cols = [solve(inclusion, images.column(t)) for t in range(nil.dim)]
             if None in cols:
                 raise TripwireError("pipeline", "derivation escapes the nilpotent part")
             derivations.append(Matrix.from_columns(cols, nrows=nil.dim))

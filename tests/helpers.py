@@ -92,7 +92,7 @@ def dense_intersect(s: Subspace, t: Subspace) -> Subspace:
 def dense_complement(s: Subspace, within: Subspace) -> Subspace:
     """Reference complement: the basis vectors of within at the non-pivot
     columns of the dense echelon form of s in within's coordinates."""
-    coords = Matrix([within.coordinates_of(row) for row in s.basis], ncols=within.dim)
+    coords = Matrix([within.coordinates_of(row) for row in s.span.rows.values()], ncols=within.dim)
     _, pivots = dense_rref(coords)
     chosen = [row for i, row in enumerate(within.basis) if i not in pivots]
     return Subspace.from_vectors(s.ambient_dim, chosen)
@@ -185,9 +185,40 @@ def seeded_change_of_basis(rng: random.Random, g):
 
 
 def dense_ad(g, x) -> Matrix:
-    """Reference adjoint: the matrix of y -> [x, y], one bracket per unit vector."""
-    cols = [g.bracket(x, unit_vector(g.dim, j)) for j in range(g.dim)]
+    """Reference adjoint: the matrix of y -> [x, y], column j summed over
+    the dense table entries [e_i, e_j] weighted by the coordinates of x."""
+    table = g.table
+    cols = [
+        [sum((Q(a) * table[i][j][k] for i, a in enumerate(x)), Q(0)) for k in range(g.dim)]
+        for j in range(g.dim)
+    ]
     return Matrix.from_columns(cols, nrows=g.dim)
+
+
+def dense_bracket_span(g, left: Subspace, right: Subspace) -> Subspace:
+    """Reference bracket span: ad(u) v for every pair of basis vectors u, v."""
+    return Subspace.from_vectors(
+        g.dim, [dense_apply(dense_ad(g, u), v) for u in left.vectors() for v in right.vectors()]
+    )
+
+
+def dense_leibniz_witness(g, d: Matrix):
+    """Reference Leibniz check: the first pair i < j on which d [e_i, e_j]
+    differs from [d e_i, e_j] + [e_i, d e_j], from dense adjoints."""
+    units = [unit_vector(g.dim, i) for i in range(g.dim)]
+    images = [dense_apply(d, e) for e in units]
+    ads = [dense_ad(g, e) for e in units]
+    ad_images = [dense_ad(g, image) for image in images]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = dense_apply(d, dense_apply(ads[i], units[j]))
+            rhs = tuple(
+                a + b
+                for a, b in zip(dense_apply(ad_images[i], units[j]), dense_apply(ads[i], images[j]))
+            )
+            if lhs != rhs:
+                return (i, j)
+    return None
 
 
 def dense_centralizer(g, s: Subspace) -> Subspace:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ado import expansion, pipeline
+from ado import cli, expansion, pipeline
 from ado.cli import main
 
 
@@ -165,6 +165,23 @@ def test_usage_errors_exit_one(capsys):
     assert info.value.code == 1
     err = capsys.readouterr().err
     assert json.loads(err.splitlines()[-1])["error"]["kind"] == "InputError"
+
+
+def test_main_builds_one_parser_that_survives_a_usage_error(capsys):
+    cli.build_parser.cache_clear()
+    code, out, _ = run(capsys, "catalog", "list")
+    assert code == 0
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "--bogus"])
+    assert info.value.code == 1
+    usage, error_line = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ado")
+    error = json.loads(error_line)["error"]
+    assert (error["stage"], error["kind"]) == ("cli", "InputError")
+    assert "--bogus" in error["message"]
+    # the same parser still parses a valid call after the error
+    assert run(capsys, "catalog", "list")[1] == out
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_error_objects_are_single_json_lines(capsys):

@@ -9,19 +9,25 @@ from hypothesis import strategies as st
 
 from ado.catalog import catalog_algebra, catalog_entry, catalog_names
 from ado.errors import InputError
+from ado.jordan import derivation_witness
 from ado.lie import LieAlgebra
 from ado.linalg import Matrix, Subspace, unit_vector
 
 from helpers import (
     change_of_basis,
     dense_ad,
+    dense_apply,
+    dense_bracket_span,
     dense_centralizer,
     dense_jacobi_failures,
     dense_killing_form,
+    dense_leibniz_witness,
     dense_subalgebra_table,
     invert,
     matrices,
     nilpotent_algebras,
+    rationals,
+    seeded_change_of_basis,
     seeded_matrix,
 )
 
@@ -41,6 +47,25 @@ def catalog_and_rebased():
 
 
 CATALOG_AND_REBASED = catalog_and_rebased()
+
+# random nilpotent algebras, and catalog algebras in a random rational basis
+ALGEBRAS = st.one_of(
+    nilpotent_algebras(),
+    st.builds(
+        lambda name, seed: seeded_change_of_basis(random.Random(seed), catalog_algebra(name)),
+        st.sampled_from(["abelian:3" if n == "abelian:N" else n for n in catalog_names()]),
+        st.integers(min_value=0, max_value=2**16),
+    ),
+)
+
+
+def coordinates(dim):
+    """Coordinate tuples with many zero entries, the zero vector among them."""
+    return st.lists(st.one_of(st.just(Q(0)), rationals()), min_size=dim, max_size=dim).map(tuple)
+
+
+def sparse(v):
+    return {i: a for i, a in enumerate(v) if a}
 
 
 def test_validation_rejects_non_antisymmetric_tables():
@@ -101,6 +126,47 @@ def test_centralizer_matches_dense_kernel(g, data):
     rows = data.draw(st.integers(min_value=0, max_value=2).flatmap(lambda k: matrices(k, g.dim)))
     for s in (Subspace.from_vectors(g.dim, rows.rows), g.full_space(), g.derived_subalgebra()):
         assert g.centralizer(s) == dense_centralizer(g, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALGEBRAS, st.data())
+def test_sparse_bracket_matches_dense_adjoint(g, data):
+    u, v = data.draw(coordinates(g.dim)), data.draw(coordinates(g.dim))
+    zero = (Q(0),) * g.dim
+    for x, y in ((u, v), (v, u), (u, zero), (zero, v)):
+        expected = dense_apply(dense_ad(g, x), y)
+        # equal dicts also show that no zero is stored
+        assert g._bracket(sparse(x), sparse(y)) == sparse(expected)
+        assert g.bracket(x, y) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(ALGEBRAS, st.data())
+def test_bracket_span_matches_dense_oracle(g, data):
+    rows = data.draw(st.integers(min_value=0, max_value=2).flatmap(lambda k: matrices(k, g.dim)))
+    spaces = (
+        Subspace.from_vectors(g.dim, rows.rows),
+        Subspace.zero(g.dim),
+        g.full_space(),
+        g.center(),
+    )
+    for left in spaces:
+        for right in spaces:
+            assert g.bracket_span(left, right) == dense_bracket_span(g, left, right)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ALGEBRAS, st.data())
+def test_derivation_witness_matches_dense_leibniz(g, data):
+    inner = dense_ad(g, data.draw(coordinates(g.dim)))
+    assert derivation_witness(g, inner) is None
+    if g.dim == 0:
+        return
+    rows = [list(row) for row in inner.rows]
+    i, j = (data.draw(st.integers(min_value=0, max_value=g.dim - 1)) for _ in range(2))
+    rows[i][j] += data.draw(rationals().filter(bool))
+    for d in (Matrix(rows, ncols=g.dim), data.draw(matrices(g.dim, g.dim))):
+        assert derivation_witness(g, d) == dense_leibniz_witness(g, d)
 
 
 def test_ad_matrix_matches_bracket():

@@ -125,7 +125,9 @@ def test_subspace_membership_and_coordinates():
     s = Subspace.from_vectors(3, [(1, 0, 2), (0, 1, 1)])
     assert s.member((2, 3, 7))
     assert not s.member((0, 0, 1))
-    assert s.coordinates_of((2, 3, 7)) == (Q(2), Q(3))
+    assert s.coordinates_of({0: Q(2), 1: Q(3), 2: Q(7)}) == (Q(2), Q(3))
+    with pytest.raises(ValueError):
+        s.coordinates_of({2: Q(1)})
 
 
 def test_subspace_sum_and_intersect():

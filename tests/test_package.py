@@ -1,7 +1,7 @@
 """The package imports nothing outside the standard library, keeps one
 matrix type, reads its algebras through their sparse structure
-constants, and the benchmark's input generators and traced path still
-run on it."""
+constants and brackets sparse vectors, and the benchmark's input
+generators and traced path still run on it."""
 
 import ast
 import importlib.util
@@ -66,6 +66,16 @@ def test_only_lie_reads_the_dense_table():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute):
                 assert node.attr != "table", (path.name, node.lineno)
+
+
+def test_package_makes_no_dense_brackets():
+    # LieAlgebra.bracket is a dense view over the sparse _bracket, kept for
+    # tests and the benchmark's input generators; the package brackets
+    # {index: value} dicts
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "bracket", (path.name, node.lineno)
 
 
 def load_bench_module(name):
