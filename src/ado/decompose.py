@@ -33,6 +33,8 @@ from .linalg import (
 class LeviData:
     radical: Subspace
     levi: Subspace
+    # the radical as an algebra in its echelon basis
+    radical_algebra: LieAlgebra
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,9 @@ class ReductiveSplit:
     # part of p acting trivially on n, and a complement acting faithfully
     kernel_part: Subspace
     acting_part: Subspace
+    # the kernel part as an algebra in its echelon basis; p's own algebra
+    # when the kernel part is all of p
+    kernel_algebra: LieAlgebra
 
 
 def radical(g: LieAlgebra) -> Subspace:
@@ -71,7 +76,7 @@ def levi_decomposition(g: LieAlgebra) -> LeviData:
         )
     if not levi.contains(g.bracket_span(levi, levi)):
         raise TripwireError("levi", "complement is not a subalgebra")
-    return LeviData(radical=r, levi=levi)
+    return LeviData(radical=r, levi=levi, radical_algebra=rsub)
 
 
 def _levi_subspace(g: LieAlgebra, r: Subspace) -> Subspace:
@@ -79,11 +84,7 @@ def _levi_subspace(g: LieAlgebra, r: Subspace) -> Subspace:
         return g.full_space()
     if r.dim == g.dim:
         return Subspace.zero(g.dim)
-    rsub, rincl = g.subalgebra_on_basis(r.basis)
-    rr_local = rsub.derived_subalgebra()
-    rr = Subspace.from_vectors(
-        g.dim, [rincl.apply(v) for v in rr_local.vectors()]
-    )
+    rr = g.bracket_span(r, r)
     if rr.dim > 0:
         # factor out [r, r], split there, then split its preimage
         q, sect = g.quotient(rr)
@@ -161,9 +162,9 @@ def nilpotent_seed(g: LieAlgebra, decomposition: LeviData) -> Subspace:
     r = decomposition.radical
     full = g.full_space()
     g_r = g.bracket_span(full, r)
-    rsub, _ = g.subalgebra_on_basis(r.basis)
+    rsub = decomposition.radical_algebra
     n = r if rsub.is_nilpotent() else g_r
-    nsub, _ = g.subalgebra_on_basis(n.basis)
+    nsub = rsub if n is r else g.subalgebra_on_basis(n.basis)[0]
     if not nsub.is_nilpotent():
         raise TripwireError("seed", "candidate ideal is not nilpotent")
     # [g, n] is [g, r] when n is the radical
@@ -229,7 +230,7 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
             )
             orth_local = kernel(constraints)
         else:
-            orth_local = Subspace.full(dalg.dim)
+            orth_local = dalg.full_space()
         semisimple_acting = [dincl.apply(v) for v in orth_local.vectors()]
         check = semisimple_kernel.sum(
             Subspace.from_vectors(palg.dim, semisimple_acting)
@@ -258,4 +259,9 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
     )
     if action.dim != p_acting.dim:
         raise TripwireError("split", "acting part does not act faithfully on the ideal")
-    return ReductiveSplit(kernel_part=p_kernel, acting_part=p_acting)
+    # kernel_local is p_kernel's echelon basis in p's coordinates, and
+    # palg itself when p_kernel is all of p
+    kernel_algebra, _ = palg.subalgebra_on_basis(kernel_local.basis)
+    return ReductiveSplit(
+        kernel_part=p_kernel, acting_part=p_acting, kernel_algebra=kernel_algebra
+    )

@@ -11,7 +11,11 @@ The constants are validated on construction (antisymmetry and the
 Jacobi identity, with a witness in the error when either fails), so
 every LieAlgebra in circulation is genuine.  A subalgebra comes with
 its inclusion matrix and a quotient with a section, the matrices that
-move vectors into the ambient coordinates.
+move vectors into the ambient coordinates; the subalgebra on the
+standard basis is the algebra itself, with the identity inclusion.
+An algebra never changes, so its full space, derived subalgebra, lower
+central series, centre and Killing form are computed once and shared
+by every caller; none of them may be mutated.
 """
 
 from __future__ import annotations
@@ -151,7 +155,9 @@ class LieAlgebra:
         return tuple(out.get(k, QZERO) for k in range(self.dim))
 
     def full_space(self) -> Subspace:
-        return Subspace.full(self.dim)
+        if "full" not in self._memo:
+            self._memo["full"] = Subspace.full(self.dim)
+        return self._memo["full"]
 
     def bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
         """Span of all brackets of the two subspaces."""
@@ -181,9 +187,10 @@ class LieAlgebra:
         return self._memo["lower central"]
 
     def derived_series(self) -> list[Subspace]:
-        series = [self.full_space()]
-        while (nxt := self.bracket_span(series[-1], series[-1])) != series[-1]:
+        series, nxt = [self.full_space()], self.derived_subalgebra()
+        while nxt != series[-1]:
             series.append(nxt)
+            nxt = self.bracket_span(nxt, nxt)
         return series
 
     def is_nilpotent(self) -> bool:
@@ -200,7 +207,9 @@ class LieAlgebra:
         return len(series)
 
     def center(self) -> Subspace:
-        return self.centralizer(self.full_space())
+        if "center" not in self._memo:
+            self._memo["center"] = self.centralizer(self.full_space())
+        return self._memo["center"]
 
     def centralizer(self, s: Subspace) -> Subspace:
         """Everything whose bracket with the given subspace vanishes.
@@ -222,6 +231,8 @@ class LieAlgebra:
 
     def killing_form(self) -> Matrix:
         """K[i][j] = trace(ad e_i ad e_j) = sum over l, k of c(i, l, k) c(j, k, l)."""
+        if "killing" in self._memo:
+            return self._memo["killing"]
         dim = self.dim
         # constants[i] maps (l, k) to c(i, l, k), the e_k coordinate of [e_i, e_l]
         constants = [
@@ -237,7 +248,8 @@ class LieAlgebra:
                     QZERO,
                 )
                 rows[i][j] = rows[j][i] = value
-        return Matrix(rows, ncols=dim)
+        self._memo["killing"] = Matrix(rows, ncols=dim)
+        return self._memo["killing"]
 
     def subalgebra_on_basis(
         self, basis: Sequence[Sequence[Q]]
@@ -246,13 +258,17 @@ class LieAlgebra:
 
         Returns the subalgebra in the given basis (order preserved, no
         re-echelonization) together with the inclusion matrix whose
-        columns are the basis vectors.  Raises if the vectors are
-        dependent or the span is not bracket-closed.  Basis vector s
-        enters one span with a tag coordinate at dim + s, so reducing a
-        bracket against it leaves minus its coordinates on the tags.
+        columns are the basis vectors.  On the standard basis e_0, ...,
+        e_{dim-1} in order that is the algebra itself, with its memoised
+        views, and the identity.  Raises if the vectors are dependent or
+        the span is not bracket-closed.  Basis vector s enters one span
+        with a tag coordinate at dim + s, so reducing a bracket against
+        it leaves minus its coordinates on the tags.
         """
         inclusion = Matrix.from_columns(basis, nrows=self.dim)
         rows = inclusion.cols
+        if len(rows) == self.dim and all(u == {s: QONE} for s, u in enumerate(rows)):
+            return self, inclusion
         span = SparseSpan()
         for s, u in enumerate(rows):
             if min(span.add({**u, self.dim + s: QONE})) >= self.dim:

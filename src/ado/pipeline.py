@@ -201,9 +201,8 @@ def ado_representation(
 
     red_mats: list[Matrix] = []
     if kernel_part.dim:
-        p1alg, _ = q.subalgebra_on_basis(kernel_part.basis)
         try:
-            red_mats = list(reductive_representation(p1alg))
+            red_mats = list(reductive_representation(split.kernel_algebra))
         except ValueError as exc:
             raise TripwireError("pipeline", str(exc)) from None
 

@@ -229,6 +229,12 @@ def dense_centralizer(g, s: Subspace) -> Subspace:
     return dense_kernel(Matrix(rows, ncols=g.dim))
 
 
+def dense_center(g) -> Subspace:
+    """Reference centre: the kernel of the stacked dense ad(e_i), one per basis vector."""
+    rows = [row for i in range(g.dim) for row in dense_ad(g, unit_vector(g.dim, i)).rows]
+    return dense_kernel(Matrix(rows, ncols=g.dim)) if rows else Subspace.full(g.dim)
+
+
 def dense_killing_form(g) -> Matrix:
     """Reference Killing form: the traces of full products of adjoint matrices."""
     ads = [dense_ad(g, unit_vector(g.dim, i)) for i in range(g.dim)]
@@ -334,6 +340,19 @@ def sl2_plus_sl2_semidirect_plane():
             (5, 6): {7: 1},
         },
     )
+
+
+def direct_sum(*parts):
+    """Direct sum of algebras, each part's basis after the previous ones."""
+    from ado.lie import LieAlgebra
+
+    brackets, offset = {}, 0
+    for g in parts:
+        for i in range(g.dim):
+            for j in range(i + 1, g.dim):
+                brackets[offset + i, offset + j] = {offset + k: c for k, c in g.nonzero[i][j]}
+        offset += g.dim
+    return LieAlgebra.from_sparse(offset, brackets)
 
 
 def invert(m: Matrix) -> Matrix | None:

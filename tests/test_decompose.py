@@ -169,6 +169,23 @@ def test_reductive_split_mixed_semisimple_parts():
     assert g.bracket_span(split.kernel_part, split.acting_part).dim == 0
 
 
+SPLIT_CASES = [
+    (catalog_algebra("t3"), (0, 1, 2), (3, 4, 5)),
+    (catalog_algebra("gl2"), (0, 1, 2), (3,)),
+    (sl2_semidirect_plane(), (0, 1, 2), (3, 4)),
+    (sl2_plus_sl2_semidirect_plane(), (0, 1, 2, 3, 4, 5), (6, 7)),
+    (sl2_plus_sl2_semidirect_plane(), (0, 1, 2), ()),
+]
+
+
+@pytest.mark.parametrize("g, p, n", SPLIT_CASES)
+def test_split_and_levi_algebras_are_the_subalgebras_on_their_bases(g, p, n):
+    split = reductive_split(g, span_of(g.dim, *p), span_of(g.dim, *n))
+    assert split.kernel_algebra == g.subalgebra_on_basis(split.kernel_part.basis)[0]
+    data = levi_decomposition(g)
+    assert data.radical_algebra == g.subalgebra_on_basis(data.radical.basis)[0]
+
+
 def test_reductive_split_rejects_non_reductive_subalgebra():
     t3 = catalog_algebra("t3")
     with pytest.raises(TripwireError):

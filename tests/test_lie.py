@@ -18,6 +18,7 @@ from helpers import (
     dense_ad,
     dense_apply,
     dense_bracket_span,
+    dense_center,
     dense_centralizer,
     dense_jacobi_failures,
     dense_killing_form,
@@ -254,6 +255,48 @@ def test_subalgebra_on_shuffled_basis_matches_dense_solve(g):
         sub, inclusion = g.subalgebra_on_basis(basis)
         assert [list(row) for row in sub.table] == dense_subalgebra_table(g, basis)
         assert inclusion == Matrix(basis, ncols=g.dim).transpose()
+
+
+@settings(max_examples=30, deadline=None)
+@given(ALGEBRAS)
+def test_standard_basis_gives_back_the_algebra(g):
+    sub, inclusion = g.subalgebra_on_basis([unit_vector(g.dim, s) for s in range(g.dim)])
+    assert sub is g
+    assert inclusion == Matrix.identity(g.dim)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ALGEBRAS, st.integers(min_value=0, max_value=2**16))
+def test_other_full_bases_take_the_general_path(g, seed):
+    if g.dim == 0:
+        return
+    rng = random.Random(seed)
+    order = list(range(g.dim))
+    rng.shuffle(order)
+    while True:
+        mixed = seeded_matrix(rng, g.dim, g.dim)
+        if invert(mixed) is not None:
+            break
+    # one standard vector doubled: a rescaling next to the standard basis
+    doubled = rng.randrange(g.dim)
+    identity = Matrix.identity(g.dim)
+    permuted = Matrix.from_columns([unit_vector(g.dim, s) for s in order], nrows=g.dim)
+    rescaled = Matrix.from_sparse(g.dim, g.dim, ({s: Q(2 if s == doubled else 1)} for s in range(g.dim)))
+    for t in (permuted, rescaled, mixed):
+        sub, inclusion = g.subalgebra_on_basis([t.column(s) for s in range(g.dim)])
+        assert (sub is g) == (t == identity)
+        assert sub == change_of_basis(g, t)
+        assert inclusion == t
+
+
+@settings(max_examples=30, deadline=None)
+@given(ALGEBRAS)
+def test_memoised_views_match_dense_oracles_and_are_shared(g):
+    assert g.killing_form() == dense_killing_form(g)
+    assert g.center() == dense_center(g)
+    assert g.full_space() == Subspace.full(g.dim)
+    for view in (g.killing_form, g.center, g.full_space):
+        assert view() is view()
 
 
 def test_jacobi_error_names_the_first_failing_triple_and_residual():

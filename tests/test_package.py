@@ -1,7 +1,7 @@
 """The package imports nothing outside the standard library, keeps one
 matrix type, reads its algebras through their sparse structure
-constants and brackets sparse vectors, and the benchmark's input
-generators and traced path still run on it."""
+constants, brackets sparse vectors and never mutates a subspace's span,
+and the benchmark's input generators and traced path still run on it."""
 
 import ast
 import importlib.util
@@ -76,6 +76,45 @@ def test_package_makes_no_dense_brackets():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 assert node.func.attr != "bracket", (path.name, node.lineno)
+
+
+def _is_span(node):
+    # x.span or x.span.rows
+    if isinstance(node, ast.Attribute) and node.attr == "rows":
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "span"
+
+
+def test_nothing_mutates_a_subspace_span():
+    # an algebra hands the same memoised Subspace to every caller, so a
+    # change to its span would corrupt every later reader; only
+    # Subspace.__init__ sets it
+    mutators = {"add", "update", "pop", "popitem", "clear", "setdefault"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "Subspace":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        allowed = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                for target in targets:
+                    for part in ast.walk(target):
+                        assert not _is_span(part), (path.name, node.lineno)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in mutators:
+                    assert not _is_span(node.func.value), (path.name, node.lineno)
+                if node.func.attr == "__setattr__" and len(node.args) > 1:
+                    name = node.args[1]
+                    assert not (isinstance(name, ast.Constant) and name.value == "span"), (
+                        path.name,
+                        node.lineno,
+                    )
 
 
 def load_bench_module(name):

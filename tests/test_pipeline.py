@@ -27,6 +27,7 @@ from ado.pipeline import (
 from helpers import (
     dense_ad,
     change_of_basis,
+    direct_sum,
     nilpotent_algebras,
     seeded_change_of_basis,
     sl2_plus_solv2,
@@ -254,6 +255,42 @@ def test_random_nilpotent_algebras_verify_at_the_default_truncation(g):
     if g.dim:
         block = res.provenance["blocks"][0]
         assert block["truncation"] == max(1, g.nilpotency_index() - 1)
+
+
+@pytest.mark.parametrize("name", ["sl2", "gl2", "sl2+sl2"])
+def test_each_algebra_and_its_forms_are_built_once(name, monkeypatch):
+    # the whole algebra is its own subalgebra, so no stage rebuilds it, and
+    # its Killing form and centre are computed once whichever stage asks
+    builds, views = [], {"killing_form": [], "center": []}
+    for method in ("subalgebra_on_basis", "quotient"):
+        original = getattr(LieAlgebra, method)
+
+        def building(self, arg, original=original):
+            result = original(self, arg)
+            builds.append((self, result[0]))
+            return result
+
+        monkeypatch.setattr(LieAlgebra, method, building)
+    for method, calls in views.items():
+        original = getattr(LieAlgebra, method)
+
+        def viewing(self, original=original, calls=calls):
+            value = original(self)
+            calls.append((self.nonzero, value))
+            return value
+
+        monkeypatch.setattr(LieAlgebra, method, viewing)
+    sl2 = catalog_algebra("sl2")
+    g = direct_sum(sl2, sl2) if name == "sl2+sl2" else catalog_algebra(name)
+    assert ado_representation(g).verification.verified
+    assert builds
+    assert not [h for h, built in builds if built is not h and built.nonzero == h.nonzero]
+    for method, calls in views.items():
+        assert calls, method
+        computed = {}
+        for nonzero, value in calls:
+            computed.setdefault(nonzero, set()).add(id(value))
+        assert all(len(ids) == 1 for ids in computed.values()), method
 
 
 def test_adjoint_of_heisenberg_is_not_faithful():
