@@ -22,10 +22,9 @@ from .linalg import (
     SparseSpan,
     Subspace,
     _add_scaled,
-    add_vec,
-    kernel,
     rank,
-    solve,
+    solve_sparse,
+    span_kernel,
 )
 
 
@@ -52,9 +51,10 @@ def radical(g: LieAlgebra) -> Subspace:
     derived = g.derived_subalgebra()
     if derived.dim == 0:
         return g.full_space()
+    # the Killing form is symmetric, so K w is the constraint row of w
     killing = g.killing_form()
-    constraints = Matrix([killing.apply(w) for w in derived.vectors()], ncols=g.dim)
-    return kernel(constraints)
+    constraints = (killing.apply_pairs(w.items()) for w in derived.span.rows.values())
+    return span_kernel(SparseSpan(constraints), g.dim)
 
 
 def levi_decomposition(g: LieAlgebra) -> LeviData:
@@ -62,7 +62,7 @@ def levi_decomposition(g: LieAlgebra) -> LeviData:
     r = radical(g)
     if not g.is_ideal(r):
         raise TripwireError("levi", "radical is not an ideal")
-    rsub, _ = g.subalgebra_on_basis(r.basis)
+    rsub, _ = g.subalgebra_on_basis(r.span.rows.values())
     if not rsub.is_solvable():
         raise TripwireError("levi", "radical is not solvable")
     levi = _levi_subspace(g, r)
@@ -74,7 +74,8 @@ def levi_decomposition(g: LieAlgebra) -> LeviData:
             radical_dim=r.dim,
             dim=g.dim,
         )
-    if not levi.contains(g.bracket_span(levi, levi)):
+    # a complement that is the whole algebra is closed; [g, g] is not recomputed
+    if levi.dim < g.dim and not levi.contains(g.bracket_span(levi, levi)):
         raise TripwireError("levi", "complement is not a subalgebra")
     return LeviData(radical=r, levi=levi, radical_algebra=rsub)
 
@@ -89,13 +90,10 @@ def _levi_subspace(g: LieAlgebra, r: Subspace) -> Subspace:
         # factor out [r, r], split there, then split its preimage
         q, sect = g.quotient(rr)
         levi_q = _levi_subspace(q, radical(q))
-        g1_vectors = [sect.apply(v) for v in levi_q.vectors()] + list(rr.vectors())
-        g1 = Subspace.from_vectors(g.dim, g1_vectors)
-        sub, incl = g.subalgebra_on_basis(g1.basis)
+        g1 = levi_q.image(sect).sum(rr)
+        sub, incl = g.subalgebra_on_basis(g1.span.rows.values())
         levi_sub = _levi_subspace(sub, radical(sub))
-        return Subspace.from_vectors(
-            g.dim, [incl.apply(v) for v in levi_sub.vectors()]
-        )
+        return levi_sub.image(incl)
     return _levi_abelian_radical(g, r)
 
 
@@ -114,14 +112,17 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
     m = q.dim
     rdim = r.dim
     lifts = sect.cols
-
-    def action_on_r(x):
-        cols = [r.coordinates_of(g._bracket(x, v)) for v in r.span.rows.values()]
-        return Matrix.from_columns(cols, nrows=rdim)
-
-    actions = [action_on_r(x) for x in lifts]
-    rows = []
-    rhs = []
+    r_rows = list(r.span.rows.values())
+    # act[a][t] is row t of the action of x_a on r, in r's coordinates
+    act = [
+        Matrix.from_sparse(
+            rdim, rdim, (r.coordinates_of(g._bracket(x, v)) for v in r_rows)
+        ).transpose().cols
+        for x in lifts
+    ]
+    # the unknown coordinate s of u_a sits at a * rdim + s, the right-hand side at m * rdim
+    rhs = m * rdim
+    equations = []
     for a in range(m):
         for b in range(a + 1, m):
             cbar = q.nonzero[a][b]
@@ -129,31 +130,24 @@ def _levi_abelian_radical(g: LieAlgebra, r: Subspace) -> Subspace:
             _add_scaled(deviation, g._bracket(lifts[a], lifts[b]), QONE)
             z_coords = r.coordinates_of(deviation)
             for t in range(rdim):
-                row = [QZERO] * (m * rdim)
-                for s in range(rdim):
-                    row[b * rdim + s] += actions[a][t, s]
-                    row[a * rdim + s] -= actions[b][t, s]
-                for k, c in cbar:
-                    row[k * rdim + t] -= c
-                rows.append(row)
-                rhs.append(-z_coords[t])
-    if rows:
-        solution = solve(Matrix(rows, ncols=m * rdim), tuple(rhs))
-        if solution is None:
-            raise TripwireError(
-                "levi",
-                "no Levi complement found for an abelian radical",
-                quotient_dim=m,
-                radical_dim=rdim,
-            )
-    else:
-        solution = (QZERO,) * (m * rdim)
-    from_r = Matrix.from_columns(r.basis, nrows=g.dim)
-    corrected = [
-        add_vec(sect.column(a), from_r.apply(solution[a * rdim : (a + 1) * rdim]))
-        for a in range(m)
-    ]
-    return Subspace.from_vectors(g.dim, corrected)
+                row = {b * rdim + s: x for s, x in act[a][t].items()}
+                _add_scaled(row, {a * rdim + s: x for s, x in act[b][t].items()}, -QONE)
+                _add_scaled(row, {k * rdim + t: c for k, c in cbar}, -QONE)
+                row[rhs] = -z_coords.get(t, QZERO)
+                equations.append(row)
+    solution = solve_sparse(equations, rhs)
+    if solution is None:
+        raise TripwireError(
+            "levi",
+            "no Levi complement found for an abelian radical",
+            quotient_dim=m,
+            radical_dim=rdim,
+        )
+    corrected = [dict(x) for x in lifts]
+    for key, c in solution.items():
+        a, s = divmod(key, rdim)
+        _add_scaled(corrected[a], r_rows[s], c)
+    return Subspace(g.dim, SparseSpan(corrected))
 
 
 def nilpotent_seed(g: LieAlgebra, decomposition: LeviData) -> Subspace:
@@ -164,7 +158,7 @@ def nilpotent_seed(g: LieAlgebra, decomposition: LeviData) -> Subspace:
     g_r = g.bracket_span(full, r)
     rsub = decomposition.radical_algebra
     n = r if rsub.is_nilpotent() else g_r
-    nsub = rsub if n is r else g.subalgebra_on_basis(n.basis)[0]
+    nsub = rsub if n is r else g.subalgebra_on_basis(n.span.rows.values())[0]
     if not nsub.is_nilpotent():
         raise TripwireError("seed", "candidate ideal is not nilpotent")
     # [g, n] is [g, r] when n is the radical
@@ -191,7 +185,7 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
     kernel_whole = g.centralizer(n)
     p_kernel = p.intersect(kernel_whole)
 
-    palg, pincl = g.subalgebra_on_basis(p.basis)
+    palg, pincl = g.subalgebra_on_basis(p.span.rows.values())
     derived = palg.derived_subalgebra()
     centre = palg.center()
     if derived.intersect(centre).dim != 0 or derived.dim + centre.dim != palg.dim:
@@ -203,8 +197,8 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
             dim=palg.dim,
         )
 
-    kernel_local = Subspace.from_vectors(
-        palg.dim, [p.coordinates_of(v) for v in p_kernel.span.rows.values()]
+    kernel_local = Subspace(
+        palg.dim, SparseSpan(p.coordinates_of(v) for v in p_kernel.span.rows.values())
     )
     semisimple_kernel = kernel_local.intersect(derived)
     central_kernel = kernel_local.intersect(centre)
@@ -213,39 +207,27 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
             "split", "kernel ideal does not decompose along derived part and centre"
         )
 
+    semisimple_acting = Subspace.zero(palg.dim)
     if derived.dim:
-        dalg, dincl = palg.subalgebra_on_basis(derived.basis)
+        dalg, dincl = palg.subalgebra_on_basis(derived.span.rows.values())
         killing = dalg.killing_form()
         if rank(killing) != dalg.dim:
             raise TripwireError(
                 "split", "Killing form of the derived part is degenerate"
             )
-        if semisimple_kernel.dim:
-            constraints = Matrix(
-                [
-                    killing.apply(derived.coordinates_of(v))
-                    for v in semisimple_kernel.span.rows.values()
-                ],
-                ncols=dalg.dim,
-            )
-            orth_local = kernel(constraints)
-        else:
-            orth_local = dalg.full_space()
-        semisimple_acting = [dincl.apply(v) for v in orth_local.vectors()]
-        check = semisimple_kernel.sum(
-            Subspace.from_vectors(palg.dim, semisimple_acting)
+        constraints = (
+            killing.apply_pairs(derived.coordinates_of(v).items())
+            for v in semisimple_kernel.span.rows.values()
         )
+        orth_local = span_kernel(SparseSpan(constraints), dalg.dim)
+        semisimple_acting = orth_local.image(dincl)
+        check = semisimple_kernel.sum(semisimple_acting)
         if check != derived or semisimple_kernel.dim + orth_local.dim != derived.dim:
             raise TripwireError(
                 "split", "orthogonal complement does not split the derived part"
             )
-    else:
-        semisimple_acting = []
     central_acting = central_kernel.extend_complement(within=centre)
-
-    acting_vectors = [pincl.apply(v) for v in semisimple_acting]
-    acting_vectors += [pincl.apply(v) for v in central_acting.vectors()]
-    p_acting = Subspace.from_vectors(g.dim, acting_vectors)
+    p_acting = semisimple_acting.sum(central_acting).image(pincl)
 
     if p_kernel.sum(p_acting) != p or p_kernel.intersect(p_acting).dim != 0:
         raise TripwireError("split", "kernel and acting parts do not split p")
@@ -261,7 +243,7 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
         raise TripwireError("split", "acting part does not act faithfully on the ideal")
     # kernel_local is p_kernel's echelon basis in p's coordinates, and
     # palg itself when p_kernel is all of p
-    kernel_algebra, _ = palg.subalgebra_on_basis(kernel_local.basis)
+    kernel_algebra, _ = palg.subalgebra_on_basis(kernel_local.span.rows.values())
     return ReductiveSplit(
         kernel_part=p_kernel, acting_part=p_acting, kernel_algebra=kernel_algebra
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InputError, TripwireError
 from .lie import LieAlgebra
@@ -40,7 +40,6 @@ from .linalg import (
     _add_scaled,
     bracket_residual,
     sparse_combination,
-    unit_vector,
 )
 
 Monomial = tuple[int, ...]
@@ -191,9 +190,10 @@ class BuiltModule:
     engine: StraighteningEngine
     left: tuple[Matrix, ...]
 
-    def left_action(self, coords: Sequence[Q]) -> Matrix:
-        """Matrix of left multiplication by an algebra element."""
-        return sparse_combination(coords, self.left, self.module.dim, self.module.dim)
+    def left_action(self, coords: Mapping[int, Q]) -> Matrix:
+        """Matrix of left multiplication by an algebra element given as {index: value}."""
+        left = [self.left[k] for k in coords]
+        return sparse_combination(coords.values(), left, self.module.dim, self.module.dim)
 
     def derivation_action(self, derivation: Matrix) -> Matrix:
         """Matrix of the Leibniz extension of a derivation of the algebra.
@@ -253,7 +253,7 @@ def build_module(
     r = algebra.dim
     series = algebra.lower_central_series()
     weights = tuple(
-        sum(term.member(unit_vector(r, i)) for term in series) for i in range(r)
+        sum(term.member({i: QONE}) for term in series) for i in range(r)
     )
     for i in range(r):
         for j in range(i + 1, r):

@@ -20,14 +20,7 @@ from .decompose import levi_decomposition, nilpotent_seed
 from .errors import InputError, TripwireError
 from .jordan import jc_decompose_derivation
 from .lie import LieAlgebra
-from .linalg import (
-    Matrix,
-    QZERO,
-    Subspace,
-    rank,
-    solve,
-    unit_vector,
-)
+from .linalg import Matrix, QONE, QZERO, SparseSpan, Subspace, coordinates_in, rank
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
         raise TripwireError("presentation", "reductive part is not a subalgebra")
     if not q.is_ideal(n):
         raise TripwireError("presentation", "nilpotent part is not an ideal")
-    nsub, _ = q.subalgebra_on_basis(n.basis)
+    nsub, _ = q.subalgebra_on_basis(n.span.rows.values())
     if not nsub.is_nilpotent():
         raise TripwireError("presentation", "nilpotent part is not nilpotent")
     if p.intersect(n).dim != 0:
@@ -103,43 +96,40 @@ def expansion_step(pres: Presentation) -> Presentation:
     n = pres.nilpotent_part
     absorbed = p.sum(n)
 
-    x = None
-    for row in q.centralizer(p).basis:
-        if not absorbed.member(row):
-            x = row
-            break
+    candidates = q.centralizer(p).span.rows.values()
+    x = next((row for row in candidates if not absorbed.member(row)), None)
     if x is None:
         raise TripwireError(
             "expand", "no generator centralizes the reductive part outside p + n"
         )
 
-    marked = absorbed.sum(Subspace.from_vectors(q.dim, [x]))
+    marked = absorbed.sum(Subspace(q.dim, SparseSpan([x])))
     ideal = absorbed.sum(marked.extend_complement())
     # the hyperplane contains [q, q], hence is an ideal and in particular closed
     if ideal.dim != q.dim - 1 or ideal.member(x):
         raise TripwireError("expand", "hyperplane misses or swallows the generator")
     try:
-        ialg, _ = q.subalgebra_on_basis(ideal.basis)
+        ialg, _ = q.subalgebra_on_basis(ideal.span.rows.values())
     except ValueError:
         raise TripwireError("expand", "hyperplane is not closed under the bracket") from None
 
     cols = []
-    generator = {k: c for k, c in enumerate(x) if c}
     for v in ideal.span.rows.values():
-        image = q._bracket(generator, v)
+        image = q._bracket(x, v)
         if n.span.reduce(image):
             raise TripwireError(
                 "expand", "generator action escapes the nilpotent ideal"
             )
         cols.append(ideal.coordinates_of(image))
-    action = Matrix.from_columns(cols, nrows=ialg.dim)
+    action = Matrix.from_sparse(ialg.dim, ialg.dim, cols)
     dec = jc_decompose_derivation(ialg, action)
 
     idim = ialg.dim
     dim_new = idim + 2
 
-    def embedded(vec):
-        return (QZERO, QZERO) + tuple(vec)
+    def embedded(v):
+        # the hyperplane's coordinates of v, after the two new directions
+        return {k + 2: c for k, c in ideal.coordinates_of(v).items()}
 
     brackets = {}
     for j in range(idim):
@@ -157,36 +147,28 @@ def expansion_step(pres: Presentation) -> Presentation:
 
     # express old basis vectors through x and the hyperplane, then map
     # x to the sum of the two new directions
-    decomposition_basis = Matrix.from_columns([x, *ideal.basis], nrows=q.dim)
+    units = ({j: QONE} for j in range(q.dim))
     embed_cols = []
-    for j in range(q.dim):
-        coeffs = solve(decomposition_basis, unit_vector(q.dim, j))
+    for j, coeffs in enumerate(coordinates_in([x, *ideal.span.rows.values()], units)):
         if coeffs is None:
             raise TripwireError("expand", "basis vector outside x + hyperplane", index=j)
-        alpha = coeffs[0]
-        embed_cols.append((alpha, alpha) + tuple(coeffs[1:]))
-    step_embed = Matrix.from_columns(embed_cols, nrows=dim_new)
+        alpha = coeffs.get(0, QZERO)
+        embed_cols.append({0: alpha, 1: alpha, **{k + 1: c for k, c in coeffs.items() if k}})
+    step_embed = Matrix.from_sparse(dim_new, q.dim, embed_cols)
 
     # nothing is created or lost: [q', q'] is exactly the embedded [q, q]
-    derived_image = Subspace.from_vectors(
-        dim_new, [step_embed.apply(v) for v in q.derived_subalgebra().vectors()]
-    )
-    if extended.derived_subalgebra() != derived_image:
+    if extended.derived_subalgebra() != q.derived_subalgebra().image(step_embed):
         raise TripwireError("expand", "derived subalgebra is not preserved")
 
-    new_p = Subspace.from_vectors(
-        dim_new,
-        [unit_vector(dim_new, 0)]
-        + [embedded(ideal.coordinates_of(v)) for v in p.span.rows.values()],
+    new_p = Subspace(
+        dim_new, SparseSpan([{0: QONE}, *map(embedded, p.span.rows.values())])
     )
-    new_n = Subspace.from_vectors(
-        dim_new,
-        [unit_vector(dim_new, 1)]
-        + [embedded(ideal.coordinates_of(v)) for v in n.span.rows.values()],
+    new_n = Subspace(
+        dim_new, SparseSpan([{1: QONE}, *map(embedded, n.span.rows.values())])
     )
     record = {
         "stage": "expand",
-        "generator": [str(c) for c in x],
+        "generator": [str(x.get(k, QZERO)) for k in range(q.dim)],
         "semisimple_witness": [str(c) for c in dec.witness.coeffs],
         "embedding": [[str(c) for c in row] for row in step_embed.rows],
         "dimensions": {

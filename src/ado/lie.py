@@ -31,6 +31,7 @@ from .linalg import (
     SparseSpan,
     Subspace,
     Vector,
+    coordinates_in,
     span_kernel,
     to_q,
     vec,
@@ -239,7 +240,7 @@ class LieAlgebra:
             {(l, k): c for l in range(dim) for k, c in self.nonzero[i][l]}
             for i in range(dim)
         ]
-        rows = [[QZERO] * dim for _ in range(dim)]
+        cols: list[dict[int, Q]] = [{} for _ in range(dim)]
         for i in range(dim):
             for j in range(i, dim):
                 cj = constants[j]
@@ -247,12 +248,13 @@ class LieAlgebra:
                     (c * cj[k, l] for (l, k), c in constants[i].items() if (k, l) in cj),
                     QZERO,
                 )
-                rows[i][j] = rows[j][i] = value
-        self._memo["killing"] = Matrix(rows, ncols=dim)
+                if value:
+                    cols[i][j] = cols[j][i] = value
+        self._memo["killing"] = Matrix.from_sparse(dim, dim, cols)
         return self._memo["killing"]
 
     def subalgebra_on_basis(
-        self, basis: Sequence[Sequence[Q]]
+        self, basis: Iterable[Mapping[int, Q]]
     ) -> tuple["LieAlgebra", Matrix]:
         """Algebra structure on the span of the given independent vectors.
 
@@ -261,26 +263,18 @@ class LieAlgebra:
         columns are the basis vectors.  On the standard basis e_0, ...,
         e_{dim-1} in order that is the algebra itself, with its memoised
         views, and the identity.  Raises if the vectors are dependent or
-        the span is not bracket-closed.  Basis vector s enters one span
-        with a tag coordinate at dim + s, so reducing a bracket against
-        it leaves minus its coordinates on the tags.
+        the span is not bracket-closed.
         """
-        inclusion = Matrix.from_columns(basis, nrows=self.dim)
+        basis = list(basis)
+        inclusion = Matrix.from_sparse(self.dim, len(basis), basis)
         rows = inclusion.cols
         if len(rows) == self.dim and all(u == {s: QONE} for s, u in enumerate(rows)):
             return self, inclusion
-        span = SparseSpan()
-        for s, u in enumerate(rows):
-            if min(span.add({**u, self.dim + s: QONE})) >= self.dim:
-                raise ValueError("subalgebra basis is linearly dependent")
-        brackets = {}
-        for s, u in enumerate(rows):
-            for t in range(s + 1, len(rows)):
-                residue = span.reduce(self._bracket(u, rows[t]))
-                if min(residue, default=self.dim) < self.dim:
-                    raise ValueError("span is not closed under the bracket")
-                brackets[s, t] = {k - self.dim: -c for k, c in residue.items()}
-        return LieAlgebra.from_sparse(len(rows), brackets), inclusion
+        pairs = [(s, t) for s in range(len(rows)) for t in range(s + 1, len(rows))]
+        coords = coordinates_in(rows, (self._bracket(rows[s], rows[t]) for s, t in pairs))
+        if None in coords:
+            raise ValueError("span is not closed under the bracket")
+        return LieAlgebra.from_sparse(len(rows), dict(zip(pairs, coords))), inclusion
 
     def is_ideal(self, s: Subspace) -> bool:
         return s.contains(self.bracket_span(self.full_space(), s))

@@ -7,14 +7,15 @@ brackets.  Operations return new values.
 
 SparseSpan, an echelon span of sparse vectors, is the package's one
 Gaussian elimination: ranks, residues, reduced row echelon forms,
-kernels, solutions, minimal polynomials and subalgebra coordinates all
-come out of it; rank, kernel and solve feed it a matrix's rows.  A
-Subspace keeps a SparseSpan of reduced rows, so that equality,
-membership, coordinates and complements are all canonical: two
-computations that produce the same subspace produce the same basis.
-Membership, coordinates, sums, intersections and complements work on
-those rows; the basis, a tuple of the same rows in dense form, is
-there for callers that take dense rows.
+kernels, solutions, minimal polynomials and coordinates in a new basis
+all come out of it; rank, kernel and solve feed it a matrix's rows.
+Vectors are {index: value} dicts of their nonzero coordinates, and
+coordinates_in is the one change of basis.  A Subspace keeps a
+SparseSpan of reduced rows, so that equality, membership, coordinates,
+images and complements are all canonical: two computations that produce
+the same subspace produce the same rows.  Dense tuples (unit_vector,
+solve, Matrix rows and columns, Subspace.from_vectors and basis) are
+the boundary for callers that hold dense data.
 
 Polynomials live here too (dense, coefficients listed from the constant
 term up) together with the handful of polynomial operations the rest of
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
 
@@ -51,10 +52,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vec(values: Iterable) -> Vector:
     return tuple(to_q(v) for v in values)
-
-
-def add_vec(u: Sequence[Q], v: Sequence[Q]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 class Matrix:
@@ -384,22 +381,52 @@ def span_kernel(span: SparseSpan, n: int) -> "Subspace":
     ))
 
 
-def solve(a: Matrix, b: Sequence[Q]) -> Vector | None:
-    """One solution of a x = b with free variables set to zero, or None.
+def solve_sparse(rows: Iterable[Mapping[int, Q]], n: int) -> dict[int, Q] | None:
+    """One solution, free variables zero, of the system whose rows hold
+    their coefficients at 0, ..., n - 1 and their right-hand side at n.
 
-    Row i of a enters one span with b_i at the extra coordinate a.ncols;
-    a reduced row with its pivot there makes the system inconsistent.
+    None if the system is inconsistent, that is when a reduced row has
+    its pivot at n.
     """
+    reduced = SparseSpan(rows).reduced()
+    if n in reduced:
+        return None
+    return {p: row[n] for p, row in reduced.items() if n in row}
+
+
+def solve(a: Matrix, b: Sequence[Q]) -> Vector | None:
+    """Dense view of solve_sparse: one solution of a x = b, or None."""
     if len(b) != a.nrows:
         raise ValueError("right hand side length mismatch")
     n = a.ncols
-    reduced = SparseSpan({**row, n: bi} for row, bi in zip(a.transpose().cols, vec(b))).reduced()
-    if n in reduced:
-        return None
-    x = [QZERO] * n
-    for p, row in reduced.items():
-        x[p] = row.get(n, QZERO)
-    return tuple(x)
+    x = solve_sparse(({**row, n: bi} for row, bi in zip(a.transpose().cols, vec(b))), n)
+    return None if x is None else tuple(x.get(j, QZERO) for j in range(n))
+
+
+def coordinates_in(
+    basis: Sequence[Mapping[int, Q]], vectors: Iterable[Mapping[int, Q]]
+) -> list[dict[int, Q] | None]:
+    """Coordinates {position: value} of each vector in the given basis, or
+    None for a vector outside its span; raises if the basis is dependent.
+
+    Basis vector s enters one span with a tag coordinate at offset + s,
+    past every index in use, so reducing a vector against it leaves
+    minus its coordinates on the tags and nothing below the offset.
+    """
+    vectors = list(vectors)
+    offset = 1 + max((k for v in (*basis, *vectors) for k in v), default=-1)
+    span = SparseSpan()
+    for s, u in enumerate(basis):
+        if min(span.add({**u, offset + s: QONE})) >= offset:
+            raise ValueError("basis is linearly dependent")
+    out: list[dict[int, Q] | None] = []
+    for v in vectors:
+        residue = span.reduce(v)
+        if min(residue, default=offset) < offset:
+            out.append(None)
+        else:
+            out.append({k - offset: -c for k, c in residue.items()})
+    return out
 
 
 class Subspace:
@@ -407,22 +434,17 @@ class Subspace:
 
     Each row has its pivot entry 1 and every other pivot coordinate 0,
     which makes the representation canonical: equal subspaces compare
-    equal.  basis is the tuple of the same rows in dense form by
-    increasing pivot, for callers that take dense rows.
+    equal.  basis is a dense view of the rows by increasing pivot.
     """
 
-    __slots__ = ("ambient_dim", "span", "basis", "pivots")
+    __slots__ = ("ambient_dim", "span", "pivots")
 
     def __init__(self, ambient_dim: int, span: SparseSpan):
         """The span of the given rows; the span itself is left as it is."""
         reduced = SparseSpan()
         reduced.rows = span.reduced()
-        basis = tuple(
-            tuple(row.get(j, QZERO) for j in range(ambient_dim)) for row in reduced.rows.values()
-        )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "span", reduced)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(reduced.rows))
 
     def __setattr__(self, name, value):
@@ -445,23 +467,18 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
-    def vectors(self) -> Iterator[Vector]:
-        return iter(self.basis)
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """Dense rows, built on each read."""
+        return tuple(
+            tuple(row.get(j, QZERO) for j in range(self.ambient_dim))
+            for row in self.span.rows.values()
+        )
 
-    def _residue(self, v: Sequence[Q]) -> dict[int, Q]:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length disagrees with ambient dimension")
-        return self.span.reduce(dict(enumerate(map(to_q, v))))
-
-    def reduce(self, v: Sequence[Q]) -> Vector:
-        """Residual of v after eliminating all pivot coordinates."""
-        residue = self._residue(v)
-        return tuple(residue.get(j, QZERO) for j in range(self.ambient_dim))
-
-    def member(self, v: Sequence[Q]) -> bool:
-        return not self._residue(v)
+    def member(self, v: Mapping[int, Q]) -> bool:
+        return not self.span.reduce(v)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if other.ambient_dim != self.ambient_dim:
@@ -471,11 +488,18 @@ class Subspace:
         self._check_ambient(other)
         return not any(map(self.span.reduce, other.span.rows.values()))
 
-    def coordinates_of(self, v: Mapping[int, Q]) -> Vector:
-        """Echelon-basis coefficients of v, given as {index: value}; v must lie in the span."""
+    def coordinates_of(self, v: Mapping[int, Q]) -> dict[int, Q]:
+        """Echelon-basis coordinates {position: value} of v; v must lie in the span."""
         if self.span.reduce(v):
             raise ValueError("vector does not lie in the subspace")
-        return tuple(v.get(p, QZERO) for p in self.pivots)
+        return {s: v[p] for s, p in enumerate(self.pivots) if v.get(p)}
+
+    def image(self, m: Matrix) -> "Subspace":
+        """The image of the subspace under the matrix."""
+        if m.ncols != self.ambient_dim:
+            raise ValueError("matrix width disagrees with ambient dimension")
+        rows = (m.apply_pairs(v.items()) for v in self.span.rows.values())
+        return Subspace(m.nrows, SparseSpan(rows))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -522,11 +546,12 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.span.rows == other.span.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        # equal subspaces have equal pivots
+        return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -25,16 +25,16 @@ from .expansion import saturate
 from .lie import LieAlgebra
 from .linalg import (
     Matrix,
+    Q,
     QONE,
+    QZERO,
     SparseSpan,
     Subspace,
-    Vector,
     bracket_residual,
+    coordinates_in,
     rank,
-    solve,
     sparse_block_diag,
     sparse_combination,
-    unit_vector,
 )
 
 
@@ -88,19 +88,20 @@ def reductive_representation(algebra: LieAlgebra) -> tuple[Matrix, ...]:
     if not split_cleanly:
         raise ValueError("algebra is not reductive")
     if derived.dim:
-        dsub, _ = algebra.subalgebra_on_basis(derived.basis)
+        dsub, _ = algebra.subalgebra_on_basis(derived.span.rows.values())
         if rank(dsub.killing_form()) != dsub.dim:
             raise ValueError("algebra is not reductive")
     dz = centre.dim
-    change = Matrix.from_columns([*derived.basis, *centre.basis], nrows=algebra.dim)
+    basis = [*derived.span.rows.values(), *centre.span.rows.values()]
+    units = ({i: QONE} for i in range(algebra.dim))
     sigma_width = 1 + dz
     mats = []
-    for i in range(algebra.dim):
-        coeffs = solve(change, unit_vector(algebra.dim, i))
+    for i, coeffs in enumerate(coordinates_in(basis, units)):
         if coeffs is None:
             raise TripwireError("pipeline", "basis vector outside derived + centre", index=i)
         # the translation column holds the central component below a zero
-        translation = [dict(enumerate(coeffs[derived.dim :], 1))] + [{}] * dz
+        central = {k - derived.dim + 1: c for k, c in coeffs.items() if k >= derived.dim}
+        translation = [central] + [{}] * dz
         # column j of ad(e_i) is [e_i, e_j]
         ad = Matrix.from_sparse(algebra.dim, algebra.dim, map(dict, algebra.nonzero[i]))
         sigma = Matrix.from_sparse(sigma_width, sigma_width, translation)
@@ -140,7 +141,7 @@ def verify_representation(
     )
 
 
-def adapted_basis(q: LieAlgebra, nil: Subspace) -> tuple[Vector, ...]:
+def adapted_basis(q: LieAlgebra, nil: Subspace) -> tuple[dict[int, Q], ...]:
     """Basis of the nilpotent ideal adapted to its lower central series.
 
     Every term n, [n, n], [n, [n, n]], ... is spanned by a subset of the
@@ -154,13 +155,13 @@ def adapted_basis(q: LieAlgebra, nil: Subspace) -> tuple[Vector, ...]:
     # dimensions fall strictly in a nilpotent ideal, so nil.dim steps reach 0
     for _ in range(nil.dim):
         series.append(q.bracket_span(nil, series[-1]))
-    echelon = set(nil.basis)
-    if all(row in echelon for term in series for row in term.vectors()):
-        return nil.basis
+    echelon = tuple(nil.span.rows.values())
+    if all(row in echelon for term in series for row in term.span.rows.values()):
+        return echelon
     return tuple(
         v
         for upper, lower in zip(series, series[1:])
-        for v in lower.extend_complement(within=upper).vectors()
+        for v in lower.extend_complement(within=upper).span.rows.values()
     )
 
 
@@ -187,16 +188,18 @@ def ado_representation(
     action_mats: list[Matrix] = []
     nil_basis = adapted_basis(q, nil)
     if acting_part.dim + nil.dim:
-        nalg, inclusion = q.subalgebra_on_basis(nil_basis)
+        nalg, _ = q.subalgebra_on_basis(nil_basis)
         built = build_module(nalg, truncation)
-        derivations = []
-        for w in acting_part.span.rows.values():
-            # column t is [w, v_t] for the t-th adapted basis vector v_t
-            images = Matrix.from_sparse(q.dim, nil.dim, (q._bracket(w, v) for v in inclusion.cols))
-            cols = [solve(inclusion, images.column(t)) for t in range(nil.dim)]
-            if None in cols:
-                raise TripwireError("pipeline", "derivation escapes the nilpotent part")
-            derivations.append(Matrix.from_columns(cols, nrows=nil.dim))
+        # one change of basis for all [w, v_t], w in the acting part and v_t
+        # the t-th adapted basis vector: column t of w's derivation matrix
+        r = nil.dim
+        brackets = (q._bracket(w, v) for w in acting_part.span.rows.values() for v in nil_basis)
+        images = coordinates_in(nil_basis, brackets)
+        if None in images:
+            raise TripwireError("pipeline", "derivation escapes the nilpotent part")
+        derivations = [
+            Matrix.from_sparse(r, r, images[s * r : (s + 1) * r]) for s in range(acting_part.dim)
+        ]
         action_mats = verify_module_axioms(built, derivations)
 
     red_mats: list[Matrix] = []
@@ -206,19 +209,17 @@ def ado_representation(
         except ValueError as exc:
             raise TripwireError("pipeline", str(exc)) from None
 
-    change = Matrix.from_columns(
-        [*kernel_part.basis, *acting_part.basis, *nil_basis], nrows=q.dim
-    )
+    basis = [*kernel_part.span.rows.values(), *acting_part.span.rows.values(), *nil_basis]
+    kdim, adim = kernel_part.dim, acting_part.dim
     env_dim = built.module.dim if built else 0
     red_dim = red_mats[0].nrows if red_mats else 0
     matrices = []
-    for i in range(algebra.dim):
-        coeffs = solve(change, pres.embed_original.column(i))
+    for i, coeffs in enumerate(coordinates_in(basis, pres.embed_original.cols)):
         if coeffs is None:
             raise TripwireError("pipeline", "basis vector outside the split", index=i)
-        central = coeffs[: kernel_part.dim]
-        acting = coeffs[kernel_part.dim : kernel_part.dim + acting_part.dim]
-        nilpart = coeffs[kernel_part.dim + acting_part.dim :]
+        central = [coeffs.get(t, QZERO) for t in range(kdim)]
+        acting = tuple(coeffs.get(t, QZERO) for t in range(kdim, kdim + adim))
+        nilpart = {t - kdim - adim: c for t, c in coeffs.items() if t >= kdim + adim}
         blocks = []
         if built is not None:
             left = [built.left_action(nilpart)] + action_mats

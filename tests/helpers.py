@@ -11,6 +11,16 @@ from hypothesis import strategies as st
 from ado.linalg import QONE, Matrix, Subspace, kernel, solve, unit_vector
 
 
+def sparse(v) -> dict:
+    """A dense vector as {index: value} of its nonzero coordinates."""
+    return {i: Q(x) for i, x in enumerate(v) if x}
+
+
+def dense(v: dict, n: int) -> tuple:
+    """An {index: value} vector as a dense tuple of length n."""
+    return tuple(v.get(i, Q(0)) for i in range(n))
+
+
 def rationals(max_num: int = 4, max_den: int = 3) -> st.SearchStrategy[Q]:
     return st.builds(
         Q,
@@ -85,14 +95,17 @@ def dense_intersect(s: Subspace, t: Subspace) -> Subspace:
     ]
     coeffs = dense_kernel(Matrix(constraints, ncols=s.dim + t.dim))
     combine = Matrix.from_columns(s.basis, nrows=s.ambient_dim)
-    vectors = [dense_apply(combine, a[: s.dim]) for a in coeffs.vectors()]
+    vectors = [dense_apply(combine, a[: s.dim]) for a in coeffs.basis]
     return Subspace.from_vectors(s.ambient_dim, vectors)
 
 
 def dense_complement(s: Subspace, within: Subspace) -> Subspace:
     """Reference complement: the basis vectors of within at the non-pivot
     columns of the dense echelon form of s in within's coordinates."""
-    coords = Matrix([within.coordinates_of(row) for row in s.span.rows.values()], ncols=within.dim)
+    coords = Matrix(
+        [dense(within.coordinates_of(row), within.dim) for row in s.span.rows.values()],
+        ncols=within.dim,
+    )
     _, pivots = dense_rref(coords)
     chosen = [row for i, row in enumerate(within.basis) if i not in pivots]
     return Subspace.from_vectors(s.ambient_dim, chosen)
@@ -198,7 +211,7 @@ def dense_ad(g, x) -> Matrix:
 def dense_bracket_span(g, left: Subspace, right: Subspace) -> Subspace:
     """Reference bracket span: ad(u) v for every pair of basis vectors u, v."""
     return Subspace.from_vectors(
-        g.dim, [dense_apply(dense_ad(g, u), v) for u in left.vectors() for v in right.vectors()]
+        g.dim, [dense_apply(dense_ad(g, u), v) for u in left.basis for v in right.basis]
     )
 
 
@@ -225,7 +238,7 @@ def dense_centralizer(g, s: Subspace) -> Subspace:
     """Reference centralizer: the kernel of the stacked dense ad(v) over s's basis."""
     if s.dim == 0:
         return g.full_space()
-    rows = [row for v in s.vectors() for row in dense_ad(g, v).rows]
+    rows = [row for v in s.basis for row in dense_ad(g, v).rows]
     return dense_kernel(Matrix(rows, ncols=g.dim))
 
 
@@ -284,7 +297,7 @@ def transport_subspace(s, t_inv: Matrix):
     from ado.linalg import Subspace
 
     return Subspace.from_vectors(
-        t_inv.nrows, [t_inv.apply(v) for v in s.vectors()]
+        t_inv.nrows, [t_inv.apply(v) for v in s.basis]
     )
 
 
@@ -385,7 +398,7 @@ def semisimple_from_eigenvalues(d: Matrix, eigenvalues) -> Matrix:
     for lam in eigenvalues:
         shifted = d - ident.scale(Q(lam))
         root_space = kernel(shifted.power(n))
-        for v in root_space.vectors():
+        for v in root_space.basis:
             columns.append(v)
             diag_values.append(Q(lam))
     if len(columns) != n:
@@ -501,9 +514,9 @@ def oracle_weights(algebra):
     weights = [0] * n
     while term.dim:
         for i, u in enumerate(units):
-            weights[i] += term.member(u)
+            weights[i] += term.member(sparse(u))
         term = Subspace.from_vectors(
-            n, [algebra.bracket(u, v) for u in units for v in term.vectors()]
+            n, [algebra.bracket(u, v) for u in units for v in term.basis]
         )
     return tuple(weights)
 
@@ -599,7 +612,7 @@ def strictly_upper_triangular(n):
 
 
 def nilpotent_closure(gens):
-    """Lie closure of strictly upper triangular matrices, as a LieAlgebra.
+    """Lie closure of matrices, strictly upper triangular ones here, as a LieAlgebra.
 
     The basis is the generators and their brackets in the order they
     turn up, skipping dependent ones, so it is rarely adapted to the

@@ -230,7 +230,7 @@ def test_derivation_split_laws(capsys):
             while presentation_defect(pres):
                 pres = expansion_step(pres)
                 dim = pres.algebra.dim
-                tail = [unit_vector(dim, k) for k in range(2, dim)]
+                tail = [{k: 1} for k in range(2, dim)]
                 inner, _ = pres.algebra.subalgebra_on_basis(tail)
                 semi = _action_on_tail(pres.algebra, 0)
                 nil = _action_on_tail(pres.algebra, 1)
@@ -263,7 +263,7 @@ def test_expansion_invariants(capsys):
                         assert lhs == rhs, (name, i, j)
                 image = Subspace.from_vectors(
                     pres.algebra.dim,
-                    [step.apply(v) for v in previous.derived_subalgebra().vectors()],
+                    [step.apply(v) for v in previous.derived_subalgebra().basis],
                 )
                 assert pres.algebra.derived_subalgebra() == image, name
                 steps += 1

@@ -194,14 +194,34 @@ def test_error_objects_are_single_json_lines(capsys):
 
 
 @pytest.mark.parametrize(
-    "module, stage",
-    [(pipeline, "pipeline"), (expansion, "expand")],
+    "module, stage, message, name",
+    [
+        pytest.param(
+            pipeline, "pipeline", "derivation escapes the nilpotent part", "solv2",
+            id="ado.pipeline-pipeline",
+        ),
+        pytest.param(
+            pipeline, "pipeline", "basis vector outside derived + centre", "sl2",
+            id="ado.pipeline-pipeline-reductive",
+        ),
+        pytest.param(
+            pipeline, "pipeline", "basis vector outside the split", "heisenberg",
+            id="ado.pipeline-pipeline-assembly",
+        ),
+        pytest.param(
+            expansion, "expand", "basis vector outside x + hyperplane", "solv2",
+            id="ado.expansion-expand",
+        ),
+    ],
 )
-def test_unsolvable_system_is_a_tripwire_naming_its_stage(capsys, monkeypatch, module, stage):
-    # a solve that should always succeed fails: a structured exit 2, not a TypeError
-    monkeypatch.setattr(module, "solve", lambda a, b: None)
-    code, out, err = run(capsys, "compute", "--catalog", "solv2")
+def test_unsolvable_system_is_a_tripwire_naming_its_stage(
+    capsys, monkeypatch, module, stage, message, name
+):
+    # a change of basis that should always succeed finds no coordinates:
+    # a structured exit 2, not a TypeError
+    monkeypatch.setattr(module, "coordinates_in", lambda basis, vectors: [None for _ in vectors])
+    code, out, err = run(capsys, "compute", "--catalog", name)
     assert code == 2
     assert out == ""
     error = json.loads(err.splitlines()[-1])["error"]
-    assert (error["stage"], error["kind"]) == (stage, "TripwireError")
+    assert (error["stage"], error["kind"], error["message"]) == (stage, "TripwireError", message)

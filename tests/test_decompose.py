@@ -14,10 +14,12 @@ from ado.linalg import Matrix, Subspace, unit_vector
 from helpers import (
     change_of_basis,
     invert,
+    nilpotent_closure,
     seeded_matrix,
     sl2_plus_solv2,
     sl2_plus_sl2_semidirect_plane,
     sl2_semidirect_plane,
+    sparse,
     transport_subspace,
 )
 
@@ -139,11 +141,33 @@ def test_nilpotent_seed_brackets_g_with_the_radical_once(monkeypatch):
         assert on_g.count((full, data.radical)) == 1, name
 
 
+def test_levi_of_sl3_brackets_the_whole_algebra_with_itself_once(monkeypatch):
+    # the radical needs [g, g], which the algebra memoises; a complement
+    # that is the whole algebra is closed without bracketing it again
+    def unit(i, j):
+        return Matrix([[1 if (r, c) == (i, j) else 0 for c in range(3)] for r in range(3)])
+
+    g = nilpotent_closure([unit(0, 1), unit(1, 2), unit(1, 0), unit(2, 1)])
+    assert g.dim == 8
+    original = LieAlgebra.bracket_span
+    calls = []
+
+    def recording(self, left, right):
+        calls.append((self, left, right))
+        return original(self, left, right)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", recording)
+    data = levi_decomposition(g)
+    full = g.full_space()
+    assert data.levi == full and data.radical.dim == 0
+    assert [(left, right) for h, left, right in calls if h is g].count((full, full)) <= 1
+
+
 def test_reductive_split_torus_on_nilradical():
     t3 = catalog_algebra("t3")
     split = reductive_split(t3, span_of(6, 0, 1, 2), span_of(6, 3, 4, 5))
     assert split.kernel_part.dim == 1
-    assert split.kernel_part.member((1, 1, 1, 0, 0, 0))
+    assert split.kernel_part.member({0: 1, 1: 1, 2: 1})
     assert split.acting_part == span_of(6, 1, 2)
 
 
@@ -181,9 +205,9 @@ SPLIT_CASES = [
 @pytest.mark.parametrize("g, p, n", SPLIT_CASES)
 def test_split_and_levi_algebras_are_the_subalgebras_on_their_bases(g, p, n):
     split = reductive_split(g, span_of(g.dim, *p), span_of(g.dim, *n))
-    assert split.kernel_algebra == g.subalgebra_on_basis(split.kernel_part.basis)[0]
+    assert split.kernel_algebra == g.subalgebra_on_basis(map(sparse, split.kernel_part.basis))[0]
     data = levi_decomposition(g)
-    assert data.radical_algebra == g.subalgebra_on_basis(data.radical.basis)[0]
+    assert data.radical_algebra == g.subalgebra_on_basis(map(sparse, data.radical.basis))[0]
 
 
 def test_reductive_split_rejects_non_reductive_subalgebra():
@@ -199,7 +223,7 @@ def test_split_parts_commute_and_act_faithfully():
     split = reductive_split(t3, p, n)
     assert split.kernel_part.sum(split.acting_part) == p
     # each nonzero element of the acting part moves some element of n
-    for v in split.acting_part.vectors():
+    for v in split.acting_part.basis:
         assert any(
-            any(x != 0 for x in t3.bracket(v, w)) for w in n.vectors()
+            any(x != 0 for x in t3.bracket(v, w)) for w in n.basis
         )

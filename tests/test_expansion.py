@@ -13,13 +13,13 @@ from ado.expansion import (
     verify_presentation,
 )
 from ado.lie import LieAlgebra
-from ado.linalg import Matrix, Subspace, add_vec, unit_vector
+from ado.linalg import Matrix, Subspace, unit_vector
 
 from helpers import change_of_basis, seeded_matrix, sl2_plus_solv2
 
 
 def nilpotency_index_of_part(pres, part):
-    sub, _ = pres.algebra.subalgebra_on_basis(part.basis)
+    sub, _ = pres.algebra.subalgebra_on_basis(part.span.rows.values())
     return sub.nilpotency_index()
 
 
@@ -68,15 +68,8 @@ def test_t3_saturates_in_three_steps():
     # every diagonal action already equals a polynomial value of itself
     for record in pres.trace[1:]:
         assert record["semisimple_witness"] == ["0", "1"]
-    expected_columns = [
-        add_vec(unit_vector(9, 4), unit_vector(9, 5)),
-        add_vec(unit_vector(9, 2), unit_vector(9, 3)),
-        add_vec(unit_vector(9, 0), unit_vector(9, 1)),
-        unit_vector(9, 6),
-        unit_vector(9, 7),
-        unit_vector(9, 8),
-    ]
-    assert pres.embed_original == Matrix.from_columns(expected_columns, nrows=9)
+    expected_columns = [{4: 1, 5: 1}, {2: 1, 3: 1}, {0: 1, 1: 1}, {6: 1}, {7: 1}, {8: 1}]
+    assert pres.embed_original == Matrix.from_sparse(9, 6, expected_columns)
     assert pres.algebra.bracket_span(
         pres.reductive_part, pres.reductive_part
     ).dim == 0

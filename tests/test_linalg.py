@@ -14,6 +14,7 @@ from ado.linalg import (
     Subspace,
     bracket_residual,
     compose_mod,
+    coordinates_in,
     extended_gcd,
     kernel,
     minimal_polynomial,
@@ -36,6 +37,7 @@ from helpers import (
     dense_rref,
     matrices,
     rationals,
+    sparse,
     square_matrices,
 )
 
@@ -123,9 +125,9 @@ def test_block_diag_shapes():
 
 def test_subspace_membership_and_coordinates():
     s = Subspace.from_vectors(3, [(1, 0, 2), (0, 1, 1)])
-    assert s.member((2, 3, 7))
-    assert not s.member((0, 0, 1))
-    assert s.coordinates_of({0: Q(2), 1: Q(3), 2: Q(7)}) == (Q(2), Q(3))
+    assert s.member({0: 2, 1: 3, 2: 7})
+    assert not s.member({2: 1})
+    assert s.coordinates_of({0: Q(2), 1: Q(3), 2: Q(7)}) == {0: Q(2), 1: Q(3)}
     with pytest.raises(ValueError):
         s.coordinates_of({2: Q(1)})
 
@@ -136,7 +138,7 @@ def test_subspace_sum_and_intersect():
     assert s.sum(t).dim == 3
     meet = s.intersect(t)
     assert meet.dim == 1
-    assert meet.member((0, 1, 0))
+    assert meet.member({1: 1})
 
 
 def test_extend_complement_full_space():
@@ -256,6 +258,46 @@ def test_rref_matches_dense_gauss_jordan(m, picks, b):
         assert solve(m, b) == tuple(expected)
 
 
+def test_coordinates_in_frozen_cases():
+    basis = [{0: Q(1)}, {0: Q(1), 1: Q(1)}]
+    assert coordinates_in(basis, [{1: Q(3)}, {0: Q(2)}, {}]) == [{0: Q(-3), 1: Q(3)}, {0: Q(2)}, {}]
+    # outside the span, including at an index past every basis coordinate
+    assert coordinates_in(basis, [{2: Q(1)}, {0: Q(1), 3: Q(5)}]) == [None, None]
+    assert coordinates_in([], [{}, {0: Q(1)}]) == [{}, None]
+    for dependent in ([{0: Q(1)}, {0: Q(2)}], [{1: Q(1)}, {}]):
+        with pytest.raises(ValueError):
+            coordinates_in(dependent, [])
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=0, max_value=n).flatmap(lambda k: matrices(k, n)),
+            matrices(1, n),
+            st.lists(rationals(), min_size=n, max_size=n),
+        )
+    )
+)
+def test_coordinates_in_matches_solve(case):
+    basis, other, coeffs = case
+    n, k = other.ncols, basis.nrows
+    sparse_basis = [sparse(row) for row in basis.rows]
+    inside = tuple(sum((c * row[j] for c, row in zip(coeffs, basis.rows)), Q(0)) for j in range(n))
+    vectors = [inside, other.rows[0]]
+    if rank(basis) < k:
+        with pytest.raises(ValueError):
+            coordinates_in(sparse_basis, map(sparse, vectors))
+        return
+    found = coordinates_in(sparse_basis, map(sparse, vectors))
+    # the basis vectors as the columns of a dense system
+    columns = Matrix.from_columns(basis.rows, nrows=n)
+    for v, coords in zip(vectors, found):
+        x = solve(columns, v)
+        assert coords == (None if x is None else sparse(x))
+    assert found[0] == sparse(coeffs[:k])
+
+
 @given(matrices(3, 5))
 def test_rank_nullity(m):
     assert rank(m) + kernel(m).dim == m.ncols
@@ -311,7 +353,7 @@ def test_minimal_polynomial_annihilates(m):
 @given(square_matrices(3))
 def test_kernel_vectors_annihilate(m):
     ker = kernel(m)
-    for v in ker.vectors():
+    for v in ker.basis:
         assert all(x == 0 for x in m.apply(v))
 
 
@@ -463,7 +505,7 @@ def test_sparse_span_reduce_matches_subspace(m, v, coeffs):
     assert sorted(span.rows) == list(dense.pivots)
     for vec in (v.rows[0], member, tuple(a + b for a, b in zip(v.rows[0], member))):
         residue = span.reduce(dict(enumerate(vec)))
-        assert tuple(residue.get(j, Q(0)) for j in range(5)) == dense.reduce(vec)
+        assert residue == dense.span.reduce(dict(enumerate(vec)))
         assert 0 not in residue.values()
     reduced = span.reduced()
     assert list(reduced) == sorted(reduced)

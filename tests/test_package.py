@@ -1,7 +1,8 @@
-"""The package imports nothing outside the standard library, keeps one
-matrix type, reads its algebras through their sparse structure
-constants, brackets sparse vectors and never mutates a subspace's span,
-and the benchmark's input generators and traced path still run on it."""
+"""The package imports nothing outside the standard library and uses
+every name it imports, keeps one matrix type, reads its algebras through
+their sparse structure constants, brackets and rebases sparse vectors
+and never mutates a subspace's span, and the benchmark's input
+generators and traced path still run on it."""
 
 import ast
 import importlib.util
@@ -76,6 +77,47 @@ def test_package_makes_no_dense_brackets():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 assert node.func.attr != "bracket", (path.name, node.lineno)
+
+
+# linalg's dense boundary, for tests and the benchmark's input generators
+DENSE_FUNCTIONS = {"solve", "unit_vector"}
+DENSE_ATTRIBUTES = {"from_columns", "from_vectors", "apply", "column", "basis", "vectors"}
+
+
+def test_package_keeps_vectors_sparse_outside_linalg():
+    # vectors are {index: value} dicts and coordinates_in is the one change
+    # of basis; the dense Matrix(rows) constructor is linalg's alone too
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                assert node.id not in DENSE_FUNCTIONS, (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    assert alias.name not in DENSE_FUNCTIONS, (path.name, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in DENSE_ATTRIBUTES, (path.name, node.lineno)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "Matrix", (path.name, node.lineno)
+
+
+def test_package_uses_every_name_it_imports():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(set(imported) - used)
+        assert not unused, (path.name, [(name, imported[name]) for name in unused])
 
 
 def _is_span(node):
