@@ -20,6 +20,7 @@ by every caller; none of them may be mutated.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -107,6 +108,10 @@ class LieAlgebra:
         return tuple(tuple(map(dense, row)) for row in self.nonzero)
 
     def _validate(self):
+        """Raise InputError unless the constants are antisymmetric and
+        satisfy the Jacobi identity, naming the first failing pair or
+        triple; the Jacobi sums run in Python int on the constants with
+        their denominators cleared, and a failing one is reported exactly."""
         nonzero = self.nonzero
         for i in range(self.dim):
             for j in range(i, self.dim):
@@ -116,22 +121,30 @@ class LieAlgebra:
                         "bracket table is not antisymmetric",
                         pair=[i, j],
                     )
+        # the Jacobi sums are quadratic in the constants: scaled by their
+        # common denominator d, the constants are ints and a sum s in int
+        # stands for s / d^2
+        d = lcm(*{c.denominator for row in nonzero for e in row for _, c in e})
+        scaled = [
+            [[(k, c.numerator * (d // c.denominator)) for k, c in e] for e in row]
+            for row in nonzero
+        ]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
                     # [e_a, [e_b, e_c]] = sum over l of c(b, c, l) [e_a, e_l]
-                    s: dict[int, Q] = {}
+                    s: dict[int, int] = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        row = nonzero[a]
-                        for l, x in nonzero[b][c]:
+                        row = scaled[a]
+                        for l, x in scaled[b][c]:
                             for m, y in row[l]:
-                                s[m] = s.get(m, QZERO) + x * y
+                                s[m] = s.get(m, 0) + x * y
                     if any(s.values()):
                         raise InputError(
                             "validate",
                             "Jacobi identity fails",
                             triple=[i, j, k],
-                            residual=[str(s.get(m, QZERO)) for m in range(self.dim)],
+                            residual=[str(Q(s.get(m, 0), d * d)) for m in range(self.dim)],
                         )
 
     def _bracket(self, u: Mapping[int, Q], v: Mapping[int, Q]) -> dict[int, Q]:
@@ -265,16 +278,36 @@ class LieAlgebra:
         views, and the identity.  Raises if the vectors are dependent or
         the span is not bracket-closed.
         """
-        basis = list(basis)
+        sub, inclusion, _ = self.subalgebra_and_derivations(basis, ())
+        return sub, inclusion
+
+    def subalgebra_and_derivations(
+        self, basis: Iterable[Mapping[int, Q]], acting: Iterable[Mapping[int, Q]]
+    ) -> tuple["LieAlgebra", Matrix, list[Matrix | None]]:
+        """subalgebra_on_basis, with the matrix of ad w on the span in the
+        given basis for each acting vector w: column t holds the coordinates
+        of [w, basis[t]], and the matrix is None when one of them leaves the
+        span.  One elimination of the basis expresses every bracket.
+        """
+        basis, acting = list(basis), list(acting)
         inclusion = Matrix.from_sparse(self.dim, len(basis), basis)
         rows = inclusion.cols
-        if len(rows) == self.dim and all(u == {s: QONE} for s, u in enumerate(rows)):
-            return self, inclusion
-        pairs = [(s, t) for s in range(len(rows)) for t in range(s + 1, len(rows))]
-        coords = coordinates_in(rows, (self._bracket(rows[s], rows[t]) for s, t in pairs))
-        if None in coords:
-            raise ValueError("span is not closed under the bracket")
-        return LieAlgebra.from_sparse(len(rows), dict(zip(pairs, coords))), inclusion
+        r = len(rows)
+        images = [self._bracket(w, v) for w in acting for v in rows]
+        if r == self.dim and all(u == {s: QONE} for s, u in enumerate(rows)):
+            sub = self
+        else:
+            pairs = [(s, t) for s in range(r) for t in range(s + 1, r)]
+            closure = [self._bracket(rows[s], rows[t]) for s, t in pairs]
+            coords = coordinates_in(rows, closure + images)
+            closure, images = coords[: len(pairs)], coords[len(pairs) :]
+            if None in closure:
+                raise ValueError("span is not closed under the bracket")
+            sub = LieAlgebra.from_sparse(r, dict(zip(pairs, closure)))
+        columns = [images[s * r : (s + 1) * r] for s in range(len(acting))]
+        return sub, inclusion, [
+            None if None in cols else Matrix.from_sparse(r, r, cols) for cols in columns
+        ]
 
     def is_ideal(self, s: Subspace) -> bool:
         return s.contains(self.bracket_span(self.full_space(), s))

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-All scalars are fractions.Fraction values; there is no floating point
-anywhere in this package.  Matrix is the one matrix type: immutable,
-held as columns of its nonzero entries, with one residual routine for
-brackets.  Operations return new values.
+Every scalar a caller sees is a fractions.Fraction; there is no
+floating point anywhere in this package.  Matrix is the one matrix
+type: immutable, held as columns of its nonzero entries, with one
+residual routine for brackets.  That routine clears each matrix's
+denominators once and runs its sums in Python int, which spares
+Fraction a gcd on every multiply-add; only a nonzero residual is turned
+back into fractions.  Operations return new values.
 
 SparseSpan, an echelon span of sparse vectors, is the package's one
 Gaussian elimination: ranks, residues, reduced row echelon forms,
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
@@ -60,10 +64,11 @@ class Matrix:
     The public constructors drop zero entries and the sparse routines
     never store one, so equal matrices hold equal columns.  Dense rows,
     columns and flatten() are views built on each read; the package
-    works on the columns.
+    works on the columns.  The integer form that bracket_residual reads
+    is built on first use and kept; equality and hashing ignore it.
     """
 
-    __slots__ = ("nrows", "ncols", "cols")
+    __slots__ = ("nrows", "ncols", "cols", "_ints")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         """From dense rows."""
@@ -88,6 +93,7 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "cols", tuple(cols))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -123,6 +129,18 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._wrap(n, n, ({j: QONE} for j in range(n)))
+
+    def _integer_form(self) -> tuple[int, tuple[dict[int, int], ...], tuple[int, ...]]:
+        """(d, the columns of d * self as ints, the indices of the nonzero
+        columns), d the least common denominator of the entries; built once."""
+        if self._ints is None:
+            d = lcm(*{x.denominator for col in self.cols for x in col.values()})
+            cols = tuple(
+                {i: x.numerator * (d // x.denominator) for i, x in col.items()} for col in self.cols
+            )
+            nonzero = tuple(j for j, col in enumerate(self.cols) if col)
+            object.__setattr__(self, "_ints", (d, cols, nonzero))
+        return self._ints
 
     @property
     def rows(self) -> tuple[Vector, ...]:
@@ -279,21 +297,54 @@ def sparse_combination(
     return Matrix._wrap(nrows, ncols, cols)
 
 
+def _add_scaled_int(target: dict, source: dict, coeff: int) -> None:
+    """_add_scaled for int values: target += coeff * source, dropping zeros."""
+    for key, value in source.items():
+        acc = target.get(key, 0) + coeff * value
+        if acc:
+            target[key] = acc
+        else:
+            target.pop(key, None)
+
+
 def bracket_residual(
     a: Matrix, b: Matrix, terms: Iterable[tuple[Q, Matrix]]
 ) -> Matrix:
-    """ab - ba - sum of c M over the (c, M) terms, for square matrices of one size."""
-    terms = [(-c, m) for c, m in terms]
-    cols = []
-    for t in range(a.ncols):
-        out: dict[int, Q] = {}
-        for s, x in b.cols[t].items():
-            _add_scaled(out, a.cols[s], x)
-        for s, x in a.cols[t].items():
-            _add_scaled(out, b.cols[s], -x)
-        for c, m in terms:
-            _add_scaled(out, m.cols[t], c)
-        cols.append(out)
+    """ab - ba - sum of c M over the (c, M) terms, for square matrices of one size.
+
+    The sums run in int on the integer forms A = d_a a, B = d_b b and
+    N = d M of the operands: with e = L c d_a d_b / d for each term, L
+    the least common denominator of the c d_a d_b / d, the columns of
+    L (AB - BA) - sum of e N are L d_a d_b times the residual.  Only
+    columns where some operand is nonzero are visited, and only a
+    nonzero residual is divided back into fractions.
+    """
+    da, acols, anonzero = a._integer_form()
+    db, bcols, bnonzero = b._integer_form()
+    visit = {*anonzero, *bnonzero}
+    exact = []
+    for c, m in terms:
+        if c:
+            d, cols, nonzero = m._integer_form()
+            exact.append((Q(c.numerator * da * db, c.denominator * d), cols))
+            visit.update(nonzero)
+    big = lcm(*(f.denominator for f, _ in exact))
+    scaled = [(-f.numerator * (big // f.denominator), cols) for f, cols in exact]
+    residual: dict[int, dict[int, int]] = {}
+    for t in visit:
+        out: dict[int, int] = {}
+        for s, x in bcols[t].items():
+            _add_scaled_int(out, acols[s], big * x)
+        for s, x in acols[t].items():
+            _add_scaled_int(out, bcols[s], -big * x)
+        for e, cols in scaled:
+            _add_scaled_int(out, cols[t], e)
+        if out:
+            residual[t] = out
+    denominator = big * da * db
+    cols: list[dict[int, Q]] = [{} for _ in range(a.ncols)]
+    for t, out in residual.items():
+        cols[t] = {i: Q(x, denominator) for i, x in out.items()}
     return Matrix._wrap(a.nrows, a.ncols, cols)
 
 

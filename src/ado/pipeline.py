@@ -188,18 +188,14 @@ def ado_representation(
     action_mats: list[Matrix] = []
     nil_basis = adapted_basis(q, nil)
     if acting_part.dim + nil.dim:
-        nalg, _ = q.subalgebra_on_basis(nil_basis)
+        # the acting part acts on n by derivations, expressed in the adapted
+        # basis by the same elimination that builds n's algebra
+        nalg, _, derivations = q.subalgebra_and_derivations(
+            nil_basis, acting_part.span.rows.values()
+        )
         built = build_module(nalg, truncation)
-        # one change of basis for all [w, v_t], w in the acting part and v_t
-        # the t-th adapted basis vector: column t of w's derivation matrix
-        r = nil.dim
-        brackets = (q._bracket(w, v) for w in acting_part.span.rows.values() for v in nil_basis)
-        images = coordinates_in(nil_basis, brackets)
-        if None in images:
+        if None in derivations:
             raise TripwireError("pipeline", "derivation escapes the nilpotent part")
-        derivations = [
-            Matrix.from_sparse(r, r, images[s * r : (s + 1) * r]) for s in range(acting_part.dim)
-        ]
         action_mats = verify_module_axioms(built, derivations)
 
     red_mats: list[Matrix] = []

@@ -29,9 +29,11 @@ def rationals(max_num: int = 4, max_den: int = 3) -> st.SearchStrategy[Q]:
     )
 
 
-def matrices(nrows: int, ncols: int) -> st.SearchStrategy[Matrix]:
+def matrices(
+    nrows: int, ncols: int, entries: st.SearchStrategy[Q] | None = None
+) -> st.SearchStrategy[Matrix]:
     return st.lists(
-        st.lists(rationals(), min_size=ncols, max_size=ncols),
+        st.lists(rationals() if entries is None else entries, min_size=ncols, max_size=ncols),
         min_size=nrows,
         max_size=nrows,
     ).map(lambda rows: Matrix(rows, ncols=ncols))

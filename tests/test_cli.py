@@ -4,6 +4,7 @@ import pytest
 
 from ado import cli, expansion, pipeline
 from ado.cli import main
+from ado.lie import LieAlgebra
 
 
 FILIFORM_FILE = {
@@ -193,33 +194,47 @@ def test_error_objects_are_single_json_lines(capsys):
     assert parsed["error"]["detail"]["available"][0] == "abelian:N"
 
 
+def no_coordinates(basis, vectors):
+    return [None for _ in vectors]
+
+
+def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and_derivations):
+    sub, inclusion, derivations = original(self, basis, acting)
+    return sub, inclusion, [None for _ in derivations]
+
+
 @pytest.mark.parametrize(
-    "module, stage, message, name",
+    "owner, attr, replacement, stage, message, name",
     [
+        # the derivation matrices come out of the elimination that builds n's algebra
         pytest.param(
-            pipeline, "pipeline", "derivation escapes the nilpotent part", "solv2",
+            LieAlgebra, "subalgebra_and_derivations", escaping_derivations,
+            "pipeline", "derivation escapes the nilpotent part", "solv2",
             id="ado.pipeline-pipeline",
         ),
         pytest.param(
-            pipeline, "pipeline", "basis vector outside derived + centre", "sl2",
+            pipeline, "coordinates_in", no_coordinates,
+            "pipeline", "basis vector outside derived + centre", "sl2",
             id="ado.pipeline-pipeline-reductive",
         ),
         pytest.param(
-            pipeline, "pipeline", "basis vector outside the split", "heisenberg",
+            pipeline, "coordinates_in", no_coordinates,
+            "pipeline", "basis vector outside the split", "heisenberg",
             id="ado.pipeline-pipeline-assembly",
         ),
         pytest.param(
-            expansion, "expand", "basis vector outside x + hyperplane", "solv2",
+            expansion, "coordinates_in", no_coordinates,
+            "expand", "basis vector outside x + hyperplane", "solv2",
             id="ado.expansion-expand",
         ),
     ],
 )
 def test_unsolvable_system_is_a_tripwire_naming_its_stage(
-    capsys, monkeypatch, module, stage, message, name
+    capsys, monkeypatch, owner, attr, replacement, stage, message, name
 ):
-    # a change of basis that should always succeed finds no coordinates:
-    # a structured exit 2, not a TypeError
-    monkeypatch.setattr(module, "coordinates_in", lambda basis, vectors: [None for _ in vectors])
+    # a change of basis that should always succeed finds no coordinates, or
+    # a derivation leaves n: a structured exit 2, not a TypeError
+    monkeypatch.setattr(owner, attr, replacement)
     code, out, err = run(capsys, "compute", "--catalog", name)
     assert code == 2
     assert out == ""

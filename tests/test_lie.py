@@ -302,20 +302,22 @@ def test_memoised_views_match_dense_oracles_and_are_shared(g):
 
 
 def test_jacobi_error_names_the_first_failing_triple_and_residual():
-    rng = random.Random(3)
-    n = 5
-    table = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                c = Q(rng.randint(-2, 2), rng.randint(1, 2))
-                table[i][j][k], table[j][i][k] = c, -c
-    failures = dense_jacobi_failures(table)
-    assert len(failures) > 1
-    with pytest.raises(InputError) as exc:
-        LieAlgebra(table)
-    assert "Jacobi" in exc.value.message
-    assert (exc.value.payload["triple"], exc.value.payload["residual"]) == failures[0]
+    # denominators 1 to 7 make the common denominator of the constants
+    # large, so the Jacobi sums checked in int stand for s / d^2
+    for seed, n, max_den in ((3, 5, 2), (1, 4, 7), (5, 5, 7), (8, 6, 7), (13, 5, 7)):
+        rng = random.Random(seed)
+        table = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    c = Q(rng.randint(-2, 2), rng.randint(1, max_den))
+                    table[i][j][k], table[j][i][k] = c, -c
+        failures = dense_jacobi_failures(table)
+        assert len(failures) > 1
+        with pytest.raises(InputError) as exc:
+            LieAlgebra(table)
+        assert "Jacobi" in exc.value.message
+        assert (exc.value.payload["triple"], exc.value.payload["residual"]) == failures[0]
 
 
 def test_perturbed_abelian_40_is_rejected():
@@ -339,6 +341,30 @@ def test_subalgebra_on_basis():
     assert borel.bracket((1, 0), (0, 1)) == (Q(0), Q(2))
     assert inclusion.apply((0, 1)) == (Q(0), Q(1), Q(0))
     assert borel.is_solvable()
+    # [h, 2e] = 2 (2e), and [f, 2e] leaves the line through e
+    line, _, (ad_h, ad_f) = sl2.subalgebra_and_derivations([{1: Q(2)}], [{0: Q(1)}, {2: Q(1)}])
+    assert line.dim == 1
+    assert ad_h == Matrix([[2]])
+    assert ad_f is None
+    # on the standard basis the coordinates are the brackets themselves
+    standard = [{s: Q(1)} for s in range(3)]
+    same, _, (ad_e,) = sl2.subalgebra_and_derivations(standard, [{1: Q(3)}])
+    assert same is sl2
+    assert ad_e == dense_ad(sl2, (0, 3, 0))
+    assert sl2.subalgebra_and_derivations(standard, [])[2] == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALGEBRAS)
+def test_subalgebra_and_derivations_restrict_ad_to_an_ideal(g):
+    # on the derived ideal every e_i acts: ad(e_i) inclusion = inclusion D_i
+    rows = list(g.derived_subalgebra().span.rows.values())
+    units = [{i: Q(1)} for i in range(g.dim)]
+    sub, inclusion, derivations = g.subalgebra_and_derivations(rows, units)
+    assert (sub, inclusion) == g.subalgebra_on_basis(rows)
+    for i, d in enumerate(derivations):
+        assert d.nrows == d.ncols == len(rows)
+        assert dense_ad(g, unit_vector(g.dim, i)) * inclusion == inclusion * d
 
 
 def test_subalgebra_rejects_unclosed_span():

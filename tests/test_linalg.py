@@ -452,20 +452,45 @@ def test_sparse_combination_matches_dense(a, b, c, d):
     assert sparse_combination((), (), 2, 3) == Matrix.zeros(2, 3)
 
 
+def wide_rationals():
+    # denominators up to 2^64, as b4 in a random basis reaches
+    return st.one_of(rationals(), rationals(2**64, 2**64))
+
+
 @given(
-    matrices(3, 3),
-    matrices(3, 3),
-    st.lists(matrices(3, 3), max_size=3),
-    st.lists(rationals(), min_size=3, max_size=3),
+    matrices(3, 3, wide_rationals()),
+    matrices(3, 3, wide_rationals()),
+    st.lists(matrices(3, 3, wide_rationals()), max_size=3),
+    st.lists(st.one_of(st.just(Q(0)), wide_rationals()), min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    wide_rationals().filter(bool),
 )
-def test_bracket_residual_matches_dense(a, b, mats, coeffs):
-    expected = dense_rowwise(dense_product(a, b), dense_product(b, a), sub)
+def test_bracket_residual_matches_dense(a, b, mats, coeffs, i, j, delta):
+    operands = (a, b, *mats)
+    hashes = [hash(m) for m in operands]
+    commutator = dense_rowwise(dense_product(a, b), dense_product(b, a), sub)
+    expected = commutator
     for c, m in zip(coeffs, mats):
         expected = dense_rowwise(expected, m, lambda x, y: x - c * y)
     got = bracket_residual(a, b, list(zip(coeffs, mats)))
     assert got == expected
-    # a commutator minus itself leaves nothing
+    assert all(type(x) is Q for col in got.cols for x in col.values())
+    # a term with coefficient 0 adds nothing, whatever columns its matrix fills
+    zero_terms = [(Q(0), m) for m in (*mats, Matrix.identity(3))]
+    assert bracket_residual(a, b, zero_terms + list(zip(coeffs, mats))) == expected
+    # a commutator minus itself leaves nothing, and one tampered entry
+    # leaves exactly what the dense oracle leaves
     assert bracket_residual(a, b, [(Q(1), a * b - b * a)]).is_zero()
+    entry = Matrix.from_sparse(3, 3, ({i: delta} if t == j else {} for t in range(3)))
+    tampered = commutator + entry
+    residual = bracket_residual(a, b, [(Q(1), tampered)])
+    assert residual == dense_rowwise(commutator, tampered, sub)
+    assert all(type(x) is Q for col in residual.cols for x in col.values())
+    # the integer forms built on the way change no matrix's equality or hash
+    rebuilt = [Matrix(m.rows, ncols=3) for m in operands]
+    assert rebuilt == list(operands)
+    assert [hash(m) for m in operands] == hashes == list(map(hash, rebuilt))
 
 
 @given(matrices(2, 3), matrices(3, 1), matrices(1, 2))
