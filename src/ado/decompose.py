@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TripwireError
+from .errors import TripwireError, as_tripwire
 from .lie import LieAlgebra
 from .linalg import (
     Matrix,
@@ -62,7 +62,8 @@ def levi_decomposition(g: LieAlgebra) -> LeviData:
     r = radical(g)
     if not g.is_ideal(r):
         raise TripwireError("levi", "radical is not an ideal")
-    rsub, _ = g.subalgebra_on_basis(r.span.rows.values())
+    with as_tripwire("levi"):
+        rsub, _ = g.subalgebra_on_basis(r.span.rows.values())
     if not rsub.is_solvable():
         raise TripwireError("levi", "radical is not solvable")
     levi = _levi_subspace(g, r)
@@ -91,7 +92,8 @@ def _levi_subspace(g: LieAlgebra, r: Subspace) -> Subspace:
         q, sect = g.quotient(rr)
         levi_q = _levi_subspace(q, radical(q))
         g1 = levi_q.image(sect).sum(rr)
-        sub, incl = g.subalgebra_on_basis(g1.span.rows.values())
+        with as_tripwire("levi"):
+            sub, incl = g.subalgebra_on_basis(g1.span.rows.values())
         levi_sub = _levi_subspace(sub, radical(sub))
         return levi_sub.image(incl)
     return _levi_abelian_radical(g, r)
@@ -158,7 +160,8 @@ def nilpotent_seed(g: LieAlgebra, decomposition: LeviData) -> Subspace:
     g_r = g.bracket_span(full, r)
     rsub = decomposition.radical_algebra
     n = r if rsub.is_nilpotent() else g_r
-    nsub = rsub if n is r else g.subalgebra_on_basis(n.span.rows.values())[0]
+    with as_tripwire("seed"):
+        nsub = rsub if n is r else g.subalgebra_on_basis(n.span.rows.values())[0]
     if not nsub.is_nilpotent():
         raise TripwireError("seed", "candidate ideal is not nilpotent")
     # [g, n] is [g, r] when n is the radical
@@ -185,7 +188,8 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
     kernel_whole = g.centralizer(n)
     p_kernel = p.intersect(kernel_whole)
 
-    palg, pincl = g.subalgebra_on_basis(p.span.rows.values())
+    with as_tripwire("split"):
+        palg, pincl = g.subalgebra_on_basis(p.span.rows.values())
     derived = palg.derived_subalgebra()
     centre = palg.center()
     if derived.intersect(centre).dim != 0 or derived.dim + centre.dim != palg.dim:
@@ -209,7 +213,8 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
 
     semisimple_acting = Subspace.zero(palg.dim)
     if derived.dim:
-        dalg, dincl = palg.subalgebra_on_basis(derived.span.rows.values())
+        with as_tripwire("split"):
+            dalg, dincl = palg.subalgebra_on_basis(derived.span.rows.values())
         killing = dalg.killing_form()
         if rank(killing) != dalg.dim:
             raise TripwireError(
@@ -243,7 +248,8 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
         raise TripwireError("split", "acting part does not act faithfully on the ideal")
     # kernel_local is p_kernel's echelon basis in p's coordinates, and
     # palg itself when p_kernel is all of p
-    kernel_algebra, _ = palg.subalgebra_on_basis(kernel_local.span.rows.values())
+    with as_tripwire("split"):
+        kernel_algebra, _ = palg.subalgebra_on_basis(kernel_local.span.rows.values())
     return ReductiveSplit(
         kernel_part=p_kernel, acting_part=p_acting, kernel_algebra=kernel_algebra
     )

@@ -1,22 +1,26 @@
 """Truncated module over the enveloping algebra of a nilpotent algebra.
 
-Generators multiply as noncommuting letters subject to x y - y x = [x, y];
-every product of basis letters straightens into a combination of ordered
-monomials, encoded as exponent tuples.
+The ordered monomials in the generators, encoded as exponent tuples,
+are a basis of U(n).
 
 The truncation is by weighted degree.  Each generator gets a weight, the
 number of terms of the lower central series n, [n, n], [n, [n, n]], ...
 that contain it, and a monomial the sum of weight times exponent over
 its letters.  In a basis adapted to that series (each term spanned by a
 subset of the generators) a bracket never lowers the weight, because
-[C^a, C^b] lies in C^(a+b).  So straightening a word yields monomials of
-at least its weight, and the monomials of weight above the truncation
-order M span a left ideal of U(n) that every derivation of n preserves.
-The quotient needs no elimination: its basis is the monomials of weight
-at most M, left multiplication straightens and drops the heavy terms,
-and derivations act by their Leibniz extension in the same way.  Since
-x * 1 = x, n acts faithfully once M reaches the largest weight, k - 1
-for k the nilpotency index; that is the default and the floor.
+[C^a, C^b] lies in C^(a+b).  So the monomials of weight above the
+truncation order M span a left ideal of U(n) that every derivation of n
+preserves.  The quotient needs no elimination: its basis is the
+monomials of weight at most M.  Since x * 1 = x, n acts faithfully once
+M reaches the largest weight, k - 1 for k the nilpotency index; that is
+the default and the floor.
+
+Every action column is read off columns built before it.  A basis
+monomial m other than 1 is x_b m', b its first letter and m' a monomial
+of one degree less.  x_a m is the monomial x_a x_b m' when a <= b, and
+otherwise x_b (x_a m') + [x_a, x_b] m'; a derivation D sends m to
+D(x_b) m' + x_b D(m').  Dropping the heavy terms at each step is exact,
+since they span an ideal that both preserve.
 
 A bracket or a derivation that lowers the weight means the basis is not
 adapted, and building the module or the derivation action raises
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Mapping, Sequence
+from itertools import groupby
+from typing import Mapping, Sequence
 
 from .errors import InputError, TripwireError
 from .lie import LieAlgebra
@@ -36,14 +40,12 @@ from .linalg import (
     Matrix,
     Q,
     QONE,
-    QZERO,
     _add_scaled,
     bracket_residual,
     sparse_combination,
 )
 
 Monomial = tuple[int, ...]
-Element = dict[Monomial, Q]
 
 AMBIENT_LIMIT_ENV = "ADO_AMBIENT_LIMIT"
 DEFAULT_AMBIENT_LIMIT = 20000
@@ -75,86 +77,6 @@ def weighted_monomials(weights: Sequence[int], bound: int) -> tuple[Monomial, ..
     return tuple(sorted(monos, key=lambda m: (sum(m), m)))
 
 
-def monomial_word(mono: Monomial) -> tuple[int, ...]:
-    return tuple(
-        letter for letter, count in enumerate(mono) for _ in range(count)
-    )
-
-
-class StraighteningEngine:
-    """Rewrites words in the generators into ordered monomial form."""
-
-    def __init__(self, algebra: LieAlgebra):
-        self.algebra = algebra
-        r = algebra.dim
-        # letters that a given letter slides past without corrections
-        self._commutes = [
-            frozenset(j for j in range(r) if not algebra.nonzero[i][j])
-            for i in range(r)
-        ]
-        self._insert_memo: dict[tuple[int, Monomial], Element] = {}
-
-    @property
-    def ngens(self) -> int:
-        return self.algebra.dim
-
-    def straighten_word(self, word: Sequence[int]) -> Element:
-        """Ordered-monomial form of a product of generator letters."""
-        result: Element = {}
-        stack: list[tuple[Q, tuple[int, ...]]] = [(QONE, tuple(word))]
-        while stack:
-            coeff, w = stack.pop()
-            for idx in range(len(w) - 1):
-                a, b = w[idx], w[idx + 1]
-                if a > b:
-                    stack.append((coeff, w[:idx] + (b, a) + w[idx + 2 :]))
-                    for k, c in self.algebra.nonzero[a][b]:
-                        stack.append((coeff * c, w[:idx] + (k,) + w[idx + 2 :]))
-                    break
-            else:
-                mono = self._sorted_word_monomial(w)
-                acc = result.get(mono, QZERO) + coeff
-                if acc:
-                    result[mono] = acc
-                else:
-                    result.pop(mono, None)
-        return result
-
-    def _sorted_word_monomial(self, word: tuple[int, ...]) -> Monomial:
-        mono = [0] * self.ngens
-        for letter in word:
-            mono[letter] += 1
-        return tuple(mono)
-
-    def _slides_home(self, letter: int, mono: Monomial) -> bool:
-        commutes = self._commutes[letter]
-        for j in range(letter):
-            if mono[j] and j not in commutes:
-                return False
-        return True
-
-    def insert(self, letter: int, mono: Monomial) -> Element:
-        """Straightened form of generator times ordered monomial."""
-        if self._slides_home(letter, mono):
-            return {mono[:letter] + (mono[letter] + 1,) + mono[letter + 1 :]: QONE}
-        key = (letter, mono)
-        cached = self._insert_memo.get(key)
-        if cached is None:
-            cached = self.straighten_word((letter,) + monomial_word(mono))
-            self._insert_memo[key] = cached
-        return cached
-
-    def derive_monomial(self, derivation: Matrix, mono: Monomial) -> Element:
-        """Extend a derivation of the algebra to the monomial by Leibniz."""
-        word = monomial_word(mono)
-        out: Element = {}
-        for t, letter in enumerate(word):
-            for k, c in derivation.cols[letter].items():
-                replaced = word[:t] + (k,) + word[t + 1 :]
-                _add_scaled(out, self.straighten_word(replaced), c)
-        return out
-
-
 @dataclass(frozen=True)
 class TruncatedModule:
     """U(n) modulo the monomials of weighted degree above the truncation.
@@ -174,14 +96,62 @@ class TruncatedModule:
     def dim(self) -> int:
         return len(self.monomials)
 
-    def coordinates(self, element: Element) -> dict[int, Q]:
-        """Sparse module coordinates of an element: its heavy terms dropped."""
-        return {i: c for m, c in element.items() if (i := self.index.get(m)) is not None}
 
-    def action_matrix(self, image: Callable[[Monomial], Element]) -> Matrix:
-        """Matrix sending each basis monomial m to the coordinates of image(m)."""
-        cols = [self.coordinates(image(mono)) for mono in self.monomials]
-        return Matrix.from_sparse(self.dim, self.dim, cols)
+class StraighteningEngine:
+    """Builds the action columns of a truncated module by the recurrence
+    over earlier columns that the module docstring sets out."""
+
+    def __init__(self, module: TruncatedModule):
+        self.module = module
+        r = module.algebra.dim
+        # (b, index of m') for each monomial m = x_b m'; the unit gets
+        # the letter r, past every generator
+        self._split = [(r, 0)]
+        for mono in module.monomials[1:]:
+            b = next(i for i, e in enumerate(mono) if e)
+            rest = mono[:b] + (mono[b] - 1,) + mono[b + 1 :]
+            self._split.append((b, module.index[rest]))
+
+    def left_actions(self) -> tuple[Matrix, ...]:
+        """The matrices of left multiplication by each generator.
+
+        Filled by degree and then by letter, so that the columns of x_b
+        and of x_a on m' are built before the column of x_a on x_b m'.
+        """
+        mod = self.module
+        nonzero = mod.algebra.nonzero
+        r, dim = mod.algebra.dim, mod.dim
+        cols = [[None] * dim for _ in range(r)]
+        by_degree = groupby(range(dim), key=lambda i: sum(mod.monomials[i]))
+        for _, block in by_degree:
+            block = list(block)
+            for a in range(r):
+                for i in block:
+                    b, j = self._split[i]
+                    if a <= b:
+                        mono = mod.monomials[i]
+                        t = mod.index.get(mono[:a] + (mono[a] + 1,) + mono[a + 1 :])
+                        col = {} if t is None else {t: QONE}
+                    else:
+                        col = {}
+                        for t, c in cols[a][j].items():
+                            _add_scaled(col, cols[b][t], c)
+                        for k, c in nonzero[a][b]:
+                            _add_scaled(col, cols[k][j], c)
+                    cols[a][i] = col
+        return tuple(Matrix.from_sparse(dim, dim, c) for c in cols)
+
+    def derivation_action(self, left: Sequence[Matrix], derivation: Matrix) -> Matrix:
+        """The matrix of the Leibniz extension of a derivation, given the left actions."""
+        cols: list[dict[int, Q]] = [{}]
+        for b, j in self._split[1:]:
+            col: dict[int, Q] = {}
+            for k, c in derivation.cols[b].items():
+                _add_scaled(col, left[k].cols[j], c)
+            for t, c in cols[j].items():
+                _add_scaled(col, left[b].cols[t], c)
+            cols.append(col)
+        return Matrix.from_sparse(self.module.dim, self.module.dim, cols)
 
 
 @dataclass(frozen=True)
@@ -207,7 +177,7 @@ class BuiltModule:
         ]
         if lowering:
             raise TripwireError("module", "derivation lowers the weight", entry=min(lowering))
-        return self.module.action_matrix(partial(self.engine.derive_monomial, derivation))
+        return self.engine.derivation_action(self.left, derivation)
 
 
 def ambient_limit() -> int:
@@ -286,9 +256,8 @@ def build_module(
         monomials=monomials,
         index={mono: idx for idx, mono in enumerate(monomials)},
     )
-    engine = StraighteningEngine(algebra)
-    left = tuple(module.action_matrix(partial(engine.insert, i)) for i in range(r))
-    return BuiltModule(module=module, engine=engine, left=left)
+    engine = StraighteningEngine(module)
+    return BuiltModule(module=module, engine=engine, left=engine.left_actions())
 
 
 def verify_module_axioms(

@@ -8,6 +8,8 @@ returns when the error escapes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class AdoError(Exception):
     """Base class for structured errors."""
@@ -41,3 +43,16 @@ class TripwireError(AdoError):
     """An internal consistency check failed.  Indicates a bug, not bad input."""
 
     exit_code = 2
+
+
+@contextmanager
+def as_tripwire(stage: str):
+    """Raise a ValueError from inside the block as a TripwireError of the stage.
+
+    For internal calls on values built to be valid, such as the algebra
+    on a span already checked to be closed: a failure there is a bug.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise TripwireError(stage, str(exc)) from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decompose import levi_decomposition, nilpotent_seed
-from .errors import InputError, TripwireError
+from .errors import InputError, TripwireError, as_tripwire
 from .jordan import jc_decompose_derivation
 from .lie import LieAlgebra
 from .linalg import Matrix, QONE, QZERO, SparseSpan, Subspace, coordinates_in, rank
@@ -64,7 +64,8 @@ def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
         raise TripwireError("presentation", "reductive part is not a subalgebra")
     if not q.is_ideal(n):
         raise TripwireError("presentation", "nilpotent part is not an ideal")
-    nsub, _ = q.subalgebra_on_basis(n.span.rows.values())
+    with as_tripwire("presentation"):
+        nsub, _ = q.subalgebra_on_basis(n.span.rows.values())
     if not nsub.is_nilpotent():
         raise TripwireError("presentation", "nilpotent part is not nilpotent")
     if p.intersect(n).dim != 0:
@@ -189,23 +190,13 @@ def expansion_step(pres: Presentation) -> Presentation:
 def saturate(g: LieAlgebra) -> Presentation:
     """Expand until the algebra splits as p plus n.
 
-    The number of steps is bounded by the initial defect; each step
-    must lower the defect by exactly one and keep every presentation
-    invariant, so a faulty step cannot go unnoticed.
+    Each step must lower the defect by exactly one, which bounds the
+    steps by the initial defect, and keep every presentation invariant,
+    so a faulty step cannot go unnoticed.
     """
     pres = initial_presentation(g)
     verify_presentation(pres, g)
-    budget = presentation_defect(pres)
-    steps = 0
-    while presentation_defect(pres) > 0:
-        if steps >= budget:
-            raise TripwireError(
-                "expand",
-                "expansion exceeded its step budget",
-                budget=budget,
-                steps=steps,
-            )
-        before = presentation_defect(pres)
+    while (before := presentation_defect(pres)) > 0:
         pres = expansion_step(pres)
         verify_presentation(pres, g)
         if presentation_defect(pres) != before - 1:
@@ -215,5 +206,4 @@ def saturate(g: LieAlgebra) -> Presentation:
                 before=before,
                 after=presentation_defect(pres),
             )
-        steps += 1
     return pres

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .decompose import reductive_split
 from .envelope import BuiltModule, build_module, verify_module_axioms
-from .errors import TripwireError
+from .errors import TripwireError, as_tripwire
 from .expansion import saturate
 from .lie import LieAlgebra
 from .linalg import (
@@ -190,9 +190,10 @@ def ado_representation(
     if acting_part.dim + nil.dim:
         # the acting part acts on n by derivations, expressed in the adapted
         # basis by the same elimination that builds n's algebra
-        nalg, _, derivations = q.subalgebra_and_derivations(
-            nil_basis, acting_part.span.rows.values()
-        )
+        with as_tripwire("pipeline"):
+            nalg, _, derivations = q.subalgebra_and_derivations(
+                nil_basis, acting_part.span.rows.values()
+            )
         built = build_module(nalg, truncation)
         if None in derivations:
             raise TripwireError("pipeline", "derivation escapes the nilpotent part")
@@ -200,10 +201,8 @@ def ado_representation(
 
     red_mats: list[Matrix] = []
     if kernel_part.dim:
-        try:
+        with as_tripwire("pipeline"):
             red_mats = list(reductive_representation(split.kernel_algebra))
-        except ValueError as exc:
-            raise TripwireError("pipeline", str(exc)) from None
 
     basis = [*kernel_part.span.rows.values(), *acting_part.span.rows.values(), *nil_basis]
     kdim, adim = kernel_part.dim, acting_part.dim

@@ -569,6 +569,36 @@ def module_disagreements(built):
     return found
 
 
+def derivation_disagreements(built, d):
+    """Columns of the built derivation action of d that depart from the word oracle.
+
+    The expected image of a monomial is the Leibniz sum: for each letter
+    of its sorted word, the word with that letter replaced by d(letter),
+    straightened by the oracle, with the heavy terms dropped.
+    """
+    mod = built.module
+    weights, bound = oracle_weights(mod.algebra), mod.truncation
+    action = built.derivation_action(d)
+    found = []
+    for mono, col in zip(mod.monomials, action.cols):
+        word = [letter for letter, e in enumerate(mono) for _ in range(e)]
+        expected = {}
+        for t, letter in enumerate(word):
+            for k in range(mod.algebra.dim):
+                c = d[k, letter]
+                if c:
+                    replaced = word[:t] + [k] + word[t + 1 :]
+                    for m, v in oracle_straighten(mod.algebra, replaced).items():
+                        expected[m] = expected.get(m, Q(0)) + c * v
+        expected = {
+            m: c for m, c in expected.items() if c and monomial_weight(m, weights) <= bound
+        }
+        got = {mod.monomials[row]: c for row, c in col.items()}
+        if got != expected:
+            found.append((mono, got, expected))
+    return found
+
+
 def heavy_insert_failures(algebra, weights, bound, degree):
     """Letter times heavy monomial products that come out with a light term.
 

@@ -298,8 +298,7 @@ def test_truncation_ideal_against_word_oracle(capsys):
             gens = []
             for i in range(3):
                 mono = tuple(1 if j == i else 0 for j in range(3))
-                coords = built.module.coordinates({mono: Q(1)})
-                gens.append([coords.get(p, Q(0)) for p in range(built.module.dim)])
+                gens.append(unit_vector(built.module.dim, built.module.index[mono]))
             assert Subspace.from_vectors(built.module.dim, gens).dim == 3
 
         # on the nilpotent ideals of the catalog in seeded random bases, a

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ado import cli, expansion, pipeline
+from ado import cli, expansion, lie, pipeline
 from ado.cli import main
 from ado.lie import LieAlgebra
 
@@ -226,6 +226,22 @@ def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and
             expansion, "coordinates_in", no_coordinates,
             "expand", "basis vector outside x + hyperplane", "solv2",
             id="ado.expansion-expand",
+        ),
+        # the algebra on a span checked to be closed finds no structure constants
+        pytest.param(
+            lie, "coordinates_in", no_coordinates,
+            "presentation", "span is not closed under the bracket", "solv2",
+            id="ado.lie-presentation",
+        ),
+        pytest.param(
+            lie, "coordinates_in", no_coordinates,
+            "seed", "span is not closed under the bracket", "t3",
+            id="ado.lie-seed",
+        ),
+        pytest.param(
+            lie, "coordinates_in", no_coordinates,
+            "split", "span is not closed under the bracket", "gl2",
+            id="ado.lie-split",
         ),
     ],
 )

@@ -1,8 +1,8 @@
-"""Straightening and the weighted truncated module, checked against a word oracle.
+"""The weighted truncated module, checked against a word oracle.
 
-The oracle straightens with its own recursive rewriting, weighs the
-basis by brute-force lower central terms and counts monomials by the
-generating function.  It never touches the package's engine internals.
+The oracle straightens words with its own recursive rewriting, weighs
+the basis by brute-force lower central terms and counts monomials by
+the generating function.  It reads only the built matrices.
 """
 
 from dataclasses import replace
@@ -13,7 +13,6 @@ import pytest
 from ado.catalog import catalog_algebra
 from ado.envelope import (
     BuiltModule,
-    StraighteningEngine,
     build_module,
     verify_module_axioms,
     weighted_monomials,
@@ -24,8 +23,8 @@ from ado.linalg import Matrix
 
 from helpers import (
     change_of_basis,
+    derivation_disagreements,
     module_disagreements,
-    oracle_straighten,
 )
 
 
@@ -33,30 +32,21 @@ HEIS = catalog_algebra("heisenberg")
 FILIFORM = {(0, 1): {2: 1}, (0, 2): {3: 1}}
 
 
-def test_straighten_frozen_cases():
-    engine = StraighteningEngine(HEIS)
+def test_left_action_columns_frozen():
+    built = build_module(HEIS, truncation=3)
+    mod = built.module
+
+    def column(letter, mono):
+        col = built.left[letter].cols[mod.index[mono]]
+        return {mod.monomials[row]: c for row, c in col.items()}
+
     # y x = x y - z
-    assert engine.straighten_word((1, 0)) == {(1, 1, 0): Q(1), (0, 0, 1): Q(-1)}
-    # y x x = x^2 y - 2 x z
-    assert engine.straighten_word((1, 0, 0)) == {(2, 1, 0): Q(1), (1, 0, 1): Q(-2)}
-    # sorted words pass through
-    assert engine.straighten_word((0, 1, 2)) == {(1, 1, 1): Q(1)}
-    assert engine.straighten_word(()) == {(0, 0, 0): Q(1)}
-
-
-def test_straighten_agrees_with_oracle_on_all_short_words():
-    engine = StraighteningEngine(HEIS)
-    words = [(a,) for a in range(3)]
-    for _ in range(3):
-        words = [w + (a,) for w in words for a in range(3)]
-        for w in words:
-            assert engine.straighten_word(w) == oracle_straighten(HEIS, w)
-
-
-def test_insert_uses_central_shortcut():
-    engine = StraighteningEngine(HEIS)
-    assert engine.insert(2, (1, 1, 0)) == {(1, 1, 1): Q(1)}
-    assert engine.insert(1, (1, 0, 0)) == {(1, 1, 0): Q(1), (0, 0, 1): Q(-1)}
+    assert column(1, (1, 0, 0)) == {(1, 1, 0): Q(1), (0, 0, 1): Q(-1)}
+    # y x^2 = x^2 y - 2 x z
+    assert column(1, (2, 0, 0)) == {(2, 1, 0): Q(1), (1, 0, 1): Q(-2)}
+    # a letter at or before the first letter just raises its exponent
+    assert column(0, (0, 0, 1)) == {(1, 0, 1): Q(1)}
+    assert column(2, (0, 0, 0)) == {(0, 0, 1): Q(1)}
 
 
 def test_module_dimensions_frozen():
@@ -220,6 +210,15 @@ def _tamper_derivation_call(monkeypatch, call: int) -> None:
 # action here; bumping it breaks the bracket with any generator
 WEIGHTS = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
 SHIFT = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # x <- y, nilpotent
+
+
+def test_derivation_actions_agree_with_word_oracle():
+    built = build_module(HEIS, truncation=4)
+    for d in (WEIGHTS, SHIFT, WEIGHTS.scale(3) - SHIFT):
+        assert derivation_disagreements(built, d) == []
+    filiform = build_module(LieAlgebra.from_sparse(4, FILIFORM), truncation=5)
+    diagonal = Matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    assert derivation_disagreements(filiform, diagonal) == []
 
 
 def test_module_axioms_name_a_tampered_left_action():
