@@ -123,7 +123,8 @@ def expansion_step(pres: Presentation) -> Presentation:
             )
         cols.append(ideal.coordinates_of(image))
     action = Matrix.from_sparse(ialg.dim, ialg.dim, cols)
-    dec = jc_decompose_derivation(ialg, action)
+    with as_tripwire("expand"):
+        dec = jc_decompose_derivation(ialg, action)
 
     idim = ialg.dim
     dim_new = idim + 2
@@ -149,8 +150,10 @@ def expansion_step(pres: Presentation) -> Presentation:
     # express old basis vectors through x and the hyperplane, then map
     # x to the sum of the two new directions
     units = ({j: QONE} for j in range(q.dim))
+    with as_tripwire("expand"):
+        old_basis = coordinates_in([x, *ideal.span.rows.values()], units)
     embed_cols = []
-    for j, coeffs in enumerate(coordinates_in([x, *ideal.span.rows.values()], units)):
+    for j, coeffs in enumerate(old_basis):
         if coeffs is None:
             raise TripwireError("expand", "basis vector outside x + hyperplane", index=j)
         alpha = coeffs.get(0, QZERO)
@@ -190,9 +193,12 @@ def expansion_step(pres: Presentation) -> Presentation:
 def saturate(g: LieAlgebra) -> Presentation:
     """Expand until the algebra splits as p plus n.
 
-    Each step must lower the defect by exactly one, which bounds the
-    steps by the initial defect, and keep every presentation invariant,
-    so a faulty step cannot go unnoticed.
+    Every presentation is verified before anything reads it, the initial
+    one too: that check is where the Levi complement is shown to be a
+    subalgebra and the nilpotent seed a nilpotent ideal with [g, g]
+    inside the two.  Each step must lower the defect by exactly one,
+    which bounds the steps by the initial defect, so a faulty step
+    cannot go unnoticed.
     """
     pres = initial_presentation(g)
     verify_presentation(pres, g)

@@ -32,7 +32,6 @@ from .linalg import (
     Subspace,
     bracket_residual,
     coordinates_in,
-    rank,
     sparse_block_diag,
     sparse_combination,
 )
@@ -73,24 +72,16 @@ class RepresentationResult:
 def reductive_representation(algebra: LieAlgebra) -> tuple[Matrix, ...]:
     """Adjoint representation padded by one translation column.
 
-    Faithful on any reductive algebra: the adjoint block sees everything
-    outside the centre and the translation column records the central
-    component.  Raises ValueError when the algebra is not reductive,
-    i.e. when it does not split as a semisimple derived part plus its
-    centre.
+    Faithful whenever the algebra is its derived part plus its centre,
+    as every reductive algebra is: the kernel of the adjoint block is
+    the centre, and the translation column records the central
+    component.  Raises ValueError ("not reductive") when the two parts
+    do not split the algebra.
     """
     derived = algebra.derived_subalgebra()
     centre = algebra.center()
-    split_cleanly = (
-        derived.intersect(centre).dim == 0
-        and derived.dim + centre.dim == algebra.dim
-    )
-    if not split_cleanly:
+    if derived.intersect(centre).dim or derived.dim + centre.dim != algebra.dim:
         raise ValueError("algebra is not reductive")
-    if derived.dim:
-        dsub, _ = algebra.subalgebra_on_basis(derived.span.rows.values())
-        if rank(dsub.killing_form()) != dsub.dim:
-            raise ValueError("algebra is not reductive")
     dz = centre.dim
     basis = [*derived.span.rows.values(), *centre.span.rows.values()]
     units = ({i: QONE} for i in range(algebra.dim))
@@ -208,8 +199,10 @@ def ado_representation(
     kdim, adim = kernel_part.dim, acting_part.dim
     env_dim = built.module.dim if built else 0
     red_dim = red_mats[0].nrows if red_mats else 0
+    with as_tripwire("pipeline"):
+        original_coords = coordinates_in(basis, pres.embed_original.cols)
     matrices = []
-    for i, coeffs in enumerate(coordinates_in(basis, pres.embed_original.cols)):
+    for i, coeffs in enumerate(original_coords):
         if coeffs is None:
             raise TripwireError("pipeline", "basis vector outside the split", index=i)
         central = [coeffs.get(t, QZERO) for t in range(kdim)]

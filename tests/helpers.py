@@ -259,6 +259,35 @@ def dense_killing_form(g) -> Matrix:
     )
 
 
+def killing_acting_part(g, p: Subspace, n: Subspace) -> Subspace:
+    """Reference acting part of a reductive split, by the Killing form.
+
+    Within [p, p] the acting part is the Killing-orthogonal complement of
+    the part of p that centralizes n; within the centre of p it is the
+    package's plain complement.  Both are read in the basis of p's
+    echelon rows, the basis reductive_split uses.
+    """
+    palg, pincl = g.subalgebra_on_basis(p.span.rows.values())
+    kernel_local = Subspace.from_vectors(
+        palg.dim, [solve(pincl, v) for v in p.intersect(g.centralizer(n)).basis]
+    )
+    derived, centre = palg.derived_subalgebra(), palg.center()
+    acting = kernel_local.intersect(centre).extend_complement(within=centre)
+    if derived.dim:
+        dalg, dincl = palg.subalgebra_on_basis(map(sparse, derived.basis))
+        killing = dense_killing_form(dalg)
+        kernel = kernel_local.intersect(derived)
+        # K is symmetric: K k is the row of the constraint K(k, w) = 0
+        constraints = [killing.apply(solve(dincl, v)) for v in kernel.basis]
+        orthogonal = (
+            dense_kernel(Matrix(constraints, ncols=dalg.dim))
+            if constraints
+            else Subspace.full(dalg.dim)
+        )
+        acting = acting.sum(Subspace.from_vectors(palg.dim, map(dincl.apply, orthogonal.basis)))
+    return Subspace.from_vectors(g.dim, map(pincl.apply, acting.basis))
+
+
 def dense_subalgebra_table(g, basis):
     """Reference subalgebra table: one dense solve in the given basis per bracket."""
     basis_t = Matrix(basis, ncols=g.dim).transpose()

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from ado import cli, expansion, lie, pipeline
+from ado import cli, expansion, jordan, lie, pipeline
 from ado.cli import main
+from ado.decompose import LeviData
 from ado.lie import LieAlgebra
+from ado.linalg import QONE, SparseSpan, Subspace
 
 
 FILIFORM_FILE = {
@@ -198,6 +200,10 @@ def no_coordinates(basis, vectors):
     return [None for _ in vectors]
 
 
+def dependent_basis(basis, vectors):
+    raise ValueError("basis is linearly dependent")
+
+
 def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and_derivations):
     sub, inclusion, derivations = original(self, basis, acting)
     return sub, inclusion, [None for _ in derivations]
@@ -227,15 +233,34 @@ def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and
             "expand", "basis vector outside x + hyperplane", "solv2",
             id="ado.expansion-expand",
         ),
+        # a ValueError from a change of basis or a Jordan split is a
+        # structured exit 2 of its stage, not a traceback
+        pytest.param(
+            expansion, "coordinates_in", dependent_basis,
+            "expand", "basis is linearly dependent", "solv2",
+            id="ado.expansion-expand-dependent",
+        ),
+        pytest.param(
+            jordan, "derivation_witness", lambda algebra, d: (0, 1),
+            "expand", "matrix is not a derivation: Leibniz fails on basis pair (0, 1)", "solv2",
+            id="ado.jordan-expand",
+        ),
+        pytest.param(
+            pipeline, "coordinates_in", dependent_basis,
+            "pipeline", "basis is linearly dependent", "heisenberg",
+            id="ado.pipeline-pipeline-assembly-dependent",
+        ),
         # the algebra on a span checked to be closed finds no structure constants
         pytest.param(
             lie, "coordinates_in", no_coordinates,
             "presentation", "span is not closed under the bracket", "solv2",
             id="ado.lie-presentation",
         ),
+        # t3's seed [g, radical] first gets an algebra when the initial
+        # presentation is verified
         pytest.param(
             lie, "coordinates_in", no_coordinates,
-            "seed", "span is not closed under the bracket", "t3",
+            "presentation", "span is not closed under the bracket", "t3",
             id="ado.lie-seed",
         ),
         pytest.param(
@@ -256,3 +281,65 @@ def test_unsolvable_system_is_a_tripwire_naming_its_stage(
     assert out == ""
     error = json.loads(err.splitlines()[-1])["error"]
     assert (error["stage"], error["kind"], error["message"]) == (stage, "TripwireError", message)
+
+
+def full_seed(g, data):
+    return g.full_space()
+
+
+def first_vector_seed(g, data):
+    return Subspace(g.dim, SparseSpan([{0: QONE}]))
+
+
+def zero_seed(g, data):
+    return Subspace.zero(g.dim)
+
+
+def shifted_levi(g, original=expansion.levi_decomposition):
+    # each complement vector plus one radical vector: still a complement,
+    # no longer a subalgebra
+    data = original(g)
+    shift = next(iter(data.radical.span.rows.values()))
+    shifted = []
+    for v in data.levi.span.rows.values():
+        row = dict(v)
+        for k, c in shift.items():
+            row[k] = row.get(k, 0) + c
+        shifted.append(row)
+    return LeviData(data.radical, Subspace(g.dim, SparseSpan(shifted)), data.radical_algebra)
+
+
+@pytest.mark.parametrize(
+    "attr, replacement, name, message",
+    [
+        pytest.param(
+            "nilpotent_seed", full_seed, "t3", "nilpotent part is not nilpotent",
+            id="t3-full-seed",
+        ),
+        pytest.param(
+            "nilpotent_seed", first_vector_seed, "heisenberg", "nilpotent part is not an ideal",
+            id="heisenberg-e0-seed",
+        ),
+        pytest.param(
+            "nilpotent_seed", zero_seed, "t3", "derived subalgebra escapes the absorbed part",
+            id="t3-zero-seed",
+        ),
+        pytest.param(
+            "levi_decomposition", shifted_levi, "gl2", "reductive part is not a subalgebra",
+            id="gl2-shifted-levi",
+        ),
+    ],
+)
+def test_a_faulty_initial_presentation_trips_its_verification(
+    capsys, monkeypatch, attr, replacement, name, message
+):
+    # decompose does not re-check its seed and complement; saturate's
+    # verification of the initial presentation catches each fault
+    monkeypatch.setattr(expansion, attr, replacement)
+    code, out, err = run(capsys, "compute", "--catalog", name)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert (error["stage"], error["kind"], error["message"]) == (
+        "presentation", "TripwireError", message
+    )

@@ -8,13 +8,17 @@ import pytest
 from ado.catalog import catalog_algebra, catalog_names
 from ado.decompose import levi_decomposition, nilpotent_seed, radical, reductive_split
 from ado.errors import TripwireError
+from ado.expansion import saturate
 from ado.lie import LieAlgebra
 from ado.linalg import Matrix, Subspace, unit_vector
 
 from helpers import (
     change_of_basis,
+    direct_sum,
     invert,
+    killing_acting_part,
     nilpotent_closure,
+    seeded_change_of_basis,
     seeded_matrix,
     sl2_plus_solv2,
     sl2_plus_sl2_semidirect_plane,
@@ -121,8 +125,8 @@ def test_nilpotent_seed_frozen_cases():
 
 
 def test_nilpotent_seed_brackets_g_with_the_radical_once(monkeypatch):
-    # [g, radical] is the seed or the bracket inside its ideal check, and
-    # the check that the seed contains it reuses it
+    # [g, radical] is bracketed once, as the seed, when the radical is not
+    # nilpotent; a nilpotent radical is the seed and is not bracketed
     original = LieAlgebra.bracket_span
     calls = []
 
@@ -138,7 +142,8 @@ def test_nilpotent_seed_brackets_g_with_the_radical_once(monkeypatch):
         nilpotent_seed(g, data)
         full = g.full_space()
         on_g = [(left, right) for h, left, right in calls if h is g]
-        assert on_g.count((full, data.radical)) == 1, name
+        expected = 0 if data.radical_algebra.is_nilpotent() else 1
+        assert on_g.count((full, data.radical)) == expected, name
 
 
 def test_levi_of_sl3_brackets_the_whole_algebra_with_itself_once(monkeypatch):
@@ -208,6 +213,48 @@ def test_split_and_levi_algebras_are_the_subalgebras_on_their_bases(g, p, n):
     assert split.kernel_algebra == g.subalgebra_on_basis(map(sparse, split.kernel_part.basis))[0]
     data = levi_decomposition(g)
     assert data.radical_algebra == g.subalgebra_on_basis(map(sparse, data.radical.basis))[0]
+
+
+def sl3(on_space=False):
+    """sl3 from its root vectors; on_space adds its action on Q^3, as
+    affine 4 x 4 matrices."""
+    n = 4 if on_space else 3
+
+    def unit(i, j):
+        return Matrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+
+    gens = [unit(0, 1), unit(1, 2), unit(1, 0), unit(2, 1)]
+    if on_space:
+        gens.append(unit(2, 3))
+    return nilpotent_closure(gens)
+
+
+CENTRALIZER_CASES = [
+    *(
+        pytest.param(catalog_algebra(name), id=name)
+        for name in [n for n in catalog_names() if n != "abelian:N"] + ["abelian:3"]
+    ),
+    pytest.param(sl2_plus_sl2_semidirect_plane(), id="sl2+sl2-plane"),
+    pytest.param(
+        seeded_change_of_basis(random.Random(7), sl2_plus_sl2_semidirect_plane()),
+        id="sl2+sl2-plane-rebased",
+    ),
+    pytest.param(direct_sum(sl3(), sl3()), id="sl3+sl3"),
+    pytest.param(direct_sum(sl3(), sl3(on_space=True)), id="sl3+sl3-space"),
+]
+
+
+@pytest.mark.parametrize("g", CENTRALIZER_CASES)
+def test_acting_part_is_the_killing_orthogonal_complement(g):
+    # with [p, p] semisimple, the centralizer of the kernel within [p, p]
+    # is the sum of the simple ideals outside it, as is its Killing-
+    # orthogonal complement
+    pres = saturate(g)
+    q, p, n = pres.algebra, pres.reductive_part, pres.nilpotent_part
+    split = reductive_split(q, p, n)
+    assert split.acting_part == killing_acting_part(q, p, n)
+    assert split.kernel_part.sum(split.acting_part) == p
+    assert split.kernel_part.dim + split.acting_part.dim == p.dim
 
 
 def test_reductive_split_rejects_non_reductive_subalgebra():

@@ -1,8 +1,9 @@
 """The package imports nothing outside the standard library and uses
 every name it imports, keeps one matrix type, reads its algebras through
-their sparse structure constants, brackets and rebases sparse vectors
-and never mutates a subspace's span, and the benchmark's input
-generators and traced path still run on it."""
+their sparse structure constants, brackets and rebases sparse vectors,
+never mutates a subspace's span and turns every internal ValueError into
+a TripwireError, and the benchmark's input generators and traced path
+still run on it."""
 
 import ast
 import importlib.util
@@ -157,6 +158,63 @@ def test_nothing_mutates_a_subspace_span():
                         path.name,
                         node.lineno,
                     )
+
+
+# internal calls that raise ValueError on a basis or a matrix the
+# construction should never produce
+GUARDED_CALLS = {
+    "subalgebra_on_basis",
+    "subalgebra_and_derivations",
+    "coordinates_in",
+    "jc_decompose_derivation",
+}
+
+
+def _handles_value_error(node):
+    if isinstance(node, ast.With):
+        return any(
+            isinstance(item.context_expr, ast.Call)
+            and getattr(item.context_expr.func, "id", None) == "as_tripwire"
+            for item in node.items
+        )
+    if isinstance(node, ast.Try):
+        for handler in node.handlers:
+            names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            if any(getattr(name, "id", None) == "ValueError" for name in names):
+                return True
+    return False
+
+
+def _unguarded_calls(node, guarded=False):
+    # a Try guards its body only, not its handlers or else branch
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in GUARDED_CALLS and not guarded:
+            yield node.lineno
+    if isinstance(node, ast.FunctionDef) and node.name == "reductive_representation":
+        # its ValueError is its contract, and its one caller turns it into
+        # a TripwireError
+        return
+    if isinstance(node, ast.Try) and _handles_value_error(node):
+        for child in node.body:
+            yield from _unguarded_calls(child, True)
+        for child in [*node.handlers, *node.orelse, *node.finalbody]:
+            yield from _unguarded_calls(child, guarded)
+        return
+    guarded = guarded or _handles_value_error(node)
+    for child in ast.iter_child_nodes(node):
+        yield from _unguarded_calls(child, guarded)
+
+
+def test_internal_value_errors_become_tripwires():
+    # a ValueError out of the construction is a bug: it must end as a
+    # TripwireError naming its stage, not as a traceback
+    unguarded = {
+        name: list(_unguarded_calls(ast.parse((SRC / name).read_text(), filename=name)))
+        for name in ("expansion.py", "decompose.py", "pipeline.py")
+    }
+    assert not any(unguarded.values()), unguarded
 
 
 def load_bench_module(name):

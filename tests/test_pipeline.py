@@ -359,6 +359,10 @@ def test_reductive_representation_of_abelian_algebra():
 def test_reductive_representation_rejects_non_reductive_input():
     with pytest.raises(ValueError, match="not reductive"):
         reductive_representation(catalog_algebra("heisenberg"))
-    # perfect and centreless, yet solvable directions make Killing degenerate
-    with pytest.raises(ValueError, match="not reductive"):
-        reductive_representation(sl2_semidirect_plane())
+    # sl2 on the plane is not reductive but is its derived part, with no
+    # centre: the adjoint block alone is faithful, and with a centre added
+    # the translation column records it
+    plane = sl2_semidirect_plane()
+    for g in (plane, direct_sum(plane, catalog_algebra("abelian:1"))):
+        mats = reductive_representation(g)
+        assert verify_representation(g, mats, mats[0].nrows).verified
