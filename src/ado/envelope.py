@@ -29,7 +29,6 @@ TripwireError naming the offending indices.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Mapping, Sequence
@@ -47,8 +46,7 @@ from .linalg import (
 
 Monomial = tuple[int, ...]
 
-AMBIENT_LIMIT_ENV = "ADO_AMBIENT_LIMIT"
-DEFAULT_AMBIENT_LIMIT = 20000
+AMBIENT_LIMIT = 20000
 
 
 def _weight(mono: Monomial, weights: Sequence[int]) -> int:
@@ -180,23 +178,6 @@ class BuiltModule:
         return self.engine.derivation_action(self.left, derivation)
 
 
-def ambient_limit() -> int:
-    raw = os.environ.get(AMBIENT_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_AMBIENT_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(
-            "module", f"{AMBIENT_LIMIT_ENV} must be an integer", value=raw
-        ) from None
-    if value < 1:
-        raise InputError(
-            "module", f"{AMBIENT_LIMIT_ENV} must be positive", value=raw
-        )
-    return value
-
-
 def build_module(
     algebra: LieAlgebra, truncation: int | None = None
 ) -> BuiltModule:
@@ -232,17 +213,15 @@ def build_module(
                     raise TripwireError(
                         "module", "bracket lowers the weight", pair=[i, j], generator=k
                     )
-    limit = ambient_limit()
     # the powers of a weight-1 generator alone number order + 1, so a
-    # count up to weight min(order, limit) decides the guard
-    count = weighted_count(weights, min(order, limit))
-    if count > limit:
+    # count up to weight min(order, AMBIENT_LIMIT) decides the guard
+    count = weighted_count(weights, min(order, AMBIENT_LIMIT))
+    if count > AMBIENT_LIMIT:
         raise InputError(
             "module",
-            "weighted monomial count exceeds the limit; "
-            f"raise {AMBIENT_LIMIT_ENV} to insist",
+            "weighted monomial count exceeds the limit",
             count=count,
-            limit=limit,
+            limit=AMBIENT_LIMIT,
             generators=r,
             truncation=order,
         )

@@ -7,6 +7,12 @@ by Newton iteration on the squarefree part of the minimal polynomial,
 carried out in the quotient ring Q[t] modulo the minimal polynomial.
 Everything is exact, and the defining properties are re-checked on the
 result before it is returned.
+
+This is a matrix routine only.  When d is a derivation of an algebra,
+so are both parts (Der A contains the Jordan parts of its elements);
+the saturation step relies on the Jacobi check of the extension it
+builds from them, which holds exactly when they are commuting
+derivations.
 """
 
 from __future__ import annotations
@@ -14,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TripwireError
-from .lie import LieAlgebra
 from .linalg import (
     Matrix,
     Polynomial,
-    QONE,
-    _add_scaled,
     compose_mod,
-    kernel,
     minimal_polynomial,
     modular_inverse,
     poly_gcd,
@@ -91,54 +93,3 @@ def jc_decompose(d: Matrix) -> JCDecomposition:
         )
     return JCDecomposition(semisimple=semisimple, nilpotent=nilpotent, witness=p)
 
-
-def derivation_witness(
-    algebra: LieAlgebra, d: Matrix
-) -> tuple[int, int] | None:
-    """First basis pair on which d breaks the Leibniz rule, or None."""
-    if d.nrows != algebra.dim or d.ncols != algebra.dim:
-        raise ValueError("matrix size disagrees with the algebra dimension")
-    # d e_i is the i-th column of d
-    cols = d.cols
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            lhs = d.apply_pairs(algebra.nonzero[i][j])
-            rhs = algebra._bracket(cols[i], {j: QONE})
-            _add_scaled(rhs, algebra._bracket({i: QONE}, cols[j]), QONE)
-            if lhs != rhs:
-                return (i, j)
-    return None
-
-
-def jc_decompose_derivation(algebra: LieAlgebra, d: Matrix) -> JCDecomposition:
-    """Jordan decomposition of a derivation; both parts stay derivations.
-
-    Also checks that the kernel of d stays inside the kernels of both
-    parts, which the pipeline relies on when it extends an algebra by a
-    split generator.
-    """
-    witness_pair = derivation_witness(algebra, d)
-    if witness_pair is not None:
-        raise ValueError(
-            f"matrix is not a derivation: Leibniz fails on basis pair {witness_pair}"
-        )
-    dec = jc_decompose(d)
-    for part, label in ((dec.semisimple, "semisimple"), (dec.nilpotent, "nilpotent")):
-        bad = derivation_witness(algebra, part)
-        if bad is not None:
-            raise TripwireError(
-                "jordan",
-                f"{label} part of a derivation is not a derivation",
-                pair=list(bad),
-            )
-    ker = kernel(d)
-    for v in ker.span.rows.values():
-        if dec.semisimple.apply_pairs(v.items()):
-            raise TripwireError(
-                "jordan", "kernel vector escapes the semisimple part"
-            )
-        if dec.nilpotent.apply_pairs(v.items()):
-            raise TripwireError(
-                "jordan", "kernel vector escapes the nilpotent part"
-            )
-    return dec

@@ -131,7 +131,11 @@ class LieAlgebra:
         ]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
+                ij = scaled[i][j]
                 for k in range(j + 1, self.dim):
+                    # a triple whose three pairs all bracket to zero sums to zero
+                    if not (ij or scaled[j][k] or scaled[k][i]):
+                        continue
                     # [e_a, [e_b, e_c]] = sum over l of c(b, c, l) [e_a, e_l]
                     s: dict[int, int] = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from ado import cli, expansion, jordan, lie, pipeline
+from ado import cli, expansion, lie, pipeline
 from ado.cli import main
 from ado.decompose import LeviData
+from ado.jordan import JCDecomposition
 from ado.lie import LieAlgebra
-from ado.linalg import QONE, SparseSpan, Subspace
+from ado.linalg import QONE, Matrix, Polynomial, SparseSpan, Subspace
 
 
 FILIFORM_FILE = {
@@ -204,6 +205,12 @@ def dependent_basis(basis, vectors):
     raise ValueError("basis is linearly dependent")
 
 
+def identity_split(d):
+    # S = I and N = d - I still sum to d, but I is not a derivation
+    one = Matrix.identity(d.nrows)
+    return JCDecomposition(semisimple=one, nilpotent=d - one, witness=Polynomial((1,)))
+
+
 def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and_derivations):
     sub, inclusion, derivations = original(self, basis, acting)
     return sub, inclusion, [None for _ in derivations]
@@ -240,9 +247,11 @@ def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and
             "expand", "basis is linearly dependent", "solv2",
             id="ado.expansion-expand-dependent",
         ),
+        # a split into parts that are not derivations of the hyperplane
+        # breaks the Jacobi identity of the extension
         pytest.param(
-            jordan, "derivation_witness", lambda algebra, d: (0, 1),
-            "expand", "matrix is not a derivation: Leibniz fails on basis pair (0, 1)", "solv2",
+            expansion, "jc_decompose", identity_split,
+            "expand", "extension table failed validation: Jacobi identity fails", "t3",
             id="ado.jordan-expand",
         ),
         pytest.param(

@@ -11,6 +11,7 @@ from ado.errors import TripwireError
 from ado.expansion import saturate
 from ado.lie import LieAlgebra
 from ado.linalg import Matrix, Subspace, unit_vector
+from ado.pipeline import ado_representation
 
 from helpers import (
     change_of_basis,
@@ -166,6 +167,23 @@ def test_levi_of_sl3_brackets_the_whole_algebra_with_itself_once(monkeypatch):
     full = g.full_space()
     assert data.levi == full and data.radical.dim == 0
     assert [(left, right) for h, left, right in calls if h is g].count((full, full)) <= 1
+
+
+def test_representation_of_sl3_plus_sl3_brackets_the_whole_algebra_once(monkeypatch):
+    # [g, g] is memoised; checking that the reductive part, here all of g,
+    # is a subalgebra does not bracket it again
+    g = direct_sum(sl3(), sl3())
+    original = LieAlgebra.bracket_span
+    calls = []
+
+    def recording(self, left, right):
+        calls.append((self, left, right))
+        return original(self, left, right)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", recording)
+    assert ado_representation(g).verification.verified
+    full = g.full_space()
+    assert [(left, right) for h, left, right in calls if h is g].count((full, full)) == 1
 
 
 def test_reductive_split_torus_on_nilradical():

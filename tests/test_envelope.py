@@ -114,18 +114,6 @@ def test_ambient_guard():
         build_module(HEIS, truncation=10**12)
 
 
-def test_ambient_guard_env_override(monkeypatch):
-    monkeypatch.setenv("ADO_AMBIENT_LIMIT", "10")
-    with pytest.raises(InputError):
-        build_module(HEIS, truncation=5)
-    monkeypatch.setenv("ADO_AMBIENT_LIMIT", "1000000")
-    built = build_module(HEIS, truncation=5)
-    assert built.module.dim == 34
-    monkeypatch.setenv("ADO_AMBIENT_LIMIT", "zero")
-    with pytest.raises(InputError):
-        build_module(HEIS, truncation=5)
-
-
 def test_truncation_must_be_at_least_one():
     with pytest.raises(InputError):
         build_module(HEIS, truncation=0)

@@ -1,4 +1,4 @@
-"""Jordan decomposition: frozen cases, random oracle, derivation variant."""
+"""Jordan decomposition: frozen cases, random oracle, splits of derivations."""
 
 import random
 from fractions import Fraction as Q
@@ -6,8 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from ado.catalog import catalog_algebra
-from ado.errors import TripwireError
-from ado.jordan import derivation_witness, jc_decompose, jc_decompose_derivation
+from ado.jordan import jc_decompose
 from ado.linalg import (
     Matrix,
     Polynomial,
@@ -20,6 +19,7 @@ from helpers import (
     dense_ad,
     block_diag,
     conjugated_jordan,
+    dense_leibniz_witness,
     jordan_block,
     semisimple_from_eigenvalues,
 )
@@ -112,44 +112,22 @@ def test_witness_reconstructs_semisimple_part():
         assert dec.witness(d) == dec.semisimple
 
 
-def test_derivation_witness_accepts_inner_derivations():
-    for name in ("heisenberg", "sl2", "t3", "jordan3", "rot3"):
-        algebra = catalog_algebra(name)
-        for i in range(algebra.dim):
-            d = dense_ad(algebra, unit_vector(algebra.dim, i))
-            assert derivation_witness(algebra, d) is None
-
-
-def test_derivation_witness_flags_the_identity():
-    heis = catalog_algebra("heisenberg")
-    assert derivation_witness(heis, Matrix.identity(3)) == (0, 1)
-
-
-def test_derivation_witness_size_mismatch():
-    with pytest.raises(ValueError):
-        derivation_witness(catalog_algebra("sl2"), Matrix.identity(2))
-
-
 def test_jc_decompose_derivation_on_t3_torus():
     t3 = catalog_algebra("t3")
     d = dense_ad(t3, unit_vector(6, 0))
-    dec = jc_decompose_derivation(t3, d)
+    dec = jc_decompose(d)
     assert dec.semisimple == d
     assert dec.nilpotent.is_zero()
+    assert dense_leibniz_witness(t3, dec.semisimple) is None
 
 
 def test_jc_decompose_derivation_splits_jordan3():
     algebra = catalog_algebra("jordan3")
     d = dense_ad(algebra, unit_vector(3, 0))
-    dec = jc_decompose_derivation(algebra, d)
+    dec = jc_decompose(d)
     # both parts are again derivations
-    assert derivation_witness(algebra, dec.semisimple) is None
-    assert derivation_witness(algebra, dec.nilpotent) is None
-
-
-def test_jc_decompose_derivation_rejects_non_derivations():
-    with pytest.raises(ValueError):
-        jc_decompose_derivation(catalog_algebra("heisenberg"), Matrix.identity(3))
+    assert dense_leibniz_witness(algebra, dec.semisimple) is None
+    assert dense_leibniz_witness(algebra, dec.nilpotent) is None
 
 
 def test_scaled_rotation_plus_identity():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ado.catalog import catalog_algebra, catalog_entry, catalog_names
 from ado.errors import InputError
-from ado.jordan import derivation_witness
 from ado.lie import LieAlgebra
 from ado.linalg import Matrix, Subspace, unit_vector
 
@@ -23,8 +22,8 @@ from helpers import (
     dense_centralizer,
     dense_jacobi_failures,
     dense_killing_form,
-    dense_leibniz_witness,
     dense_subalgebra_table,
+    direct_sum,
     invert,
     matrices,
     nilpotent_algebras,
@@ -156,20 +155,6 @@ def test_bracket_span_matches_dense_oracle(g, data):
     for left in spaces:
         for right in spaces:
             assert g.bracket_span(left, right) == dense_bracket_span(g, left, right)
-
-
-@settings(max_examples=30, deadline=None)
-@given(ALGEBRAS, st.data())
-def test_derivation_witness_matches_dense_leibniz(g, data):
-    inner = dense_ad(g, data.draw(coordinates(g.dim)))
-    assert derivation_witness(g, inner) is None
-    if g.dim == 0:
-        return
-    rows = [list(row) for row in inner.rows]
-    i, j = (data.draw(st.integers(min_value=0, max_value=g.dim - 1)) for _ in range(2))
-    rows[i][j] += data.draw(rationals().filter(bool))
-    for d in (Matrix(rows, ncols=g.dim), data.draw(matrices(g.dim, g.dim))):
-        assert derivation_witness(g, d) == dense_leibniz_witness(g, d)
 
 
 def test_ad_matrix_matches_bracket():
@@ -317,6 +302,18 @@ def test_jacobi_error_names_the_first_failing_triple_and_residual():
         with pytest.raises(InputError) as exc:
             LieAlgebra(table)
         assert "Jacobi" in exc.value.message
+        assert (exc.value.payload["triple"], exc.value.payload["residual"]) == failures[0]
+    # sparse: one constant of sl2 + heisenberg + sl2 tampered; the first
+    # failing triples are (4, 6, 7), (0, 3, 6) and (3, 4, 7), each with a
+    # different one of its three pairs bracketing to nonzero
+    g = direct_sum(catalog_algebra("sl2"), catalog_algebra("heisenberg"), catalog_algebra("sl2"))
+    for a, b, m in ((6, 7, 3), (0, 6, 4), (5, 7, 3)):
+        table = [[list(entry) for entry in row] for row in g.table]
+        table[a][b][m] += Q(1, 3)
+        table[b][a][m] -= Q(1, 3)
+        failures = dense_jacobi_failures(table)
+        with pytest.raises(InputError) as exc:
+            LieAlgebra(table)
         assert (exc.value.payload["triple"], exc.value.payload["residual"]) == failures[0]
 
 

@@ -239,7 +239,7 @@ def test_random_change_of_basis_keeps_verdict_and_dim_v(name):
 
 @pytest.mark.parametrize("n, dim_v", [(4, 29), (5, 132)])
 def test_strictly_upper_triangular_verifies(n, dim_v):
-    # n4 was refused by the default ADO_AMBIENT_LIMIT under the word-length cut
+    # n4 was refused by the ambient limit under the word-length cut
     res = ado_representation(strictly_upper_triangular(n))
     assert res.verification.verified
     assert res.dim_v == dim_v
