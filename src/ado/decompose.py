@@ -3,12 +3,13 @@
 The radical is cut out by Killing-orthogonality against the derived
 subalgebra.  A Levi complement is found by recursion on the derived
 series of the radical; the base case with abelian radical solves one
-exact linear system for the correcting cochain.  Each fact is checked
-once.  Here: the radical is a solvable ideal that the complement splits
-off, and the parts of a reductive split are complementary.  saturate
-verifies the complement and the nilpotent seed as its initial
-presentation.  A failed check raises a TripwireError rather than
-returning a wrong answer.
+exact linear system for the correcting cochain.  The radical's series
+are read in g; only the Levi recursion and the reductive split build
+algebras, whose constants they read.  Each fact is checked once.  Here:
+the radical is a solvable ideal that the complement splits off, and the
+parts of a reductive split are complementary.  saturate verifies the
+complement and the nilpotent seed as its initial presentation.  A
+failed check raises a TripwireError rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .linalg import (
 class LeviData:
     radical: Subspace
     levi: Subspace
-    # the radical as an algebra in its echelon basis
-    radical_algebra: LieAlgebra
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,7 @@ def levi_decomposition(g: LieAlgebra) -> LeviData:
     r = radical(g)
     if not g.is_ideal(r):
         raise TripwireError("levi", "radical is not an ideal")
-    with as_tripwire("levi"):
-        rsub, _ = g.subalgebra_on_basis(r.span.rows.values())
-    if not rsub.is_solvable():
+    if g.derived_series(r)[-1].dim:
         raise TripwireError("levi", "radical is not solvable")
     levi = _levi_subspace(g, r)
     if levi.dim + r.dim != g.dim or levi.intersect(r).dim != 0:
@@ -76,7 +73,7 @@ def levi_decomposition(g: LieAlgebra) -> LeviData:
             radical_dim=r.dim,
             dim=g.dim,
         )
-    return LeviData(radical=r, levi=levi, radical_algebra=rsub)
+    return LeviData(radical=r, levi=levi)
 
 
 def _levi_subspace(g: LieAlgebra, r: Subspace) -> Subspace:
@@ -158,7 +155,7 @@ def nilpotent_seed(g: LieAlgebra, decomposition: LeviData) -> Subspace:
     complement s it spans [g, g] = s + [g, radical]; saturate verifies
     both, with the rest of the initial presentation.
     """
-    if decomposition.radical_algebra.is_nilpotent():
+    if not g.lower_central_series(decomposition.radical)[-1].dim:
         return decomposition.radical
     return g.bracket_span(g.full_space(), decomposition.radical)
 

@@ -13,6 +13,8 @@ nilpotent one joining n, so the defect drops by exactly one per step.
 The two parts are derivations of I by theory, not by a separate check:
 the extension satisfies the Jacobi identity exactly when they are
 commuting derivations, and the LieAlgebra constructor validates it.
+That extension is the only algebra a step builds; the presentation
+check reads the series of n in q.
 """
 
 from __future__ import annotations
@@ -63,14 +65,11 @@ def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
     q = pres.algebra
     p = pres.reductive_part
     n = pres.nilpotent_part
-    # the whole space is a subalgebra, so [q, q] is not bracketed again
-    if p.dim < q.dim and not p.contains(q.bracket_span(p, p)):
+    if not p.contains(q.bracket_span(p, p)):
         raise TripwireError("presentation", "reductive part is not a subalgebra")
     if not q.is_ideal(n):
         raise TripwireError("presentation", "nilpotent part is not an ideal")
-    with as_tripwire("presentation"):
-        nsub, _ = q.subalgebra_on_basis(n.span.rows.values())
-    if not nsub.is_nilpotent():
+    if q.lower_central_series(n)[-1].dim:
         raise TripwireError("presentation", "nilpotent part is not nilpotent")
     if p.intersect(n).dim != 0:
         raise TripwireError("presentation", "parts overlap")
@@ -112,38 +111,43 @@ def expansion_step(pres: Presentation) -> Presentation:
     # space and the hyperplane misses exactly x; it contains [q, q], hence
     # is an ideal and in particular closed
     marked = absorbed.sum(Subspace(q.dim, SparseSpan([x])))
-    ideal = absorbed.sum(marked.extend_complement())
-    with as_tripwire("expand"):
-        ialg, _ = q.subalgebra_on_basis(ideal.span.rows.values())
+    hyperplane = list(absorbed.sum(marked.extend_complement()).span.rows.values())
+    idim = len(hyperplane)
+    images = [q._bracket(x, v) for v in hyperplane]
+    if any(map(n.span.reduce, images)):
+        raise TripwireError("expand", "generator action escapes the nilpotent ideal")
+    pairs = [(a, b) for a in range(idim) for b in range(a + 1, idim)]
+    closure = [q._bracket(hyperplane[a], hyperplane[b]) for a, b in pairs]
 
-    cols = []
-    for v in ideal.span.rows.values():
-        image = q._bracket(x, v)
-        if n.span.reduce(image):
-            raise TripwireError(
-                "expand", "generator action escapes the nilpotent ideal"
-            )
-        cols.append(ideal.coordinates_of(image))
-    action = Matrix.from_sparse(ialg.dim, ialg.dim, cols)
+    # one change of basis to the hyperplane and x expresses the old basis,
+    # the hyperplane's brackets and the action of x on it; x is coordinate idim
+    units = [{j: QONE} for j in range(q.dim)]
+    with as_tripwire("expand"):
+        coords = coordinates_in([*hyperplane, x], units + closure + images)
+    split = q.dim + len(pairs)
+    old_basis, closure, images = coords[: q.dim], coords[q.dim : split], coords[split:]
+    embed_cols = []
+    for j, coeffs in enumerate(old_basis):
+        if coeffs is None:
+            raise TripwireError("expand", "basis vector outside x + hyperplane", index=j)
+        # x goes to the sum of the two new directions
+        alpha = coeffs.get(idim, QZERO)
+        embed_cols.append({0: alpha, 1: alpha, **{k + 2: c for k, c in coeffs.items() if k < idim}})
+    dim_new = idim + 2
+    step_embed = Matrix.from_sparse(dim_new, q.dim, embed_cols)
+    if any(idim in coeffs for coeffs in closure):
+        raise TripwireError("expand", "span is not closed under the bracket")
     # whether S and N are commuting derivations of I is checked once, by
     # the extension's Jacobi identity below
     with as_tripwire("expand"):
-        dec = jc_decompose(action)
-
-    idim = ialg.dim
-    dim_new = idim + 2
-
-    def embedded(v):
-        # the hyperplane's coordinates of v, after the two new directions
-        return {k + 2: c for k, c in ideal.coordinates_of(v).items()}
+        dec = jc_decompose(Matrix.from_sparse(idim, idim, images))
 
     brackets = {}
     for j in range(idim):
         brackets[0, j + 2] = {k + 2: c for k, c in dec.semisimple.cols[j].items()}
         brackets[1, j + 2] = {k + 2: c for k, c in dec.nilpotent.cols[j].items()}
-    for a in range(idim):
-        for b in range(a + 1, idim):
-            brackets[a + 2, b + 2] = {k + 2: c for k, c in ialg.nonzero[a][b]}
+    for (a, b), coeffs in zip(pairs, closure):
+        brackets[a + 2, b + 2] = {k + 2: c for k, c in coeffs.items()}
     try:
         extended = LieAlgebra.from_sparse(dim_new, brackets)
     except InputError as exc:
@@ -151,29 +155,12 @@ def expansion_step(pres: Presentation) -> Presentation:
             "expand", f"extension table failed validation: {exc.message}"
         ) from None
 
-    # express old basis vectors through x and the hyperplane, then map
-    # x to the sum of the two new directions
-    units = ({j: QONE} for j in range(q.dim))
-    with as_tripwire("expand"):
-        old_basis = coordinates_in([x, *ideal.span.rows.values()], units)
-    embed_cols = []
-    for j, coeffs in enumerate(old_basis):
-        if coeffs is None:
-            raise TripwireError("expand", "basis vector outside x + hyperplane", index=j)
-        alpha = coeffs.get(0, QZERO)
-        embed_cols.append({0: alpha, 1: alpha, **{k + 1: c for k, c in coeffs.items() if k}})
-    step_embed = Matrix.from_sparse(dim_new, q.dim, embed_cols)
-
     # nothing is created or lost: [q', q'] is exactly the embedded [q, q]
     if extended.derived_subalgebra() != q.derived_subalgebra().image(step_embed):
         raise TripwireError("expand", "derived subalgebra is not preserved")
 
-    new_p = Subspace(
-        dim_new, SparseSpan([{0: QONE}, *map(embedded, p.span.rows.values())])
-    )
-    new_n = Subspace(
-        dim_new, SparseSpan([{1: QONE}, *map(embedded, n.span.rows.values())])
-    )
+    new_p = Subspace(dim_new, SparseSpan([{0: QONE}])).sum(p.image(step_embed))
+    new_n = Subspace(dim_new, SparseSpan([{1: QONE}])).sum(n.image(step_embed))
     record = {
         "stage": "expand",
         "generator": [str(x.get(k, QZERO)) for k in range(q.dim)],

@@ -7,15 +7,16 @@ bracket, the Jacobi check, the Killing form, centralizers and subalgebra
 coordinates all run over these pairs; no dense bracket table is kept.
 Brackets take and give vectors as {index: value} dicts of their nonzero
 coordinates; bracket is a dense view of them for coordinate tuples.
-The constants are validated on construction (antisymmetry and the
-Jacobi identity, with a witness in the error when either fails), so
-every LieAlgebra in circulation is genuine.  A subalgebra comes with
-its inclusion matrix and a quotient with a section, the matrices that
-move vectors into the ambient coordinates; the subalgebra on the
-standard basis is the algebra itself, with the identity inclusion.
-An algebra never changes, so its full space, derived subalgebra, lower
-central series, centre and Killing form are computed once and shared
-by every caller; none of them may be mutated.
+The constants are validated on construction: the Jacobi identity on
+every table, antisymmetry on a dense one (from_sparse writes both
+halves), with a witness in the error when either fails.  A subalgebra
+comes with its inclusion matrix and a quotient with a section, the
+matrices that move vectors into the ambient coordinates; the
+subalgebra on the standard basis is the algebra itself.  An algebra
+never changes, so its full space, centre, Killing form and the bracket
+span of each pair of subspaces are computed once and shared; none may
+be mutated.  The derived subalgebra and the series of any subalgebra
+read those spans, with no algebra built for the subalgebra.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ class LieAlgebra:
                 raise InputError(
                     "validate", "bracket table is not a dim x dim x dim array"
                 )
+        for i in range(len(rows)):
+            for j in range(i, len(rows)):
+                if rows[i][j] != tuple(-c for c in rows[j][i]):
+                    raise InputError(
+                        "validate", "bracket table is not antisymmetric", pair=[i, j]
+                    )
         self._build([[enumerate(entry) for entry in row] for row in rows])
 
     def _build(self, entries: Sequence[Sequence[Iterable[tuple[int, Q]]]]) -> None:
@@ -108,19 +115,10 @@ class LieAlgebra:
         return tuple(tuple(map(dense, row)) for row in self.nonzero)
 
     def _validate(self):
-        """Raise InputError unless the constants are antisymmetric and
-        satisfy the Jacobi identity, naming the first failing pair or
-        triple; the Jacobi sums run in Python int on the constants with
-        their denominators cleared, and a failing one is reported exactly."""
+        """Raise InputError unless the constants satisfy the Jacobi identity,
+        naming the first failing triple; the sums run in Python int on the
+        constants with their denominators cleared, and are reported exactly."""
         nonzero = self.nonzero
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if nonzero[i][j] != tuple((k, -c) for k, c in nonzero[j][i]):
-                    raise InputError(
-                        "validate",
-                        "bracket table is not antisymmetric",
-                        pair=[i, j],
-                    )
         # the Jacobi sums are quadratic in the constants: scaled by their
         # common denominator d, the constants are ints and a sum s in int
         # stands for s / d^2
@@ -178,38 +176,35 @@ class LieAlgebra:
         return self._memo["full"]
 
     def bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
-        """Span of all brackets of the two subspaces."""
-        span = SparseSpan()
-        rows = list(right.span.rows.values())
-        for s, u in enumerate(left.span.rows.values()):
-            # [v, u] = -[u, v], so a span with itself needs only the later rows
-            for v in rows[s + 1 :] if left == right else rows:
-                span.add(self._bracket(u, v))
-        return Subspace(self.dim, span)
+        """Span of all brackets of the two subspaces, computed once per pair."""
+        if (left, right) not in self._memo:
+            span = SparseSpan()
+            rows = list(right.span.rows.values())
+            for s, u in enumerate(left.span.rows.values()):
+                # [v, u] = -[u, v], so a span with itself needs only the later rows
+                for v in rows[s + 1 :] if left == right else rows:
+                    span.add(self._bracket(u, v))
+            self._memo[left, right] = Subspace(self.dim, span)
+        return self._memo[left, right]
 
     def derived_subalgebra(self) -> Subspace:
-        if "derived" not in self._memo:
-            full = self.full_space()
-            self._memo["derived"] = self.bracket_span(full, full)
-        return self._memo["derived"]
+        return self.bracket_span(self.full_space(), self.full_space())
 
-    def lower_central_series(self) -> tuple[Subspace, ...]:
-        """Terms g, [g, g], [g, [g, g]], ... until the series stabilizes."""
-        if "lower central" not in self._memo:
-            full = self.full_space()
-            series, nxt = [full], self.derived_subalgebra()
-            while nxt != series[-1]:
-                series.append(nxt)
-                nxt = self.bracket_span(full, nxt)
-            self._memo["lower central"] = tuple(series)
-        return self._memo["lower central"]
-
-    def derived_series(self) -> list[Subspace]:
-        series, nxt = [self.full_space()], self.derived_subalgebra()
-        while nxt != series[-1]:
+    def lower_central_series(self, s: Subspace | None = None) -> tuple[Subspace, ...]:
+        """Terms s, [s, s], [s, [s, s]], ... of a subalgebra s, by default
+        the whole algebra, until the series stabilizes."""
+        series = [self.full_space() if s is None else s]
+        while (nxt := self.bracket_span(series[0], series[-1])) != series[-1]:
             series.append(nxt)
-            nxt = self.bracket_span(nxt, nxt)
-        return series
+        return tuple(series)
+
+    def derived_series(self, s: Subspace | None = None) -> tuple[Subspace, ...]:
+        """Terms s, [s, s], [[s, s], [s, s]], ... of a subalgebra s, by
+        default the whole algebra, until the series stabilizes."""
+        series = [self.full_space() if s is None else s]
+        while (nxt := self.bracket_span(series[-1], series[-1])) != series[-1]:
+            series.append(nxt)
+        return tuple(series)
 
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1].dim == 0

@@ -142,10 +142,7 @@ def adapted_basis(q: LieAlgebra, nil: Subspace) -> tuple[dict[int, Q], ...]:
     layer, shallow layers first, from a complement of each term within
     the one before.
     """
-    series = [nil]
-    # dimensions fall strictly in a nilpotent ideal, so nil.dim steps reach 0
-    for _ in range(nil.dim):
-        series.append(q.bracket_span(nil, series[-1]))
+    series = q.lower_central_series(nil)
     echelon = tuple(nil.span.rows.values())
     if all(row in echelon for term in series for row in term.span.rows.values()):
         return echelon

@@ -217,6 +217,29 @@ def dense_bracket_span(g, left: Subspace, right: Subspace) -> Subspace:
     )
 
 
+def record_bracket_spans(monkeypatch) -> list:
+    """Patch LieAlgebra.bracket_span to record (algebra, left, right) for
+    each span it computes.  An algebra hands back its memoised subspace
+    for a pair it has seen, so a span returned before is not recorded
+    again; the list keeps every algebra, and with it every such
+    subspace, alive."""
+    from ado.lie import LieAlgebra
+
+    original = LieAlgebra.bracket_span
+    computed: list = []
+    seen: set[int] = set()
+
+    def recording(self, left, right):
+        result = original(self, left, right)
+        if id(result) not in seen:
+            seen.add(id(result))
+            computed.append((self, left, right))
+        return result
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", recording)
+    return computed
+
+
 def dense_leibniz_witness(g, d: Matrix):
     """Reference Leibniz check: the first pair i < j on which d [e_i, e_j]
     differs from [d e_i, e_j] + [e_i, d e_j], from dense adjoints."""
@@ -348,6 +371,23 @@ def sl2_semidirect_plane():
             (2, 3): {4: 1},
         },
     )
+
+
+def sl2_semidirect_sym(k: int):
+    """sl2 acting on Sym^k of its plane: basis (h, e, f, v_0, ..., v_k),
+    with h v_i = (k - 2i) v_i, e v_i = i (k - i + 1) v_{i-1} and
+    f v_i = v_{i+1}; k = 1 is sl2_semidirect_plane."""
+    from ado.lie import LieAlgebra
+
+    brackets = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+    for i in range(k + 1):
+        if k != 2 * i:
+            brackets[0, 3 + i] = {3 + i: k - 2 * i}
+        if i:
+            brackets[1, 3 + i] = {2 + i: i * (k - i + 1)}
+        if i < k:
+            brackets[2, 3 + i] = {4 + i: 1}
+    return LieAlgebra.from_sparse(k + 4, brackets)
 
 
 def sl2_plus_solv2():

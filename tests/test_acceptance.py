@@ -18,6 +18,7 @@ from functools import reduce
 from ado.catalog import catalog_algebra
 from ado.cli import main
 from ado.envelope import build_module
+from ado.formats import algebra_to_json, canonical_dumps
 from ado.expansion import (
     expansion_step,
     initial_presentation,
@@ -81,6 +82,24 @@ CATALOG_SHA256 = {
     "t3": "43c014c3f30400d182b2487032823bc53109ccff4e53854ee2aea4129838db12",
 }
 
+# sha256 of the `ado compute FILE --trace` stdout and stderr, for catalog
+# algebras rewritten in seeded_change_of_basis(random.Random(seed), ...)
+# bases: these inputs take saturation steps that the catalog bases skip
+REBASED_SHA256 = {
+    ("t3", 1): "906b04da56c374329aeef1ab3f172b0e4cb1e71382b158806ecd0e415c85e608",
+    ("t3", 2): "8dee079ab5ef9fd963582eed665ff5285426cb340127c1293854a950439a384a",
+    ("jordan3", 1): "a80bef3ea2b4c0fe2bf3aae4e54b7d7e2793c895b4d22fbe0824c601cdf216a9",
+    ("jordan3", 2): "ac81816dd8571b00bffd190c5ebe18c6c117929c9846d562e06fe30bf1866899",
+    ("rot3", 1): "d454c34ef91261b6585efd0f1f69958f2f8cabbc7c6eba0aa877025afeb609ca",
+    ("rot3", 2): "9ae17b7bfa95aafddcf168eb15ee99423dd64c5f9ca389b98e1a7ce367c6f35b",
+    ("gl2", 1): "8a5df3fa8a4ed3b4621333f754dbb8945bae1a15c389bbbe4c1083ca8aac1b6d",
+    ("gl2", 2): "f98a8d3b13ffff6bdae10f8e7a151e4fbfdacfdfeae7be96099134b5066ed667",
+    ("solv2", 1): "73fc39733f9be2b0feb7b3a244085e6ca7b4815d2313c6670c2e3d1a32f463bd",
+    ("solv2", 2): "f34d5269502f5278d382c350598048ac986169ec01bf605f76fb81704028cf87",
+    ("heisenberg5", 1): "e4c5395f142601ada9ad39a0bce67fc36e7f8cc02d7d31163ad6fdbe266fb97b",
+    ("heisenberg5", 2): "04781051b8187fde4b3e62f9944eaafafc453f5c0beb4e9060039cc06a637c3b",
+}
+
 # dim_v of each output: the weighted module is m + 1 dimensional on abelian:m
 CATALOG_DIM_V = {
     "abelian:1": 2,
@@ -138,6 +157,19 @@ def test_catalog_end_to_end(capsys, tmp_path):
             assert code == 0, name
             assert json.loads(capsys.readouterr().out) == verification, name
         assert total < 600.0, total
+
+
+def test_rebased_outputs_are_pinned(capsys, tmp_path):
+    path = tmp_path / "algebra.json"
+    for (name, seed), pinned in REBASED_SHA256.items():
+        g = seeded_change_of_basis(random.Random(seed), catalog_algebra(name))
+        labels = tuple(f"e{i}" for i in range(g.dim))
+        path.write_text(canonical_dumps(algebra_to_json(f"{name}-{seed}", labels, g)))
+        code = main(["compute", str(path), "--trace"])
+        captured = capsys.readouterr()
+        assert code == 0, (name, seed)
+        digest = hashlib.sha256((captured.out + captured.err).encode("utf-8")).hexdigest()
+        assert digest == pinned, (name, seed)
 
 
 def test_abelian_module_dimensions(capsys):

@@ -5,9 +5,12 @@ import pytest
 from ado import cli, expansion, lie, pipeline
 from ado.cli import main
 from ado.decompose import LeviData
+from ado.formats import algebra_to_json, canonical_dumps
 from ado.jordan import JCDecomposition
 from ado.lie import LieAlgebra
 from ado.linalg import QONE, Matrix, Polynomial, SparseSpan, Subspace
+
+from helpers import sl2_plus_solv2
 
 
 FILIFORM_FILE = {
@@ -259,18 +262,19 @@ def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and
             "pipeline", "basis is linearly dependent", "heisenberg",
             id="ado.pipeline-pipeline-assembly-dependent",
         ),
-        # the algebra on a span checked to be closed finds no structure constants
+        # the algebra on a span checked to be closed finds no structure
+        # constants: solv2's first such algebra is n's, built in the pipeline
         pytest.param(
             lie, "coordinates_in", no_coordinates,
-            "presentation", "span is not closed under the bracket", "solv2",
-            id="ado.lie-presentation",
+            "pipeline", "span is not closed under the bracket", "solv2",
+            id="ado.lie-pipeline",
         ),
-        # t3's seed [g, radical] first gets an algebra when the initial
-        # presentation is verified
+        # the Levi recursion over a nonabelian radical builds the preimage
+        # of the quotient's complement
         pytest.param(
             lie, "coordinates_in", no_coordinates,
-            "presentation", "span is not closed under the bracket", "t3",
-            id="ado.lie-seed",
+            "levi", "span is not closed under the bracket", sl2_plus_solv2(),
+            id="ado.lie-levi",
         ),
         pytest.param(
             lie, "coordinates_in", no_coordinates,
@@ -280,12 +284,18 @@ def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and
     ],
 )
 def test_unsolvable_system_is_a_tripwire_naming_its_stage(
-    capsys, monkeypatch, owner, attr, replacement, stage, message, name
+    capsys, monkeypatch, tmp_path, owner, attr, replacement, stage, message, name
 ):
     # a change of basis that should always succeed finds no coordinates, or
     # a derivation leaves n: a structured exit 2, not a TypeError
+    source = ["--catalog", name]
+    if isinstance(name, LieAlgebra):
+        path = tmp_path / "algebra.json"
+        labels = tuple(f"e{i}" for i in range(name.dim))
+        path.write_text(canonical_dumps(algebra_to_json("input", labels, name)))
+        source = [str(path)]
     monkeypatch.setattr(owner, attr, replacement)
-    code, out, err = run(capsys, "compute", "--catalog", name)
+    code, out, err = run(capsys, "compute", *source)
     assert code == 2
     assert out == ""
     error = json.loads(err.splitlines()[-1])["error"]
@@ -315,7 +325,7 @@ def shifted_levi(g, original=expansion.levi_decomposition):
         for k, c in shift.items():
             row[k] = row.get(k, 0) + c
         shifted.append(row)
-    return LeviData(data.radical, Subspace(g.dim, SparseSpan(shifted)), data.radical_algebra)
+    return LeviData(data.radical, Subspace(g.dim, SparseSpan(shifted)))
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from helpers import (
     invert,
     killing_acting_part,
     nilpotent_closure,
+    record_bracket_spans,
     seeded_change_of_basis,
     seeded_matrix,
     sl2_plus_solv2,
@@ -126,25 +127,21 @@ def test_nilpotent_seed_frozen_cases():
 
 
 def test_nilpotent_seed_brackets_g_with_the_radical_once(monkeypatch):
-    # [g, radical] is bracketed once, as the seed, when the radical is not
-    # nilpotent; a nilpotent radical is the seed and is not bracketed
-    original = LieAlgebra.bracket_span
-    calls = []
-
-    def recording(self, left, right):
-        calls.append((self, left, right))
-        return original(self, left, right)
-
-    monkeypatch.setattr(LieAlgebra, "bracket_span", recording)
+    # [g, radical] is computed once, by the ideal check of the Levi
+    # decomposition; a radical that is not nilpotent gives way to that
+    # memoised span as the seed, and a nilpotent one is the seed itself
+    computed = record_bracket_spans(monkeypatch)
     for name in [n for n in catalog_names() if n != "abelian:N"] + ["abelian:3"]:
         g = catalog_algebra(name)
         data = levi_decomposition(g)
-        calls.clear()
-        nilpotent_seed(g, data)
+        seed = nilpotent_seed(g, data)
         full = g.full_space()
-        on_g = [(left, right) for h, left, right in calls if h is g]
-        expected = 0 if data.radical_algebra.is_nilpotent() else 1
-        assert on_g.count((full, data.radical)) == expected, name
+        on_g = [(left, right) for h, left, right in computed if h is g]
+        assert on_g.count((full, data.radical)) == 1, name
+        if g.lower_central_series(data.radical)[-1].dim:
+            assert seed is g.bracket_span(full, data.radical), name
+        else:
+            assert seed is data.radical, name
 
 
 def test_levi_of_sl3_brackets_the_whole_algebra_with_itself_once(monkeypatch):
@@ -170,20 +167,13 @@ def test_levi_of_sl3_brackets_the_whole_algebra_with_itself_once(monkeypatch):
 
 
 def test_representation_of_sl3_plus_sl3_brackets_the_whole_algebra_once(monkeypatch):
-    # [g, g] is memoised; checking that the reductive part, here all of g,
-    # is a subalgebra does not bracket it again
+    # [g, g] is computed once; checking that the reductive part, here all
+    # of g, is a subalgebra reads the memoised span
     g = direct_sum(sl3(), sl3())
-    original = LieAlgebra.bracket_span
-    calls = []
-
-    def recording(self, left, right):
-        calls.append((self, left, right))
-        return original(self, left, right)
-
-    monkeypatch.setattr(LieAlgebra, "bracket_span", recording)
+    computed = record_bracket_spans(monkeypatch)
     assert ado_representation(g).verification.verified
     full = g.full_space()
-    assert [(left, right) for h, left, right in calls if h is g].count((full, full)) == 1
+    assert [(left, right) for h, left, right in computed if h is g].count((full, full)) == 1
 
 
 def test_reductive_split_torus_on_nilradical():
@@ -229,8 +219,11 @@ SPLIT_CASES = [
 def test_split_and_levi_algebras_are_the_subalgebras_on_their_bases(g, p, n):
     split = reductive_split(g, span_of(g.dim, *p), span_of(g.dim, *n))
     assert split.kernel_algebra == g.subalgebra_on_basis(map(sparse, split.kernel_part.basis))[0]
-    data = levi_decomposition(g)
-    assert data.radical_algebra == g.subalgebra_on_basis(map(sparse, data.radical.basis))[0]
+    # the Levi step reads the radical's derived series in g: the images of
+    # the series of the subalgebra on the radical's basis
+    r = levi_decomposition(g).radical
+    rsub, inclusion = g.subalgebra_on_basis(map(sparse, r.basis))
+    assert g.derived_series(r) == tuple(t.image(inclusion) for t in rsub.derived_series())
 
 
 def sl3(on_space=False):

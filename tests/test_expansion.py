@@ -13,9 +13,14 @@ from ado.expansion import (
     verify_presentation,
 )
 from ado.lie import LieAlgebra
-from ado.linalg import Matrix, Subspace, unit_vector
+from ado.linalg import Matrix, SparseSpan, Subspace, unit_vector
 
-from helpers import change_of_basis, seeded_matrix, sl2_plus_solv2
+from helpers import (
+    change_of_basis,
+    record_bracket_spans,
+    seeded_matrix,
+    sl2_plus_solv2,
+)
 
 
 def nilpotency_index_of_part(pres, part):
@@ -221,31 +226,19 @@ def test_verify_rejects_non_injective_embedding():
 
 
 def test_saturate_reads_the_kept_derived_terms(monkeypatch):
-    # the same saturation with [g, g] and the lower central series rebuilt
-    # on every call, as a frozen algebra would not need
-    def rebuilt_derived(self):
-        full = self.full_space()
-        return self.bracket_span(full, full)
-
-    def rebuilt_lower_central(self):
-        full = self.full_space()
-        series = [full]
-        while (nxt := self.bracket_span(full, series[-1])) != series[-1]:
-            series.append(nxt)
-        return tuple(series)
-
-    calls = []
-    original = LieAlgebra.bracket_span
-
-    def counting(self, left, right):
-        calls.append(1)
-        return original(self, left, right)
-
-    monkeypatch.setattr(LieAlgebra, "bracket_span", counting)
+    # the same saturation with every bracket span recomputed on each call,
+    # as an algebra that kept none would need
+    computed = record_bracket_spans(monkeypatch)
     kept = saturate(catalog_algebra("t3"))
-    kept_calls = len(calls)
-    monkeypatch.setattr(LieAlgebra, "derived_subalgebra", rebuilt_derived)
-    monkeypatch.setattr(LieAlgebra, "lower_central_series", rebuilt_lower_central)
-    calls.clear()
+    kept_spans = len(computed)
+    calls = []
+
+    def recomputed(self, left, right):
+        calls.append(1)
+        rows = right.span.rows.values()
+        brackets = (self._bracket(u, v) for u in left.span.rows.values() for v in rows)
+        return Subspace(self.dim, SparseSpan(brackets))
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", recomputed)
     assert saturate(catalog_algebra("t3")) == kept
-    assert kept_calls < len(calls)
+    assert kept_spans < len(calls)

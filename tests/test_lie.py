@@ -4,10 +4,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ado.catalog import catalog_algebra, catalog_entry, catalog_names
+from ado.decompose import radical
 from ado.errors import InputError
 from ado.lie import LieAlgebra
 from ado.linalg import Matrix, Subspace, unit_vector
@@ -155,6 +156,35 @@ def test_bracket_span_matches_dense_oracle(g, data):
     for left in spaces:
         for right in spaces:
             assert g.bracket_span(left, right) == dense_bracket_span(g, left, right)
+
+
+def dense_series(g, derived):
+    """Reference lower central or derived series of the whole algebra, by
+    dense bracket spans, until it stabilizes."""
+    series = [Subspace.full(g.dim)]
+    while True:
+        nxt = dense_bracket_span(g, series[-1] if derived else series[0], series[-1])
+        if nxt == series[-1]:
+            return tuple(series)
+        series.append(nxt)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ALGEBRAS)
+@example(seeded_change_of_basis(random.Random(1), catalog_algebra("t3")))
+def test_subspace_series_are_the_series_of_the_subalgebra(g):
+    full, r = g.full_space(), radical(g)
+    for s in (g.derived_subalgebra(), r, g.center(), g.bracket_span(full, r)):
+        sub, inclusion = g.subalgebra_on_basis(s.span.rows.values())
+        for series, derived in (
+            (LieAlgebra.lower_central_series, False),
+            (LieAlgebra.derived_series, True),
+        ):
+            expected = tuple(t.image(inclusion) for t in dense_series(sub, derived))
+            assert series(g, s) == expected
+            assert tuple(t.image(inclusion) for t in series(sub)) == expected
+    for a, b in ((full, full), (full, r), (r, r), (r, full)):
+        assert g.bracket_span(a, b) is g.bracket_span(a, b)
 
 
 def test_ad_matrix_matches_bracket():
@@ -315,6 +345,18 @@ def test_jacobi_error_names_the_first_failing_triple_and_residual():
         with pytest.raises(InputError) as exc:
             LieAlgebra(table)
         assert (exc.value.payload["triple"], exc.value.payload["residual"]) == failures[0]
+
+
+def test_a_broken_lower_triangle_is_named_by_its_pair():
+    # a dense table gives both halves of every bracket, so antisymmetry is
+    # checked on it, ahead of the Jacobi identity the tampering also breaks
+    table = [[list(entry) for entry in row] for row in catalog_algebra("sl2").table]
+    table[2][1][0] += 1
+    assert dense_jacobi_failures(table)
+    with pytest.raises(InputError) as exc:
+        LieAlgebra(table)
+    assert "antisymmetric" in exc.value.message
+    assert exc.value.payload["pair"] == [1, 2]
 
 
 def test_perturbed_abelian_40_is_rejected():

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ado.catalog import catalog_algebra
 from ado.errors import InputError
@@ -33,6 +34,7 @@ from helpers import (
     seeded_change_of_basis,
     sl2_plus_solv2,
     sl2_semidirect_plane,
+    sl2_semidirect_sym,
     strictly_upper_triangular,
 )
 
@@ -245,6 +247,30 @@ def test_strictly_upper_triangular_verifies(n, dim_v):
     assert res.dim_v == dim_v
     weights = [j - i for i in range(n) for j in range(i + 1, n)]
     assert res.provenance["blocks"][0]["weights"] == weights
+
+
+# sl2 on Sym^k of the plane, alone or beside a solvable or nilpotent
+# summand; the catalog-style basis gives the expected dim_v
+LEVI_MIXED_PARTNERS = (None, "solv2", "heisenberg", "jordan3")
+
+
+def levi_mixed(k, partner):
+    g = sl2_semidirect_sym(k)
+    return g if partner is None else direct_sum(g, catalog_algebra(partner))
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(LEVI_MIXED_PARTNERS),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_random_bases_of_levi_mixed_algebras_verify(k, partner, seed):
+    # a TripwireError on this valid input would fail the test
+    g = levi_mixed(k, partner)
+    res = ado_representation(seeded_change_of_basis(random.Random(seed), g))
+    assert res.verification.verified
+    assert res.dim_v == ado_representation(g).dim_v
 
 
 @settings(max_examples=60, deadline=None)
