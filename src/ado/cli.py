@@ -117,6 +117,14 @@ def _summarize(
                     f" nilpotent seed {record['nilpotent_dimension']}",
                     file=stream,
                 )
+            elif record["stage"] == "absorb":
+                inner = record.get("inner")
+                less = f" less ({', '.join(inner)})" if inner else ""
+                print(
+                    f"  absorb: generator ({', '.join(record['generator'])}){less},"
+                    f" joins {record['joins']}",
+                    file=stream,
+                )
             else:
                 dims = record["dimensions"]
                 print(

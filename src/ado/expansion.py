@@ -4,17 +4,22 @@ A presentation carries an algebra q, a reductive subalgebra p, a
 nilpotent ideal n with p meeting n trivially and [q, q] inside p + n,
 and the embedding of the originally given algebra into q.  The defect
 dim q - dim p - dim n counts the directions not yet absorbed.  One
-expansion step picks a generator x centralizing p outside p + n, splits
-its action on a complementary hyperplane ideal I into commuting
-semisimple and nilpotent derivations, and replaces q by the extension
-of I along those two derivations.  The generator re-enters as the sum
-of the two new directions, the semisimple one joining p and the
-nilpotent one joining n, so the defect drops by exactly one per step.
-The two parts are derivations of I by theory, not by a separate check:
-the extension satisfies the Jacobi identity exactly when they are
-commuting derivations, and the LieAlgebra constructor validates it.
-That extension is the only algebra a step builds; the presentation
-check reads the series of n in q.
+expansion step picks a generator x centralizing p outside p + n and
+splits its action d on a complementary hyperplane ideal I into commuting
+semisimple and nilpotent parts S and N.  The step then takes one of two
+kinds.  It absorbs x when the split is trivial or inner: with N = 0, x
+joins p; with S = 0, x joins n, which stays a nilpotent ideal because
+[q, x] lies in n; and when N = ad y on I for some y in n, x - y joins p.
+An absorb step keeps q and the embedding.  Otherwise the step extends:
+q becomes the extension of I along the two derivations S and N, and
+the generator re-enters as the sum of the two new directions, the
+semisimple one joining p and the nilpotent one joining n.  Either way
+the defect drops by exactly one per step.  S and N are derivations of
+I by theory, not by a separate check: the extension satisfies the
+Jacobi identity exactly when they are commuting derivations, and the
+LieAlgebra constructor validates it.  That extension is the only
+algebra a step builds; the presentation check reads the series of n in
+q.
 """
 
 from __future__ import annotations
@@ -25,7 +30,18 @@ from .decompose import levi_decomposition, nilpotent_seed
 from .errors import InputError, TripwireError, as_tripwire
 from .jordan import jc_decompose
 from .lie import LieAlgebra
-from .linalg import Matrix, QONE, QZERO, SparseSpan, Subspace, coordinates_in, rank
+from .linalg import (
+    Matrix,
+    Q,
+    QONE,
+    QZERO,
+    SparseSpan,
+    Subspace,
+    _add_scaled,
+    coordinates_in,
+    rank,
+    solve_sparse,
+)
 
 
 @dataclass(frozen=True)
@@ -111,21 +127,41 @@ def expansion_step(pres: Presentation) -> Presentation:
     # space and the hyperplane misses exactly x; it contains [q, q], hence
     # is an ideal and in particular closed
     marked = absorbed.sum(Subspace(q.dim, SparseSpan([x])))
-    hyperplane = list(absorbed.sum(marked.extend_complement()).span.rows.values())
+    ideal = absorbed.sum(marked.extend_complement())
+    hyperplane = list(ideal.span.rows.values())
     idim = len(hyperplane)
     images = [q._bracket(x, v) for v in hyperplane]
     if any(map(n.span.reduce, images)):
         raise TripwireError("expand", "generator action escapes the nilpotent ideal")
+    # the images lie in n, inside the hyperplane, whose reduced rows read
+    # their coordinates off its pivots
+    with as_tripwire("expand"):
+        action = Matrix.from_sparse(idim, idim, map(ideal.coordinates_of, images))
+        dec = jc_decompose(action)
+
+    if dec.nilpotent.is_zero():
+        return absorb(pres, x, "reductive")
+    if dec.semisimple.is_zero():
+        # [q, x] lies in n, so n + x is an ideal, nilpotent by Engel's theorem
+        return absorb(pres, x, "nilpotent")
+    # a y in n with ad y = N on the hyperplane centralizes p, which lies in
+    # the kernel of d and so of N; then x - y centralizes p and acts as S
+    with as_tripwire("expand"):
+        y = inner_part(q, hyperplane, n, dec.nilpotent)
+    if y is not None:
+        return absorb(pres, x, "reductive", inner=y)
+
+    # otherwise extend I by s and t acting as S and N, x going to s + t;
+    # whether S and N are commuting derivations of I is checked once, by
+    # the extension's Jacobi identity below.  One change of basis to the
+    # hyperplane and x expresses the old basis and the hyperplane's
+    # brackets; x is coordinate idim
     pairs = [(a, b) for a in range(idim) for b in range(a + 1, idim)]
     closure = [q._bracket(hyperplane[a], hyperplane[b]) for a, b in pairs]
-
-    # one change of basis to the hyperplane and x expresses the old basis,
-    # the hyperplane's brackets and the action of x on it; x is coordinate idim
     units = [{j: QONE} for j in range(q.dim)]
     with as_tripwire("expand"):
-        coords = coordinates_in([*hyperplane, x], units + closure + images)
-    split = q.dim + len(pairs)
-    old_basis, closure, images = coords[: q.dim], coords[q.dim : split], coords[split:]
+        coords = coordinates_in([*hyperplane, x], units + closure)
+    old_basis, closure = coords[: q.dim], coords[q.dim :]
     embed_cols = []
     for j, coeffs in enumerate(old_basis):
         if coeffs is None:
@@ -137,11 +173,6 @@ def expansion_step(pres: Presentation) -> Presentation:
     step_embed = Matrix.from_sparse(dim_new, q.dim, embed_cols)
     if any(idim in coeffs for coeffs in closure):
         raise TripwireError("expand", "span is not closed under the bracket")
-    # whether S and N are commuting derivations of I is checked once, by
-    # the extension's Jacobi identity below
-    with as_tripwire("expand"):
-        dec = jc_decompose(Matrix.from_sparse(idim, idim, images))
-
     brackets = {}
     for j in range(idim):
         brackets[0, j + 2] = {k + 2: c for k, c in dec.semisimple.cols[j].items()}
@@ -177,6 +208,65 @@ def expansion_step(pres: Presentation) -> Presentation:
         reductive_part=new_p,
         nilpotent_part=new_n,
         embed_original=step_embed * pres.embed_original,
+        trace=pres.trace + (record,),
+    )
+
+
+def inner_part(
+    q: LieAlgebra, hyperplane: list[dict[int, Q]], within: Subspace, nilpotent: Matrix
+) -> dict[int, Q] | None:
+    """Some y in within with ad y equal to the given matrix on the
+    hyperplane, in the hyperplane's basis; None when there is none.
+
+    One sparse system: its unknowns are y's coordinates in within's basis,
+    and each hyperplane vector v gives the equations [y, v] = nilpotent v.
+    """
+    inner = list(within.span.rows.values())
+    targets = (Matrix.from_sparse(q.dim, len(hyperplane), hyperplane) * nilpotent).cols
+    equations = []
+    for v, target in zip(hyperplane, targets):
+        rows: dict[int, dict[int, Q]] = {r: {len(inner): c} for r, c in target.items()}
+        for k, u in enumerate(inner):
+            for r, c in q._bracket(u, v).items():
+                rows.setdefault(r, {})[k] = c
+        equations.extend(rows.values())
+    solution = solve_sparse(equations, len(inner))
+    if solution is None:
+        return None
+    y: dict[int, Q] = {}
+    for k, c in solution.items():
+        _add_scaled(y, inner[k], c)
+    return y
+
+
+def absorb(
+    pres: Presentation, x: dict[int, Q], joins: str, inner: dict[int, Q] | None = None
+) -> Presentation:
+    """x, less the inner correction, joins the named part; the algebra and
+    the embedding stay as they are."""
+    q = pres.algebra
+    vector = dict(x)
+    if inner:
+        _add_scaled(vector, inner, -QONE)
+    line = Subspace(q.dim, SparseSpan([vector]))
+    p, n = pres.reductive_part, pres.nilpotent_part
+    if joins == "reductive":
+        p = p.sum(line)
+    else:
+        n = n.sum(line)
+    record = {
+        "stage": "absorb",
+        "generator": [str(x.get(k, QZERO)) for k in range(q.dim)],
+        "joins": joins,
+        "dimensions": {"algebra": q.dim, "reductive": p.dim, "nilpotent": n.dim},
+    }
+    if inner:
+        record["inner"] = [str(inner.get(k, QZERO)) for k in range(q.dim)]
+    return Presentation(
+        algebra=q,
+        reductive_part=p,
+        nilpotent_part=n,
+        embed_original=pres.embed_original,
         trace=pres.trace + (record,),
     )
 

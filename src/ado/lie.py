@@ -206,12 +206,6 @@ class LieAlgebra:
             series.append(nxt)
         return tuple(series)
 
-    def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].dim == 0
-
-    def is_solvable(self) -> bool:
-        return self.derived_series()[-1].dim == 0
-
     def nilpotency_index(self) -> int:
         """Least k with every k-fold bracket zero; 1 for the zero algebra."""
         series = self.lower_central_series()

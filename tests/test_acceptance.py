@@ -18,7 +18,7 @@ from functools import reduce
 from ado.catalog import catalog_algebra
 from ado.cli import main
 from ado.envelope import build_module
-from ado.formats import algebra_to_json, canonical_dumps
+from ado.formats import algebra_to_json, canonical_dumps, representation_to_json
 from ado.expansion import (
     expansion_step,
     initial_presentation,
@@ -44,6 +44,7 @@ from helpers import (
     dense_leibniz_witness,
     heavy_insert_failures,
     module_disagreements,
+    oracle_weighted_count,
     oracle_weights,
     seeded_change_of_basis,
     seeded_matrix,
@@ -66,7 +67,9 @@ CATALOG_CASES = (
 )
 
 # sha256 of the `ado compute --catalog NAME` stdout; representation files
-# are byte-deterministic, so any change to these is a change of output
+# are byte-deterministic, so any change to these is a change of output.
+# solv2, rot3 and t3 absorb their saturation steps; their dimensions and
+# verdicts are checked on their own by test_absorbed_outputs_are_block_sums
 CATALOG_SHA256 = {
     "abelian:1": "91f390b354c6a88d3e02230ab72a6dce18aba4cdfa490750aad876387b07e156",
     "abelian:2": "85fe07709ce1ce98c07a6ff7b58feb0156f0be3afe5cda1348dd20b66a6f9dae",
@@ -74,28 +77,30 @@ CATALOG_SHA256 = {
     "abelian:4": "edf5be99ba553abad82a3302acd968bb46599d94a133a517c1631bead240e717",
     "heisenberg": "13931f410cac823fe700fbe36a1cc056ac5352612cb8ff49d91eab01a82e00d1",
     "heisenberg5": "76c96697331b25a52099c0f04512b1a923760eff51866dcd32988dfe7a1c91e3",
-    "solv2": "97edff4834d1e61a93ffa84ec75ffe8403c747998accc2a265645e158a57b094",
+    "solv2": "0653ed3be6c66eee23a3a5181c89570cefe4cafefbfd79d5751f8bd7f2c0b18f",
     "jordan3": "d41b0010d5eb7555c84cbe221389aa23efe6c0d004b9e1cc6abfd1da059e916d",
-    "rot3": "1d723930a2281a0b5780790127853ea7fa933f5b22f90f11b285222329bc9976",
+    "rot3": "03c411e9e5cd680d579d03ed3c2fa457cf90282f082b0bedaf3c1cfb4f8d0221",
     "sl2": "13836be6a31fa11d521faa8af6b39338f535212b44f22729420e4af0ab6b9d86",
     "gl2": "a67ddb5a77d8c01c3a48378339ee56b6490ef8f8759a1fd9a8ae94906c3a0d4a",
-    "t3": "43c014c3f30400d182b2487032823bc53109ccff4e53854ee2aea4129838db12",
+    "t3": "61a1ec838d03a25a5c732356389aa5ed1ebbeef8a955edba8ba7e75596d9727b",
 }
 
 # sha256 of the `ado compute FILE --trace` stdout and stderr, for catalog
 # algebras rewritten in seeded_change_of_basis(random.Random(seed), ...)
-# bases: these inputs take saturation steps that the catalog bases skip
+# bases: these inputs take saturation steps that the catalog bases skip.
+# The t3, rot3 and solv2 values are those of the absorbing construction,
+# backed by test_absorbed_outputs_are_block_sums
 REBASED_SHA256 = {
-    ("t3", 1): "906b04da56c374329aeef1ab3f172b0e4cb1e71382b158806ecd0e415c85e608",
-    ("t3", 2): "8dee079ab5ef9fd963582eed665ff5285426cb340127c1293854a950439a384a",
+    ("t3", 1): "d3d6ac3a8f7ce9dd9447fb0ef7621f122ed872b6fb0650cd003a0fc9a8d81296",
+    ("t3", 2): "347d97c75d0a4ef47880550e399af4adfcb96381d38978c93bdf770fde93b802",
     ("jordan3", 1): "a80bef3ea2b4c0fe2bf3aae4e54b7d7e2793c895b4d22fbe0824c601cdf216a9",
     ("jordan3", 2): "ac81816dd8571b00bffd190c5ebe18c6c117929c9846d562e06fe30bf1866899",
-    ("rot3", 1): "d454c34ef91261b6585efd0f1f69958f2f8cabbc7c6eba0aa877025afeb609ca",
-    ("rot3", 2): "9ae17b7bfa95aafddcf168eb15ee99423dd64c5f9ca389b98e1a7ce367c6f35b",
+    ("rot3", 1): "72862268184157842e556444df9b73111db3309f4676a305552dd874707b1687",
+    ("rot3", 2): "224f62a1493338a5e4564d00d899cca0fc3472674fd48bfcafe56170e0905f31",
     ("gl2", 1): "8a5df3fa8a4ed3b4621333f754dbb8945bae1a15c389bbbe4c1083ca8aac1b6d",
     ("gl2", 2): "f98a8d3b13ffff6bdae10f8e7a151e4fbfdacfdfeae7be96099134b5066ed667",
-    ("solv2", 1): "73fc39733f9be2b0feb7b3a244085e6ca7b4815d2313c6670c2e3d1a32f463bd",
-    ("solv2", 2): "f34d5269502f5278d382c350598048ac986169ec01bf605f76fb81704028cf87",
+    ("solv2", 1): "59e3b3083d067cce25ade2511cd53944c9134e1439676c2c062bd3777fd7ce91",
+    ("solv2", 2): "e35322acb268fc538801cf41c2853da599bed6bc381e41531feefe0c08a16f68",
     ("heisenberg5", 1): "e4c5395f142601ada9ad39a0bce67fc36e7f8cc02d7d31163ad6fdbe266fb97b",
     ("heisenberg5", 2): "04781051b8187fde4b3e62f9944eaafafc453f5c0beb4e9060039cc06a637c3b",
 }
@@ -108,12 +113,12 @@ CATALOG_DIM_V = {
     "abelian:4": 5,
     "heisenberg": 7,
     "heisenberg5": 16,
-    "solv2": 3,
+    "solv2": 2,
     "jordan3": 7,
-    "rot3": 4,
+    "rot3": 3,
     "sl2": 4,
     "gl2": 6,
-    "t3": 25,
+    "t3": 10,
 }
 
 # the catalog entries whose saturation takes at least one step
@@ -172,6 +177,87 @@ def test_rebased_outputs_are_pinned(capsys, tmp_path):
         assert digest == pinned, (name, seed)
 
 
+# the absorbing catalog entries: n after saturation, its weights and the
+# default truncation, and the dimension of the kernel part of p, which the
+# reductive block represents by its adjoint padded by a translation
+ABSORBED_SHAPES = {
+    # n is the line of e2, acted on by the scaling e1
+    "solv2": ((1,), 1, 0),
+    # n is the plane, acted on by the rotation
+    "rot3": ((1, 1), 1, 0),
+    # n is the Heisenberg algebra of strictly upper triangular matrices;
+    # the identity commutes with it and the traceless diagonal acts
+    "t3": ((1, 1, 2), 2, 1),
+}
+
+
+def _weighted_monomials(weights, order):
+    # monomials of weighted degree <= order in k generators of weight 1
+    # and at most one z of weight 2: the sum over the powers c of z of
+    # C(k + order - 2c, k)
+    k = weights.count(1)
+    powers = order // 2 if 2 in weights else 0
+    return sum(math.comb(k + order - 2 * c, k) for c in range(powers + 1))
+
+
+def test_absorbed_outputs_are_block_sums(capsys, tmp_path):
+    # the facts that back the pinned outputs of the absorbing entries, in
+    # the catalog basis and in the pinned random bases
+    path = tmp_path / "rep.json"
+    for name, (weights, order, kernel_dim) in ABSORBED_SHAPES.items():
+        for seed in (None, 1, 2):
+            g = catalog_algebra(name)
+            if seed is not None:
+                g = seeded_change_of_basis(random.Random(seed), g)
+            result = ado_representation(g)
+            env, *red = result.provenance["blocks"]
+            assert sorted(env["weights"]) == list(weights), (name, seed)
+            assert env["truncation"] == order
+            assert env["dimension"] == _weighted_monomials(weights, order)
+            assert env["dimension"] == oracle_weighted_count(weights, order)
+            # adjoint of an abelian kernel part, one translation row per
+            # central direction and one more
+            red_dim = 2 * kernel_dim + 1 if kernel_dim else 0
+            assert [b["dimension"] for b in red] == ([red_dim] if kernel_dim else [])
+            assert result.dim_v == env["dimension"] + red_dim == CATALOG_DIM_V[name]
+            labels = tuple(f"e{i}" for i in range(g.dim))
+            path.write_text(canonical_dumps(representation_to_json(name, labels, result)))
+            assert main(["verify", str(path)]) == 0, (name, seed)
+            capsys.readouterr()
+
+
+def test_t3_absorbs_every_step_in_random_bases():
+    # the torus absorbs in any basis; Random(9) is a basis whose first
+    # generator acts with a nilpotent part that only the inner correction
+    # removes, so without it dim_v would depend on the basis
+    corrected = 0
+    for seed in (1, 2, 9):
+        g = seeded_change_of_basis(random.Random(seed), catalog_algebra("t3"))
+        result = ado_representation(g)
+        steps = result.provenance["saturation"][1:]
+        assert [record["stage"] for record in steps] == ["absorb"] * 3, seed
+        assert result.provenance["ambient_dimension"] == 6
+        assert result.dim_v == CATALOG_DIM_V["t3"], seed
+        corrected += sum("inner" in record for record in steps)
+    assert corrected
+
+
+# jordan3's saturation record, as the construction wrote it before any
+# step could absorb: a step whose split is proper and not inner extends
+# exactly as it did
+JORDAN3_SATURATION = (
+    '[{"levi_dimension":0,"nilpotent_dimension":2,"radical_dimension":3,"stage":"initial"},'
+    '{"dimensions":{"algebra":4,"nilpotent":3,"reductive":1},'
+    '"embedding":[["1","0","0"],["1","0","0"],["0","1","0"],["0","0","1"]],'
+    '"generator":["1","0","0"],"semisimple_witness":["1"],"stage":"expand"}]\n'
+)
+
+
+def test_jordan3_saturation_record_is_unchanged():
+    result = ado_representation(catalog_algebra("jordan3"))
+    assert canonical_dumps(result.provenance["saturation"]) == JORDAN3_SATURATION
+
+
 def test_abelian_module_dimensions(capsys):
     with criterion(capsys, 2, "abelian module dimensions"):
         for m in (1, 2, 3):
@@ -189,13 +275,14 @@ def test_solv2_golden_run(capsys):
     with criterion(capsys, 3, "solv2 golden run"):
         g = catalog_algebra("solv2")
         pres = saturate(g)
-        assert len(pres.trace) == 2  # exactly one expansion step
-        assert pres.algebra.dim == 3
+        assert len(pres.trace) == 2  # exactly one step, which absorbs
+        assert pres.trace[1]["stage"] == "absorb"
+        assert pres.algebra is g
         assert pres.reductive_part.dim == 1
-        assert pres.nilpotent_part.dim == 2
+        assert pres.nilpotent_part.dim == 1
 
         result = ado_representation(g)
-        assert result.dim_v == 3
+        assert result.dim_v == 2
         rho1, rho2 = result.matrices
         assert rho2.power(2).is_zero()
         assert not rho2.is_zero()
@@ -255,13 +342,21 @@ def test_derivation_split_laws(capsys):
                 ker = kernel(d)
                 assert kernel(dec.semisimple).contains(ker)
                 assert kernel(dec.nilpotent).contains(ker)
-        # the splits the saturation itself performs, read off the extended
-        # tables: the two new directions act on the absorbed hyperplane by
-        # the semisimple and nilpotent parts
+        # the splits the saturation itself performs.  An extend step's
+        # parts are read off the extended table: the two new directions act
+        # on the absorbed hyperplane by the semisimple and nilpotent parts.
+        # An absorb step's are read on n, where the Jordan parts of ad x are
+        # ad(x - y) and ad y for the inner correction y (zero unless the
+        # record names one), and the semisimple part is zero when x joins n
         for name in STEPPING_CASES:
             pres = initial_presentation(catalog_algebra(name))
             while presentation_defect(pres):
+                before = pres
                 pres = expansion_step(pres)
+                record = pres.trace[-1]
+                if record["stage"] == "absorb":
+                    _check_absorbed_split(before, record)
+                    continue
                 dim = pres.algebra.dim
                 tail = [{k: 1} for k in range(2, dim)]
                 inner, _ = pres.algebra.subalgebra_on_basis(tail)
@@ -274,6 +369,23 @@ def test_derivation_split_laws(capsys):
                 assert kernel(nil).contains(ker)
 
 
+def _check_absorbed_split(before, record):
+    q = before.algebra
+    x = {k: Q(c) for k, c in enumerate(record["generator"])}
+    y = {k: Q(c) for k, c in enumerate(record.get("inner", ["0"] * q.dim))}
+    assert before.nilpotent_part.member(y)
+    nil = list(before.nilpotent_part.span.rows.values())
+    x_minus_y = {k: x[k] - y[k] for k in x}
+    nalg, _, (ad_x, ad_semi, ad_nil) = q.subalgebra_and_derivations(nil, [x, x_minus_y, y])
+    dec = _check_split(ad_x)
+    assert dense_leibniz_witness(nalg, dec.semisimple) is None
+    assert dense_leibniz_witness(nalg, dec.nilpotent) is None
+    if record["joins"] == "reductive":
+        assert (dec.semisimple, dec.nilpotent) == (ad_semi, ad_nil)
+    else:
+        assert dec.semisimple.is_zero()
+
+
 def test_expansion_invariants(capsys):
     with criterion(capsys, 6, "expansion invariants"):
         for name in STEPPING_CASES:
@@ -283,11 +395,17 @@ def test_expansion_invariants(capsys):
             steps = 0
             while presentation_defect(pres):
                 before = presentation_defect(pres)
-                previous = pres.algebra
+                previous, previous_embed = pres.algebra, pres.embed_original
                 pres = expansion_step(pres)
                 verify_presentation(pres, g)
                 assert presentation_defect(pres) == before - 1
                 record = pres.trace[-1]
+                if record["stage"] == "absorb":
+                    # the algebra and the embedding stay as they are
+                    assert pres.algebra is previous
+                    assert pres.embed_original == previous_embed
+                    steps += 1
+                    continue
                 step = Matrix([[Q(entry) for entry in row] for row in record["embedding"]])
                 for i in range(previous.dim):
                     for j in range(i + 1, previous.dim):

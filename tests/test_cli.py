@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from ado import cli, expansion, lie, pipeline
+from ado.catalog import catalog_algebra
 from ado.cli import main
 from ado.decompose import LeviData
 from ado.formats import algebra_to_json, canonical_dumps
@@ -10,7 +12,7 @@ from ado.jordan import JCDecomposition
 from ado.lie import LieAlgebra
 from ado.linalg import QONE, Matrix, Polynomial, SparseSpan, Subspace
 
-from helpers import sl2_plus_solv2
+from helpers import seeded_change_of_basis, sl2_plus_solv2
 
 
 FILIFORM_FILE = {
@@ -31,7 +33,7 @@ def test_compute_catalog_to_stdout(capsys):
     code, out, err = run(capsys, "compute", "--catalog", "solv2")
     assert code == 0
     data = json.loads(out)
-    assert data["dim_v"] == 3
+    assert data["dim_v"] == 2
     assert data["algebra"]["name"] == "solv2"
     assert data["verification"]["verified"] is True
     assert all(
@@ -41,7 +43,7 @@ def test_compute_catalog_to_stdout(capsys):
         for entry in row
     )
     assert "verdict: verified faithful" in err
-    assert "enveloping block: dimension 3 (truncation 1, weights 1 1)" in err
+    assert "enveloping block: dimension 2 (truncation 1, weights 1)" in err
 
 
 def test_compute_is_deterministic(capsys):
@@ -102,17 +104,31 @@ def test_catalog_list(capsys):
     assert "n3" in names
 
 
-def test_trace_flag_prints_saturation(capsys):
+def test_trace_flag_prints_saturation(capsys, tmp_path):
     code, out, _ = run(capsys, "compute", "--catalog", "t3", "--truncation", "3")
     assert code == 0
     data = json.loads(out)
     assert data["verification"]["verified"] is True
     assert data["provenance"]["blocks"][0]["truncation"] == 3
-    code, _, err = run(
-        capsys, "compute", "--catalog", "solv2", "--trace"
-    )
+    # solv2's scaling is semisimple and absorbs; jordan3's shear extends
+    code, _, err = run(capsys, "compute", "--catalog", "solv2", "--trace")
+    assert code == 0
     assert "saturation: levi 0, radical 2, nilpotent seed 1" in err
-    assert "step: generator (1, 0)" in err
+    assert "  absorb: generator (1, 0), joins reductive\n" in err
+    assert "step:" not in err
+    code, _, err = run(capsys, "compute", "--catalog", "jordan3", "--trace")
+    assert code == 0
+    assert "  step: generator (1, 0, 0), witness (1), dimensions 4/1/3\n" in err
+    assert "absorb:" not in err
+    # an inner correction is printed after its generator
+    g = seeded_change_of_basis(random.Random(9), catalog_algebra("t3"))
+    path = tmp_path / "t3.json"
+    path.write_text(canonical_dumps(algebra_to_json("t3", tuple(f"e{i}" for i in range(6)), g)))
+    code, _, err = run(capsys, "compute", str(path), "--trace")
+    assert code == 0
+    absorbs = [line for line in err.splitlines() if line.startswith("  absorb: ")]
+    assert len(absorbs) == 3
+    assert " less (" in absorbs[0] and absorbs[0].endswith("), joins reductive")
 
 
 def test_truncation_below_the_floor_exits_one(capsys, tmp_path):
@@ -240,14 +256,14 @@ def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and
         ),
         pytest.param(
             expansion, "coordinates_in", no_coordinates,
-            "expand", "basis vector outside x + hyperplane", "solv2",
+            "expand", "basis vector outside x + hyperplane", "jordan3",
             id="ado.expansion-expand",
         ),
         # a ValueError from a change of basis or a Jordan split is a
         # structured exit 2 of its stage, not a traceback
         pytest.param(
             expansion, "coordinates_in", dependent_basis,
-            "expand", "basis is linearly dependent", "solv2",
+            "expand", "basis is linearly dependent", "jordan3",
             id="ado.expansion-expand-dependent",
         ),
         # a split into parts that are not derivations of the hyperplane
@@ -263,10 +279,11 @@ def escaping_derivations(self, basis, acting, original=LieAlgebra.subalgebra_and
             id="ado.pipeline-pipeline-assembly-dependent",
         ),
         # the algebra on a span checked to be closed finds no structure
-        # constants: solv2's first such algebra is n's, built in the pipeline
+        # constants: jordan3's first such algebra is n's, built in the
+        # pipeline on the extended algebra
         pytest.param(
             lie, "coordinates_in", no_coordinates,
-            "pipeline", "span is not closed under the bracket", "solv2",
+            "pipeline", "span is not closed under the bracket", "jordan3",
             id="ado.lie-pipeline",
         ),
         # the Levi recursion over a nonabelian radical builds the preimage

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as Q
 
 import pytest
 
@@ -13,11 +14,20 @@ from ado.expansion import (
     verify_presentation,
 )
 from ado.lie import LieAlgebra
-from ado.linalg import Matrix, SparseSpan, Subspace, unit_vector
+from ado.linalg import (
+    Matrix,
+    SparseSpan,
+    Subspace,
+    minimal_polynomial,
+    squarefree_part,
+    unit_vector,
+)
 
 from helpers import (
     change_of_basis,
+    direct_sum,
     record_bracket_spans,
+    seeded_change_of_basis,
     seeded_matrix,
     sl2_plus_solv2,
 )
@@ -28,32 +38,47 @@ def nilpotency_index_of_part(pres, part):
     return sub.nilpotency_index()
 
 
+def assert_step_law(g, pres):
+    """The law of both kinds of step: an extend step trades the generator
+    for two directions, one joining p and one joining n; an absorb step
+    adds its generator to the part it joins and leaves the algebra and
+    the embedding as they are."""
+    initial, steps = pres.trace[0], pres.trace[1:]
+    extends = sum(record["stage"] == "expand" for record in steps)
+    joins = [record["joins"] for record in steps if record["stage"] == "absorb"]
+    assert extends + len(joins) == len(steps)
+    assert pres.algebra.dim == g.dim + extends
+    assert pres.reductive_part.dim == (
+        initial["levi_dimension"] + extends + joins.count("reductive")
+    )
+    assert pres.nilpotent_part.dim == (
+        initial["nilpotent_dimension"] + extends + joins.count("nilpotent")
+    )
+    if not extends:
+        assert pres.algebra is g
+        assert pres.embed_original == Matrix.identity(g.dim)
+
+
 def test_solv2_saturates_in_one_step():
     g = catalog_algebra("solv2")
     pres = saturate(g)
     assert presentation_defect(pres) == 0
-    assert pres.algebra.dim == 3
-    assert pres.reductive_part.dim == 1
-    assert pres.nilpotent_part.dim == 2
+    assert_step_law(g, pres)
     assert pres.trace[0] == {
         "stage": "initial",
         "levi_dimension": 0,
         "radical_dimension": 2,
         "nilpotent_dimension": 1,
     }
+    # ad e1 scales e2, a semisimple action: e1 joins p, with no extension
     assert pres.trace[1] == {
-        "stage": "expand",
+        "stage": "absorb",
         "generator": ["1", "0"],
-        "semisimple_witness": ["1"],
-        "embedding": [["1", "0"], ["1", "0"], ["0", "1"]],
-        "dimensions": {"algebra": 3, "reductive": 1, "nilpotent": 2},
+        "joins": "reductive",
+        "dimensions": {"algebra": 2, "reductive": 1, "nilpotent": 1},
     }
-    # e1 becomes the sum of the two new directions, e2 is untouched
-    assert pres.embed_original.column(0) == (1, 1, 0)
-    assert pres.embed_original.column(1) == (0, 0, 1)
-    # [y, e2] = e2 and z acts trivially, so n is abelian here
-    assert pres.algebra.table[0][2] == (0, 0, 1)
-    assert pres.algebra.table[1][2] == (0, 0, 0)
+    assert pres.reductive_part == Subspace(2, SparseSpan([{0: 1}]))
+    assert pres.nilpotent_part == Subspace(2, SparseSpan([{1: 1}]))
     assert nilpotency_index_of_part(pres, pres.nilpotent_part) == 2
 
 
@@ -61,20 +86,17 @@ def test_t3_saturates_in_three_steps():
     g = catalog_algebra("t3")
     pres = saturate(g)
     assert len(pres.trace) == 4
-    assert pres.algebra.dim == 9
-    assert pres.reductive_part.dim == 3
-    assert pres.nilpotent_part.dim == 6
+    assert_step_law(g, pres)
+    # each diagonal unit acts semisimply and joins p in turn
+    assert [record["stage"] for record in pres.trace[1:]] == ["absorb"] * 3
+    assert [record["joins"] for record in pres.trace[1:]] == ["reductive"] * 3
     generators = [record["generator"] for record in pres.trace[1:]]
     assert generators == [
         ["1", "0", "0", "0", "0", "0"],
-        ["0", "0", "1", "0", "0", "0", "0"],
-        ["0", "0", "0", "0", "1", "0", "0", "0"],
+        ["0", "1", "0", "0", "0", "0"],
+        ["0", "0", "1", "0", "0", "0"],
     ]
-    # every diagonal action already equals a polynomial value of itself
-    for record in pres.trace[1:]:
-        assert record["semisimple_witness"] == ["0", "1"]
-    expected_columns = [{4: 1, 5: 1}, {2: 1, 3: 1}, {0: 1, 1: 1}, {6: 1}, {7: 1}, {8: 1}]
-    assert pres.embed_original == Matrix.from_sparse(9, 6, expected_columns)
+    assert (pres.algebra.dim, pres.reductive_part.dim, pres.nilpotent_part.dim) == (6, 3, 3)
     assert pres.algebra.bracket_span(
         pres.reductive_part, pres.reductive_part
     ).dim == 0
@@ -85,15 +107,13 @@ def test_rot3_single_rotation_step():
     g = catalog_algebra("rot3")
     pres = saturate(g)
     assert len(pres.trace) == 2
-    assert pres.algebra.dim == 4
-    assert pres.reductive_part.dim == 1
-    assert pres.nilpotent_part.dim == 3
-    assert pres.trace[1]["semisimple_witness"] == ["0", "1"]
-    # the rotation is already semisimple: y carries it whole, z is central
-    assert pres.algebra.table[0][2] == (0, 0, 0, 1)
-    assert pres.algebra.table[0][3] == (0, 0, -1, 0)
-    assert pres.algebra.table[1][2] == (0, 0, 0, 0)
-    assert pres.algebra.table[1][3] == (0, 0, 0, 0)
+    assert_step_law(g, pres)
+    # the rotation is already semisimple: it joins p whole
+    assert pres.trace[1]["stage"] == "absorb"
+    assert pres.trace[1]["joins"] == "reductive"
+    assert pres.reductive_part == Subspace(3, SparseSpan([{0: 1}]))
+    assert pres.algebra.table[0][1] == (0, 0, 1)
+    assert pres.algebra.table[0][2] == (0, -1, 0)
     assert nilpotency_index_of_part(pres, pres.nilpotent_part) == 2
 
 
@@ -101,6 +121,10 @@ def test_jordan3_splits_shear_from_scaling():
     g = catalog_algebra("jordan3")
     pres = saturate(g)
     assert len(pres.trace) == 2
+    assert_step_law(g, pres)
+    # d = [[1, 1], [0, 1]] has both parts nonzero, and n is abelian, so
+    # no inner derivation carries the shear: the step extends
+    assert pres.trace[1]["stage"] == "expand"
     assert pres.algebra.dim == 4
     assert pres.reductive_part.dim == 1
     assert pres.nilpotent_part.dim == 3
@@ -139,9 +163,12 @@ def test_semisimple_factor_survives_beside_solvable_piece():
     g = sl2_plus_solv2()
     pres = saturate(g)
     assert len(pres.trace) == 2
-    assert pres.algebra.dim == 6
+    assert_step_law(g, pres)
+    # solv2's scaling joins the Levi factor in p
+    assert pres.trace[1]["joins"] == "reductive"
+    assert pres.algebra.dim == 5
     assert pres.reductive_part.dim == 4
-    assert pres.nilpotent_part.dim == 2
+    assert pres.nilpotent_part.dim == 1
     derived = pres.algebra.bracket_span(pres.reductive_part, pres.reductive_part)
     assert derived.dim == 3
 
@@ -158,6 +185,7 @@ def test_saturation_invariants(name):
     )
     initial = initial_presentation(g)
     assert len(pres.trace) == 1 + presentation_defect(initial)
+    assert_step_law(g, pres)
 
 
 @pytest.mark.parametrize("seed", [3, 19, 57])
@@ -173,9 +201,70 @@ def test_saturation_dimensions_are_basis_independent(seed):
             continue
     pres = saturate(scrambled)
     verify_presentation(pres, scrambled)
-    assert pres.algebra.dim == 9
+    assert_step_law(scrambled, pres)
+    # every basis absorbs the torus, with no extension
+    assert pres.algebra.dim == 6
     assert pres.reductive_part.dim == 3
-    assert pres.nilpotent_part.dim == 6
+    assert pres.nilpotent_part.dim == 3
+
+
+def absorbing_input(name):
+    if name == "sl2+solv2":
+        return sl2_plus_solv2()
+    if name == "solv2+heisenberg":
+        return direct_sum(catalog_algebra("solv2"), catalog_algebra("heisenberg"))
+    if name == "t3-rebased":
+        # a basis whose first generator needs the inner correction
+        return seeded_change_of_basis(random.Random(9), catalog_algebra("t3"))
+    return catalog_algebra(name)
+
+
+def vector_of(entries):
+    return {k: Q(c) for k, c in enumerate(entries) if Q(c)}
+
+
+@pytest.mark.parametrize(
+    "name", ["solv2", "rot3", "t3", "sl2+solv2", "solv2+heisenberg", "t3-rebased"]
+)
+def test_an_absorb_step_keeps_the_algebra_and_lowers_the_defect(name):
+    g = absorbing_input(name)
+    pres = initial_presentation(g)
+    joined = []
+    while presentation_defect(pres):
+        before = pres
+        pres = expansion_step(pres)
+        verify_presentation(pres, g)
+        assert presentation_defect(pres) == presentation_defect(before) - 1
+        record = pres.trace[-1]
+        assert record["stage"] == "absorb"
+        assert pres.algebra is before.algebra
+        assert pres.embed_original is before.embed_original
+        # the generator, less its inner correction, is the one new line
+        vector = vector_of(record["generator"])
+        for k, c in vector_of(record.get("inner", ())).items():
+            vector[k] = vector.get(k, 0) - c
+        assert not before.reductive_part.sum(before.nilpotent_part).member(vector)
+        line = Subspace(g.dim, SparseSpan([vector]))
+        parts = {"reductive": pres.reductive_part, "nilpotent": pres.nilpotent_part}
+        olds = {"reductive": before.reductive_part, "nilpotent": before.nilpotent_part}
+        for part in parts:
+            expected = olds[part].sum(line) if part == record["joins"] else olds[part]
+            assert parts[part] == expected, part
+        # a line joining p acts semisimply on n, one joining n nilpotently
+        nil = list(pres.nilpotent_part.span.rows.values())
+        _, _, (ad,) = g.subalgebra_and_derivations(nil, [vector])
+        if record["joins"] == "reductive":
+            minimal = minimal_polynomial(ad)
+            assert squarefree_part(minimal) == minimal
+        else:
+            assert ad.power(len(nil)).is_zero()
+        joined.append(record["joins"])
+    assert joined
+    if name == "solv2+heisenberg":
+        # the scaling joins p; the Heisenberg generators act nilpotently
+        assert joined == ["reductive", "nilpotent", "nilpotent"]
+    if name == "t3-rebased":
+        assert "inner" in pres.trace[1]
 
 
 def test_step_on_saturated_presentation_trips():

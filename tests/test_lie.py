@@ -211,13 +211,17 @@ def test_nilpotency_index():
 
 
 def test_solvability_classification():
-    assert catalog_algebra("solv2").is_solvable()
-    assert not catalog_algebra("solv2").is_nilpotent()
-    assert catalog_algebra("t3").is_solvable()
-    assert not catalog_algebra("t3").is_nilpotent()
-    assert not catalog_algebra("sl2").is_solvable()
-    assert catalog_algebra("rot3").is_solvable()
-    assert catalog_algebra("heisenberg5").is_nilpotent()
+    # solvable: the derived series ends at zero; nilpotent: the lower
+    # central series does
+    def last_dims(name):
+        g = catalog_algebra(name)
+        return g.derived_series()[-1].dim, g.lower_central_series()[-1].dim
+
+    assert last_dims("solv2") == (0, 1)
+    assert last_dims("t3") == (0, 3)
+    assert last_dims("sl2") == (3, 3)
+    assert last_dims("rot3")[0] == 0
+    assert last_dims("heisenberg5") == (0, 0)
 
 
 def test_center():
@@ -379,7 +383,7 @@ def test_subalgebra_on_basis():
     assert borel.dim == 2
     assert borel.bracket((1, 0), (0, 1)) == (Q(0), Q(2))
     assert inclusion.apply((0, 1)) == (Q(0), Q(1), Q(0))
-    assert borel.is_solvable()
+    assert borel.derived_series()[-1].dim == 0
     # [h, 2e] = 2 (2e), and [f, 2e] leaves the line through e
     line, _, (ad_h, ad_f) = sl2.subalgebra_and_derivations([{1: Q(2)}], [{0: Q(1)}, {2: Q(1)}])
     assert line.dim == 1

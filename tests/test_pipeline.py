@@ -45,12 +45,12 @@ FILIFORM = {(0, 1): {2: 1}, (0, 2): {3: 1}}
 @pytest.mark.parametrize(
     "name, dim_v, blocks",
     [
-        ("solv2", 3, [("enveloping", 3)]),
+        ("solv2", 2, [("enveloping", 2)]),
         ("heisenberg", 7, [("enveloping", 7)]),
         ("heisenberg5", 16, [("enveloping", 16)]),
         ("sl2", 4, [("reductive", 4)]),
         ("gl2", 6, [("enveloping", 2), ("reductive", 4)]),
-        ("rot3", 4, [("enveloping", 4)]),
+        ("rot3", 3, [("enveloping", 3)]),
         ("jordan3", 7, [("enveloping", 7)]),
         ("abelian:2", 3, [("enveloping", 3)]),
     ],
@@ -67,27 +67,33 @@ def test_catalog_dimensions(name, dim_v, blocks):
 
 
 def test_t3_full_tower():
+    # the diagonal absorbs into p: n is the strictly upper triangular
+    # Heisenberg algebra, the identity is the kernel part and the two
+    # traceless diagonals act on n
     res = ado_representation(catalog_algebra("t3"))
-    assert res.dim_v == 25
+    assert res.dim_v == 10
     env, red = res.provenance["blocks"]
     assert env["kind"] == "enveloping"
-    assert env["dimension"] == 22
+    # monomials x^a y^b z^c of weight a + b + 2c <= 2: C(4, 2) + 1
+    assert env["dimension"] == 7
     assert env["cut_ideal_dimension"] == 0
-    assert env["ambient_monomials"] == 22
+    assert env["ambient_monomials"] == 7
     assert env["truncation"] == 2
-    assert env["weights"] == [1, 1, 1, 1, 2, 1]
+    assert env["weights"] == [1, 2, 1]
     assert env["nilpotency_index"] == 3
     assert env["acting_dimension"] == 2
-    assert env["nilpotent_dimension"] == 6
+    assert env["nilpotent_dimension"] == 3
     assert red == {"kind": "reductive", "dimension": 3, "adjoint_dimension": 1}
     assert res.verification.verified
 
 
 def test_mixed_semisimple_and_solvable_summands():
+    # solv2's scaling joins p and acts on its line: an enveloping block of
+    # dimension 1 + 1, beside sl2's adjoint padded by one translation row
     res = ado_representation(sl2_plus_solv2())
-    assert res.dim_v == 7
-    kinds = [b["kind"] for b in res.provenance["blocks"]]
-    assert kinds == ["enveloping", "reductive"]
+    assert res.dim_v == 6
+    blocks = [(b["kind"], b["dimension"]) for b in res.provenance["blocks"]]
+    assert blocks == [("enveloping", 2), ("reductive", 4)]
     assert res.verification.verified
 
 
@@ -116,8 +122,8 @@ def test_solv2_scaling_spectrum():
     # eigenvalues 0 and 1: the weights of the monomials of weight <= 1
     assert reduced.coeffs == (0, -1, 1)
     step = res.matrices[1]
-    assert step.power(2) == Matrix.zeros(3, 3)
-    assert step != Matrix.zeros(3, 3)
+    assert step.power(2) == Matrix.zeros(2, 2)
+    assert step != Matrix.zeros(2, 2)
 
 
 def test_provenance_is_json_serializable():
