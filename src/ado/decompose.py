@@ -1,6 +1,7 @@
 """Structural decompositions: radical, Levi complement, reductive split.
 
-The radical is cut out by Killing-orthogonality against the derived
+The radical is the whole algebra when its derived series ends in zero,
+and otherwise is cut out by Killing-orthogonality against the derived
 subalgebra.  A Levi complement is found by recursion on the derived
 series of the radical; the base case with abelian radical solves one
 exact linear system for the correcting cochain.  The radical's series
@@ -47,10 +48,17 @@ class ReductiveSplit:
 
 
 def radical(g: LieAlgebra) -> Subspace:
-    """Largest solvable ideal: Killing-orthogonal space of [g, g]."""
-    derived = g.derived_subalgebra()
-    if derived.dim == 0:
+    """Largest solvable ideal: Killing-orthogonal space of [g, g].
+
+    A solvable g is its own radical, as Cartan's criterion makes the
+    Killing form vanish on g x [g, g]; the form is built only otherwise.
+    """
+    series = g.derived_series()
+    if not series[-1].dim:
         return g.full_space()
+    # the series stops at a term equal to its successor: [g, g] is the
+    # second term, or g itself when there is none
+    derived = series[min(1, len(series) - 1)]
     # the Killing form is symmetric, so K w is the constraint row of w
     killing = g.killing_form()
     constraints = (killing.apply_pairs(w.items()) for w in derived.span.rows.values())

@@ -18,8 +18,10 @@ the defect drops by exactly one per step.  S and N are derivations of
 I by theory, not by a separate check: the extension satisfies the
 Jacobi identity exactly when they are commuting derivations, and the
 LieAlgebra constructor validates it.  That extension is the only
-algebra a step builds; the presentation check reads the series of n in
-q.
+algebra a step builds.  saturate checks the parts of every presentation
+(verify_parts, which reads the series of n in q), and the embedding
+(verify_embedding) only after a step that extends, the one kind of step
+that changes it; verify_presentation is the two checks together.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ def initial_presentation(g: LieAlgebra) -> Presentation:
 
 def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
     """Re-check the presentation invariants; raises on any failure."""
+    verify_parts(pres)
+    verify_embedding(pres, original)
+
+
+def verify_parts(pres: Presentation) -> None:
+    """Check that p is a subalgebra and n a nilpotent ideal, that the two
+    meet trivially and that together they hold [q, q]."""
     q = pres.algebra
     p = pres.reductive_part
     n = pres.nilpotent_part
@@ -93,6 +102,11 @@ def verify_presentation(pres: Presentation, original: LieAlgebra) -> None:
         raise TripwireError(
             "presentation", "derived subalgebra escapes the absorbed part"
         )
+
+
+def verify_embedding(pres: Presentation, original: LieAlgebra) -> None:
+    """Check that the embedding is an injective homomorphism into q."""
+    q = pres.algebra
     embed = pres.embed_original
     if embed.ncols != original.dim or embed.nrows != q.dim:
         raise TripwireError("presentation", "embedding has the wrong shape")
@@ -274,18 +288,25 @@ def absorb(
 def saturate(g: LieAlgebra) -> Presentation:
     """Expand until the algebra splits as p plus n.
 
-    Every presentation is verified before anything reads it, the initial
-    one too: that check is where the Levi complement is shown to be a
-    subalgebra and the nilpotent seed a nilpotent ideal with [g, g]
-    inside the two.  Each step must lower the defect by exactly one,
-    which bounds the steps by the initial defect, so a faulty step
-    cannot go unnoticed.
+    The parts of every presentation are checked before anything reads
+    them, the initial one's too: that check is where the Levi complement
+    is shown to be a subalgebra and the nilpotent seed a nilpotent ideal
+    with [g, g] inside the two.  The embedding is checked only after a
+    step that extends, as the only step that changes it: the initial
+    embedding is the identity of g, and an absorb step keeps q and the
+    embedding.  Each step must lower the defect by exactly one, which
+    bounds the steps by the initial defect, so a faulty step cannot go
+    unnoticed.
     """
     pres = initial_presentation(g)
-    verify_presentation(pres, g)
+    verify_parts(pres)
     while (before := presentation_defect(pres)) > 0:
+        kept = pres.algebra, pres.embed_original
         pres = expansion_step(pres)
-        verify_presentation(pres, g)
+        if (pres.algebra, pres.embed_original) == kept:
+            verify_parts(pres)
+        else:
+            verify_presentation(pres, g)
         if presentation_defect(pres) != before - 1:
             raise TripwireError(
                 "expand",

@@ -13,10 +13,11 @@ halves), with a witness in the error when either fails.  A subalgebra
 comes with its inclusion matrix and a quotient with a section, the
 matrices that move vectors into the ambient coordinates; the
 subalgebra on the standard basis is the algebra itself.  An algebra
-never changes, so its full space, centre, Killing form and the bracket
-span of each pair of subspaces are computed once and shared; none may
-be mutated.  The derived subalgebra and the series of any subalgebra
-read those spans, with no algebra built for the subalgebra.
+never changes, so its full space, Killing form, the centralizer of each
+subspace (the centre among them) and the bracket span of each pair of
+subspaces are computed once and shared; none may be mutated.  The
+derived subalgebra and the series of any subalgebra read those spans,
+with no algebra built for the subalgebra.
 """
 
 from __future__ import annotations
@@ -214,16 +215,18 @@ class LieAlgebra:
         return len(series)
 
     def center(self) -> Subspace:
-        if "center" not in self._memo:
-            self._memo["center"] = self.centralizer(self.full_space())
-        return self._memo["center"]
+        return self.centralizer(self.full_space())
 
     def centralizer(self, s: Subspace) -> Subspace:
-        """Everything whose bracket with the given subspace vanishes.
+        """Everything whose bracket with the given subspace vanishes,
+        computed once per subspace.
 
         For each v in s, constraint row k takes x to the e_k coordinate of
         [v, x]; its entries are read off the nonzero structure constants.
         """
+        key = "centralizer", s
+        if key in self._memo:
+            return self._memo[key]
         span = SparseSpan()
         for v in s.span.rows.values():
             rows: dict[int, dict[int, Q]] = {}
@@ -234,7 +237,8 @@ class LieAlgebra:
                         row[j] = row.get(j, QZERO) + a * c
             for row in rows.values():
                 span.add(row)
-        return span_kernel(span, self.dim)
+        self._memo[key] = span_kernel(span, self.dim)
+        return self._memo[key]
 
     def killing_form(self) -> Matrix:
         """K[i][j] = trace(ad e_i ad e_j) = sum over l, k of c(i, l, k) c(j, k, l)."""

@@ -15,6 +15,9 @@ from ado.pipeline import ado_representation
 
 from helpers import (
     change_of_basis,
+    dense_bracket_span,
+    dense_kernel,
+    dense_killing_form,
     direct_sum,
     invert,
     killing_acting_part,
@@ -26,6 +29,7 @@ from helpers import (
     sl2_plus_sl2_semidirect_plane,
     sl2_semidirect_plane,
     sparse,
+    strictly_upper_triangular,
     transport_subspace,
 )
 
@@ -42,6 +46,54 @@ def test_radical_frozen_cases():
     assert radical(catalog_algebra("gl2")) == span_of(4, 3)
     assert radical(sl2_semidirect_plane()) == span_of(5, 3, 4)
     assert radical(sl2_plus_solv2()) == span_of(5, 3, 4)
+
+
+def killing_radical(g):
+    """Reference radical: the Killing-orthogonal space of [g, g], from dense traces."""
+    killing = dense_killing_form(g)
+    rows = [killing.apply(w) for w in dense_bracket_span(g, g.full_space(), g.full_space()).basis]
+    return dense_kernel(Matrix(rows, ncols=g.dim)) if rows else Subspace.full(g.dim)
+
+
+SOLVABLE = [
+    *(pytest.param(catalog_algebra(name), id=name) for name in ["t3", "jordan3", "heisenberg"]),
+    pytest.param(strictly_upper_triangular(4), id="n4"),
+    *(
+        pytest.param(seeded_change_of_basis(random.Random(seed), catalog_algebra(name)), id=f"{name}-{seed}")
+        for name in ["t3", "jordan3", "solv2", "rot3", "heisenberg5"]
+        for seed in (1, 2)
+    ),
+]
+
+
+@pytest.mark.parametrize("g", SOLVABLE)
+def test_radical_of_a_solvable_algebra_builds_no_killing_form(monkeypatch, g):
+    # by Cartan's criterion the form vanishes on g x [g, g], so the
+    # orthogonal space is all of g, as the derived series already shows
+    expected = killing_radical(g)
+
+    def refuse(self):
+        raise AssertionError("Killing form built")
+
+    monkeypatch.setattr(LieAlgebra, "killing_form", refuse)
+    assert radical(g) == expected == g.full_space()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(catalog_algebra("sl2"), id="sl2"),
+        pytest.param(catalog_algebra("gl2"), id="gl2"),
+        pytest.param(sl2_semidirect_plane(), id="sl2-plane"),
+        pytest.param(sl2_plus_solv2(), id="sl2+solv2"),
+        pytest.param(seeded_change_of_basis(random.Random(4), catalog_algebra("gl2")), id="gl2-4"),
+        pytest.param(
+            seeded_change_of_basis(random.Random(4), sl2_semidirect_plane()), id="sl2-plane-4"
+        ),
+    ],
+)
+def test_radical_of_a_non_solvable_algebra_is_the_killing_orthogonal_space(g):
+    assert radical(g) == killing_radical(g)
 
 
 def test_levi_of_semisimple_and_solvable_extremes():

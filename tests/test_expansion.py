@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import ado.expansion
 from ado.catalog import catalog_algebra
 from ado.errors import TripwireError
 from ado.expansion import (
@@ -331,3 +332,52 @@ def test_saturate_reads_the_kept_derived_terms(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "bracket_span", recomputed)
     assert saturate(catalog_algebra("t3")) == kept
     assert kept_spans < len(calls)
+
+
+def count_embedding_checks(monkeypatch) -> list:
+    checked = []
+    original = ado.expansion.verify_embedding
+
+    def counting(pres, g):
+        checked.append(pres.trace[-1]["stage"])
+        return original(pres, g)
+
+    monkeypatch.setattr(ado.expansion, "verify_embedding", counting)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "name, extends", [("t3", 0), ("jordan3", 1), ("jordan3+jordan3", 2), ("solv2+heisenberg", 0)]
+)
+def test_saturate_checks_the_embedding_after_each_extension_only(monkeypatch, name, extends):
+    # the initial embedding is the identity and an absorb step keeps it
+    if name == "jordan3+jordan3":
+        g = direct_sum(catalog_algebra("jordan3"), catalog_algebra("jordan3"))
+    else:
+        g = absorbing_input(name)
+    checked = count_embedding_checks(monkeypatch)
+    pres = saturate(g)
+    stages = [record["stage"] for record in pres.trace[1:]]
+    assert stages.count("expand") == extends
+    assert checked == ["expand"] * extends
+
+
+def test_a_tampered_extension_embedding_is_caught(monkeypatch):
+    # on jordan3 [e_0, e_1] = e_1, so doubling the image of e_0 breaks the
+    # bracket under the embedding, though it stays injective
+    step = ado.expansion.expansion_step
+
+    def tampered(pres):
+        out = step(pres)
+        if out.trace[-1]["stage"] != "expand":
+            return out
+        cols = list(out.embed_original.cols)
+        cols[0] = {k: 2 * c for k, c in cols[0].items()}
+        embed = Matrix.from_sparse(out.embed_original.nrows, len(cols), cols)
+        return Presentation(
+            out.algebra, out.reductive_part, out.nilpotent_part, embed, out.trace
+        )
+
+    monkeypatch.setattr(ado.expansion, "expansion_step", tampered)
+    with pytest.raises(TripwireError, match="embedding does not respect the bracket"):
+        saturate(catalog_algebra("jordan3"))

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ado.jordan
 from ado.catalog import catalog_algebra
 from ado.jordan import jc_decompose
 from ado.linalg import (
@@ -20,9 +23,33 @@ from helpers import (
     block_diag,
     conjugated_jordan,
     dense_leibniz_witness,
+    invert,
     jordan_block,
     semisimple_from_eigenvalues,
 )
+
+ROTATION = Matrix([[0, -1], [1, 0]])
+
+
+def conjugated_spectrum(rng: random.Random, n: int, kind: str) -> Matrix:
+    """A random conjugate of a block matrix of size n: semisimple blocks
+    (scalars and rotations, whose eigenvalues are not rational),
+    nilpotent Jordan blocks, or Jordan blocks at any small eigenvalue."""
+    blocks, remaining = [], n
+    while remaining:
+        if kind == "semisimple" and remaining >= 2 and rng.random() < 0.3:
+            block = ROTATION.scale(rng.choice([1, 2, Q(1, 2)]))
+        else:
+            size = 1 if kind == "semisimple" else rng.randint(1, min(3, remaining))
+            lam = Q(0) if kind == "nilpotent" else rng.choice([Q(-1), Q(0), Q(1), Q(2), Q(1, 2)])
+            block = jordan_block(lam, size)
+        blocks.append(block)
+        remaining -= block.nrows
+    # a product of unit triangular matrices has determinant 1
+    lower = Matrix([[1 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(n)] for i in range(n)])
+    upper = Matrix([[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(n)] for i in range(n)])
+    t = lower * upper
+    return t * block_diag(blocks) * invert(t)
 
 
 def test_zero_matrix():
@@ -138,3 +165,53 @@ def test_scaled_rotation_plus_identity():
         [Matrix([[0, -1], [1, 0]]), Matrix.identity(2).scale(2)]
     )
     assert dec.nilpotent == block_diag([Matrix.zeros(2, 2), jordan_block(Q(0), 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["semisimple", "nilpotent", "mixed"]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_split_has_the_defining_properties(kind, n, seed):
+    # the properties jc_decompose does not re-check, by independent means
+    d = conjugated_spectrum(random.Random(seed), n, kind)
+    dec = jc_decompose(d)
+    s, nil = dec.semisimple, dec.nilpotent
+    assert s + nil == d
+    assert s * nil == nil * s
+    assert nil.power(n).is_zero()
+    g = minimal_polynomial(s)
+    assert poly_gcd(g, g.derivative()).degree == 0
+    assert dec.witness(d) == s
+    if kind == "semisimple":
+        assert nil.is_zero()
+    if kind == "nilpotent":
+        assert s.is_zero()
+
+
+def test_trivial_splits_are_read_off_the_minimal_polynomial(monkeypatch):
+    # a squarefree or a nilpotent input runs no Newton step
+    def newton(*args):
+        raise AssertionError("Newton iteration ran")
+
+    monkeypatch.setattr(ado.jordan, "compose_mod", newton)
+    rng = random.Random(3)
+    semisimple = [
+        ROTATION,
+        Matrix.identity(3).scale(2),
+        Matrix.zeros(2, 2),
+        *(conjugated_spectrum(rng, n, "semisimple") for n in (1, 3, 5)),
+    ]
+    for d in semisimple:
+        dec = jc_decompose(d)
+        assert dec.semisimple == d and dec.nilpotent.is_zero()
+        assert dec.witness(d) == d
+    nilpotent = [jordan_block(Q(0), 3), *(conjugated_spectrum(rng, n, "nilpotent") for n in (2, 4))]
+    for d in nilpotent:
+        dec = jc_decompose(d)
+        assert dec.semisimple.is_zero() and dec.nilpotent == d
+        assert dec.witness == Polynomial.zero()
+    # a proper split still needs the iteration
+    with pytest.raises(AssertionError, match="Newton"):
+        jc_decompose(jordan_block(Q(1), 2))

@@ -318,6 +318,12 @@ def test_memoised_views_match_dense_oracles_and_are_shared(g):
     assert g.full_space() == Subspace.full(g.dim)
     for view in (g.killing_form, g.center, g.full_space):
         assert view() is view()
+    # the centre is the memoised centralizer of the whole space, shared by
+    # every equal subspace
+    assert g.center() is g.centralizer(g.full_space())
+    assert g.centralizer(Subspace.full(g.dim)) is g.center()
+    derived = g.derived_subalgebra()
+    assert g.centralizer(derived) is g.centralizer(Subspace(g.dim, derived.span))
 
 
 def test_jacobi_error_names_the_first_failing_triple_and_residual():
