@@ -31,11 +31,11 @@ from .linalg import (
     Q,
     QONE,
     QZERO,
-    SparseSpan,
     Subspace,
     Vector,
     coordinates_in,
     span_kernel,
+    span_of,
     to_q,
     vec,
 )
@@ -179,13 +179,15 @@ class LieAlgebra:
     def bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
         """Span of all brackets of the two subspaces, computed once per pair."""
         if (left, right) not in self._memo:
-            span = SparseSpan()
             rows = list(right.span.rows.values())
-            for s, u in enumerate(left.span.rows.values()):
+            same = left == right
+            brackets = (
+                self._bracket(u, v)
+                for s, u in enumerate(left.span.rows.values())
                 # [v, u] = -[u, v], so a span with itself needs only the later rows
-                for v in rows[s + 1 :] if left == right else rows:
-                    span.add(self._bracket(u, v))
-            self._memo[left, right] = Subspace(self.dim, span)
+                for v in (rows[s + 1 :] if same else rows)
+            )
+            self._memo[left, right] = Subspace(self.dim, span_of(brackets, self.dim))
         return self._memo[left, right]
 
     def derived_subalgebra(self) -> Subspace:
@@ -227,17 +229,18 @@ class LieAlgebra:
         key = "centralizer", s
         if key in self._memo:
             return self._memo[key]
-        span = SparseSpan()
-        for v in s.span.rows.values():
-            rows: dict[int, dict[int, Q]] = {}
-            for i, a in v.items():
-                for j, pairs in enumerate(self.nonzero[i]):
-                    for k, c in pairs:
-                        row = rows.setdefault(k, {})
-                        row[j] = row.get(j, QZERO) + a * c
-            for row in rows.values():
-                span.add(row)
-        self._memo[key] = span_kernel(span, self.dim)
+
+        def constraints():
+            for v in s.span.rows.values():
+                rows: dict[int, dict[int, Q]] = {}
+                for i, a in v.items():
+                    for j, pairs in enumerate(self.nonzero[i]):
+                        for k, c in pairs:
+                            row = rows.setdefault(k, {})
+                            row[j] = row.get(j, QZERO) + a * c
+                yield from rows.values()
+
+        self._memo[key] = span_kernel(span_of(constraints(), self.dim), self.dim)
         return self._memo[key]
 
     def killing_form(self) -> Matrix:

@@ -3,10 +3,10 @@
 Every scalar a caller sees is a fractions.Fraction; there is no
 floating point anywhere in this package.  Matrix is the one matrix
 type: immutable, held as columns of its nonzero entries, with one
-residual routine for brackets.  That routine clears each matrix's
-denominators once and runs its sums in Python int, which spares
-Fraction a gcd on every multiply-add; only a nonzero residual is turned
-back into fractions.  Operations return new values.
+check for brackets.  That check clears each matrix's denominators once
+and runs its sums in Python int, which spares Fraction a gcd on every
+multiply-add; it answers yes or no and builds no residual.  Operations
+return new values.
 
 SparseSpan, an echelon span of sparse vectors, is the package's one
 Gaussian elimination: ranks, residues, reduced row echelon forms,
@@ -64,7 +64,7 @@ class Matrix:
     The public constructors drop zero entries and the sparse routines
     never store one, so equal matrices hold equal columns.  Dense rows,
     columns and flatten() are views built on each read; the package
-    works on the columns.  The integer form that bracket_residual reads
+    works on the columns.  The integer form that bracket_holds reads
     is built on first use and kept; equality and hashing ignore it.
     """
 
@@ -102,7 +102,7 @@ class Matrix:
     def _wrap(cls, nrows: int, ncols: int, cols: Iterable[dict[int, Q]]) -> "Matrix":
         """Wrap columns that hold no zero entry, as _add_scaled leaves them.
 
-        Products, sums, residuals and block diagonals build through here:
+        Products, sums and block diagonals build through here:
         dropping zeros again there nearly doubled verify_representation.
         """
         m = object.__new__(cls)
@@ -307,17 +307,16 @@ def _add_scaled_int(target: dict, source: dict, coeff: int) -> None:
             target.pop(key, None)
 
 
-def bracket_residual(
-    a: Matrix, b: Matrix, terms: Iterable[tuple[Q, Matrix]]
-) -> Matrix:
-    """ab - ba - sum of c M over the (c, M) terms, for square matrices of one size.
+def bracket_holds(a: Matrix, b: Matrix, terms: Iterable[tuple[Q, Matrix]]) -> bool:
+    """Whether ab - ba is the sum of c M over the (c, M) terms, for square
+    matrices of one size.
 
     The sums run in int on the integer forms A = d_a a, B = d_b b and
     N = d M of the operands: with e = L c d_a d_b / d for each term, L
     the least common denominator of the c d_a d_b / d, the columns of
     L (AB - BA) - sum of e N are L d_a d_b times the residual.  Only
-    columns where some operand is nonzero are visited, and only a
-    nonzero residual is divided back into fractions.
+    columns where some operand is nonzero are visited, and the first
+    nonzero column answers no.
     """
     da, acols, anonzero = a._integer_form()
     db, bcols, bnonzero = b._integer_form()
@@ -330,7 +329,6 @@ def bracket_residual(
             visit.update(nonzero)
     big = lcm(*(f.denominator for f, _ in exact))
     scaled = [(-f.numerator * (big // f.denominator), cols) for f, cols in exact]
-    residual: dict[int, dict[int, int]] = {}
     for t in visit:
         out: dict[int, int] = {}
         for s, x in bcols[t].items():
@@ -340,12 +338,8 @@ def bracket_residual(
         for e, cols in scaled:
             _add_scaled_int(out, cols[t], e)
         if out:
-            residual[t] = out
-    denominator = big * da * db
-    cols: list[dict[int, Q]] = [{} for _ in range(a.ncols)]
-    for t, out in residual.items():
-        cols[t] = {i: Q(x, denominator) for i, x in out.items()}
-    return Matrix._wrap(a.nrows, a.ncols, cols)
+            return False
+    return True
 
 
 def sparse_block_diag(blocks: Sequence[Matrix]) -> Matrix:
@@ -413,6 +407,17 @@ class SparseSpan:
         return dict(reversed(done.items()))
 
 
+def span_of(vectors: Iterable[dict[int, Q]], n: int) -> SparseSpan:
+    """The span of vectors of Q^n; once it is the whole space, the rest
+    of the vectors are neither reduced nor read."""
+    span = SparseSpan()
+    for v in vectors:
+        if span.dim == n:
+            break
+        span.add(v)
+    return span
+
+
 def rank(m: Matrix) -> int:
     return SparseSpan(m.transpose().cols).dim
 
@@ -424,6 +429,8 @@ def kernel(m: Matrix) -> "Subspace":
 
 def span_kernel(span: SparseSpan, n: int) -> "Subspace":
     """The vectors of Q^n that every row of the span annihilates."""
+    if span.dim == n:
+        return Subspace.zero(n)
     reduced = span.reduced()
     return Subspace(n, SparseSpan(
         {f: QONE, **{p: -row[f] for p, row in reduced.items() if f in row}}
@@ -486,6 +493,8 @@ class Subspace:
     Each row has its pivot entry 1 and every other pivot coordinate 0,
     which makes the representation canonical: equal subspaces compare
     equal.  basis is a dense view of the rows by increasing pivot.
+    Subspaces are immutable, so an operation whose answer is an operand,
+    such as a sum with the zero space, returns that operand.
     """
 
     __slots__ = ("ambient_dim", "span", "pivots")
@@ -493,13 +502,25 @@ class Subspace:
     def __init__(self, ambient_dim: int, span: SparseSpan):
         """The span of the given rows; the span itself is left as it is."""
         reduced = SparseSpan()
-        reduced.rows = span.reduced()
+        # a span of full rank reduces to the unit rows
+        if span.dim == ambient_dim:
+            reduced.rows = {i: {i: QONE} for i in range(ambient_dim)}
+        else:
+            reduced.rows = span.reduced()
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "span", reduced)
         object.__setattr__(self, "pivots", tuple(reduced.rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def _units(cls, ambient_dim: int, indices: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at the given increasing indices,
+        which are their own echelon rows."""
+        span = SparseSpan()
+        span.rows = {i: {i: QONE} for i in indices}
+        return cls(ambient_dim, span)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Q]]) -> "Subspace":
@@ -510,11 +531,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, SparseSpan())
+        return cls._units(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, SparseSpan({i: QONE} for i in range(ambient_dim)))
+        return cls._units(ambient_dim, range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -537,6 +558,11 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
+        if other.dim == 0 or self.dim == self.ambient_dim:
+            return True
+        # a subspace of equal dimension is contained only if it is equal
+        if other.dim >= self.dim:
+            return other.dim == self.dim and self == other
         return not any(map(self.span.reduce, other.span.rows.values()))
 
     def coordinates_of(self, v: Mapping[int, Q]) -> dict[int, Q]:
@@ -554,8 +580,12 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
+        if other.dim == 0 or self.dim == self.ambient_dim or self == other:
+            return self
+        if self.dim == 0 or other.dim == other.ambient_dim:
+            return other
         rows = [*self.span.rows.values(), *other.span.rows.values()]
-        return Subspace(self.ambient_dim, SparseSpan(rows))
+        return Subspace(self.ambient_dim, span_of(rows, self.ambient_dim))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: rows (u, u) for u in self and (w, 0) for w in other
@@ -564,6 +594,10 @@ class Subspace:
         """
         self._check_ambient(other)
         n = self.ambient_dim
+        if self.dim == 0 or other.dim == n or self == other:
+            return self
+        if other.dim == 0 or self.dim == n:
+            return other
         doubled = ({**u, **{n + j: c for j, c in u.items()}} for u in self.span.rows.values())
         span = SparseSpan(doubled)
         for w in other.span.rows.values():
@@ -577,11 +611,13 @@ class Subspace:
         Works in the coordinates of within's echelon basis and picks the
         basis vectors of within whose indices are not pivot indices of
         self, smallest indices first.  With within omitted this is the
-        whole space and the chosen vectors are standard coordinate
-        vectors.
+        whole space and the chosen vectors are the standard coordinate
+        vectors at the indices that are not pivots of self.
         """
         if within is None:
-            within = Subspace.full(self.ambient_dim)
+            return Subspace._units(
+                self.ambient_dim, (j for j in range(self.ambient_dim) if j not in self.span.rows)
+            )
         within._check_ambient(self)
         if not within.contains(self):
             raise ValueError("subspace is not contained in the given space")

@@ -30,7 +30,7 @@ from .linalg import (
     QZERO,
     SparseSpan,
     Subspace,
-    bracket_residual,
+    bracket_holds,
     coordinates_in,
     sparse_block_diag,
     sparse_combination,
@@ -113,9 +113,9 @@ def verify_representation(
         (i, j)
         for i in range(algebra.dim)
         for j in range(i + 1, algebra.dim)
-        if not bracket_residual(
+        if not bracket_holds(
             matrices[i], matrices[j], [(c, matrices[k]) for k, c in algebra.nonzero[i][j]]
-        ).is_zero()
+        )
     ]
     # the kernel of the coefficient map c -> sum c_k M_k, by the rank of
     # the flattened matrices

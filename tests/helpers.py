@@ -426,6 +426,20 @@ def sl2_plus_sl2_semidirect_plane():
     )
 
 
+def sl3(on_space=False):
+    """sl3 from its root vectors; on_space adds its action on Q^3, as
+    affine 4 x 4 matrices."""
+    n = 4 if on_space else 3
+
+    def unit(i, j):
+        return Matrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+
+    gens = [unit(0, 1), unit(1, 2), unit(1, 0), unit(2, 1)]
+    if on_space:
+        gens.append(unit(2, 3))
+    return nilpotent_closure(gens)
+
+
 def direct_sum(*parts):
     """Direct sum of algebras, each part's basis after the previous ones."""
     from ado.lie import LieAlgebra

@@ -28,6 +28,7 @@ from helpers import (
     sl2_plus_solv2,
     sl2_plus_sl2_semidirect_plane,
     sl2_semidirect_plane,
+    sl3,
     sparse,
     strictly_upper_triangular,
     transport_subspace,
@@ -276,20 +277,6 @@ def test_split_and_levi_algebras_are_the_subalgebras_on_their_bases(g, p, n):
     r = levi_decomposition(g).radical
     rsub, inclusion = g.subalgebra_on_basis(map(sparse, r.basis))
     assert g.derived_series(r) == tuple(t.image(inclusion) for t in rsub.derived_series())
-
-
-def sl3(on_space=False):
-    """sl3 from its root vectors; on_space adds its action on Q^3, as
-    affine 4 x 4 matrices."""
-    n = 4 if on_space else 3
-
-    def unit(i, j):
-        return Matrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
-
-    gens = [unit(0, 1), unit(1, 2), unit(1, 0), unit(2, 1)]
-    if on_space:
-        gens.append(unit(2, 3))
-    return nilpotent_closure(gens)
 
 
 CENTRALIZER_CASES = [

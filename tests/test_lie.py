@@ -31,6 +31,7 @@ from helpers import (
     rationals,
     seeded_change_of_basis,
     seeded_matrix,
+    sl3,
     sparse,
 )
 
@@ -129,6 +130,37 @@ def test_centralizer_matches_dense_kernel(g, data):
     rows = data.draw(st.integers(min_value=0, max_value=2).flatmap(lambda k: matrices(k, g.dim)))
     for s in (Subspace.from_vectors(g.dim, rows.rows), g.full_space(), g.derived_subalgebra()):
         assert g.centralizer(s) == dense_centralizer(g, s)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(sl3(), id="sl3"),
+        pytest.param(direct_sum(catalog_algebra("sl2"), catalog_algebra("sl2")), id="sl2+sl2"),
+        pytest.param(catalog_algebra("gl2"), id="gl2"),
+        pytest.param(catalog_algebra("t3"), id="t3"),
+        pytest.param(
+            seeded_change_of_basis(random.Random(3), catalog_algebra("sl2")), id="sl2-rebased"
+        ),
+    ],
+)
+def test_spans_that_fill_the_space_match_dense_oracles(g):
+    # semisimple parts bracket onto themselves and centralize little, so
+    # these spans fill their space before every row is read
+    rng = random.Random(g.dim)
+    drawn = Subspace.from_vectors(g.dim, seeded_matrix(rng, 2, g.dim).rows)
+    spaces = (
+        Subspace.zero(g.dim),
+        g.full_space(),
+        g.derived_subalgebra(),
+        g.center(),
+        drawn,
+    )
+    assert g.center() == dense_center(g)
+    for left in spaces:
+        assert g.centralizer(left) == dense_centralizer(g, left)
+        for right in spaces:
+            assert g.bracket_span(left, right) == dense_bracket_span(g, left, right)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 from operator import add, sub
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from ado.linalg import (
     Polynomial,
     SparseSpan,
     Subspace,
-    bracket_residual,
+    bracket_holds,
     compose_mod,
     coordinates_in,
     extended_gcd,
@@ -22,15 +23,18 @@ from ado.linalg import (
     poly_gcd,
     rank,
     solve,
+    span_kernel,
     sparse_block_diag,
     sparse_combination,
     squarefree_part,
+    unit_vector,
 )
 
 from helpers import (
     block_diag,
     dense_complement,
     dense_intersect,
+    dense_kernel,
     dense_apply,
     dense_product,
     dense_rowwise,
@@ -328,6 +332,103 @@ def test_intersect_and_complement_match_dense(a, b, shared):
     assert s.extend_complement() == dense_complement(s, Subspace.full(5))
 
 
+def add_rows(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def span_of_rows(m: Matrix, k: int) -> Subspace:
+    """The span of the first k rows of m; k = 6 gives the whole of Q^5."""
+    return Subspace.full(5) if k == 6 else Subspace.from_vectors(5, m.rows[:k])
+
+
+def dense_echelon_rows(vectors, n: int) -> tuple:
+    """The nonzero rows of the dense reduced row echelon form of the stacked vectors."""
+    reduced, pivots = dense_rref(Matrix(list(vectors), ncols=n))
+    return reduced.rows[: len(pivots)]
+
+
+@settings(max_examples=120)
+@given(
+    matrices(5, 5),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from(["same", "copy", "part", "plus", "as many", "fresh"]),
+    matrices(5, 5),
+    st.integers(min_value=0, max_value=6),
+)
+def test_subspace_operations_match_dense_on_trivial_and_general_operands(m, j, relation, other, k):
+    # s is zero, the whole space or a general span; t is s, s from other
+    # rows (reversed, each row plus the next), a part of s, s with a row
+    # added, a span of as many other rows, or another draw
+    s = span_of_rows(m, j)
+    rows = s.basis[::-1]
+    t = {
+        "same": lambda: s,
+        "copy": lambda: Subspace.from_vectors(5, [*map(add_rows, rows, rows[1:]), *rows[-1:]]),
+        "part": lambda: Subspace.from_vectors(5, s.basis[: min(k, s.dim)]),
+        "plus": lambda: Subspace.from_vectors(5, s.basis + other.rows[:1]),
+        "as many": lambda: Subspace.from_vectors(5, other.rows[: s.dim]),
+        "fresh": lambda: span_of_rows(other, k),
+    }[relation]()
+    if relation == "copy":
+        assert t == s
+    for a, b in ((s, t), (t, s)):
+        joined = dense_echelon_rows(a.basis + b.basis, 5)
+        assert a.sum(b).basis == joined
+        assert a.intersect(b) == dense_intersect(a, b)
+        assert a.contains(b) is (len(joined) == a.dim)
+        if a.contains(b):
+            assert b.extend_complement(a) == dense_complement(b, a)
+        else:
+            with pytest.raises(ValueError):
+                b.extend_complement(a)
+        assert a.extend_complement() == dense_complement(a, Subspace.full(5))
+
+
+def test_trivial_operands_answer_without_elimination(monkeypatch):
+    s = Subspace.from_vectors(4, [(1, 2, 0, 1), (0, 1, 1, 0)])
+    equal = Subspace.from_vectors(4, [(1, 3, 1, 1), (0, 2, 2, 0)])
+    zero, full = Subspace.zero(4), Subspace.full(4)
+    full_span = SparseSpan(sparse(r) for r in [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2)])
+    complement = Subspace.from_vectors(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+
+    def refuse(*args):
+        raise AssertionError("eliminated although the answer was known")
+
+    for method in ("add", "reduce"):
+        monkeypatch.setattr(SparseSpan, method, refuse)
+    assert Subspace.zero(4) == zero and Subspace.full(4) == full
+    for a in (s, zero, full):
+        assert a.sum(zero) == zero.sum(a) == a
+        assert a.sum(full) == full.sum(a) == full
+        assert a.intersect(zero) == zero.intersect(a) == zero
+        assert a.intersect(full) == full.intersect(a) == a
+        assert a.sum(a) == a.intersect(a) == a
+        assert full.contains(a) and a.contains(zero) and a.contains(a)
+    assert s.sum(equal) == s.intersect(equal) == s
+    assert s.contains(equal) and equal.contains(s)
+    assert not s.contains(full) and not zero.contains(s)
+    assert s.extend_complement() == complement
+    assert full.extend_complement() == zero and zero.extend_complement() == full
+    assert Subspace(4, full_span) == full
+    assert span_kernel(full_span, 4) == zero
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: matrices(n, n)))
+def test_full_rank_spans_reduce_to_the_unit_rows(m):
+    # the rows m_i and m_i + e_i span Q^n, and their echelon rows are not unit rows
+    n = m.nrows
+    rows = [*m.rows, *(add_rows(row, unit_vector(n, i)) for i, row in enumerate(m.rows))]
+    span = SparseSpan(map(sparse, rows))
+    units = {i: {i: Q(1)} for i in range(n)}
+    assert span.dim == n and span.reduced() == units
+    with patch.object(SparseSpan, "reduced", side_effect=AssertionError("reduced a full span")):
+        assert Subspace(n, span).span.rows == units
+    assert Subspace(n, span).basis == dense_echelon_rows(rows, n)
+    assert span_kernel(span, n) == Subspace.zero(n) == dense_kernel(Matrix(rows, ncols=n))
+    assert kernel(Matrix(rows, ncols=n)) == Subspace.zero(n)
+
+
 @given(matrices(3, 3), st.lists(rationals(), min_size=3, max_size=3))
 def test_solve_produces_solutions(m, b):
     x = solve(m, tuple(b))
@@ -466,27 +567,22 @@ def wide_rationals():
     st.integers(min_value=0, max_value=2),
     wide_rationals().filter(bool),
 )
-def test_bracket_residual_matches_dense(a, b, mats, coeffs, i, j, delta):
+def test_bracket_holds_matches_dense(a, b, mats, coeffs, i, j, delta):
     operands = (a, b, *mats)
     hashes = [hash(m) for m in operands]
     commutator = dense_rowwise(dense_product(a, b), dense_product(b, a), sub)
     expected = commutator
     for c, m in zip(coeffs, mats):
         expected = dense_rowwise(expected, m, lambda x, y: x - c * y)
-    got = bracket_residual(a, b, list(zip(coeffs, mats)))
-    assert got == expected
-    assert all(type(x) is Q for col in got.cols for x in col.values())
-    # a term with coefficient 0 adds nothing, whatever columns its matrix fills
+    terms = list(zip(coeffs, mats))
+    assert bracket_holds(a, b, terms) is expected.is_zero()
+    # a term with coefficient 0 changes nothing, whatever columns its matrix fills
     zero_terms = [(Q(0), m) for m in (*mats, Matrix.identity(3))]
-    assert bracket_residual(a, b, zero_terms + list(zip(coeffs, mats))) == expected
-    # a commutator minus itself leaves nothing, and one tampered entry
-    # leaves exactly what the dense oracle leaves
-    assert bracket_residual(a, b, [(Q(1), a * b - b * a)]).is_zero()
+    assert bracket_holds(a, b, zero_terms + terms) is expected.is_zero()
+    # a commutator minus itself holds, and one tampered entry fails
+    assert bracket_holds(a, b, [(Q(1), a * b - b * a)]) is True
     entry = Matrix.from_sparse(3, 3, ({i: delta} if t == j else {} for t in range(3)))
-    tampered = commutator + entry
-    residual = bracket_residual(a, b, [(Q(1), tampered)])
-    assert residual == dense_rowwise(commutator, tampered, sub)
-    assert all(type(x) is Q for col in residual.cols for x in col.values())
+    assert bracket_holds(a, b, [(Q(1), commutator + entry)]) is False
     # the integer forms built on the way change no matrix's equality or hash
     rebuilt = [Matrix(m.rows, ncols=3) for m in operands]
     assert rebuilt == list(operands)

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as Q
 from itertools import permutations
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from ado.pipeline import (
 
 from helpers import (
     dense_ad,
+    dense_product,
+    dense_rowwise,
     change_of_basis,
     direct_sum,
     nilpotent_algebras,
@@ -346,6 +349,36 @@ def test_tampered_matrix_fails_verification():
     report = verify_representation(res.algebra, tampered, res.dim_v)
     assert not report.verified
     assert report.residual_pairs != ()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_pairs_are_the_pairs_with_a_dense_residual(seed):
+    # a few tampered entries spoil some pairs and leave others as they were
+    g = catalog_algebra("t3")
+    mats = list(ado_representation(g).matrices)
+    rng = random.Random(seed)
+    for _ in range(3):
+        k, i, j = rng.randrange(g.dim), rng.randrange(mats[0].nrows), rng.randrange(mats[0].ncols)
+        rows = [list(row) for row in mats[k].rows]
+        rows[i][j] += Q(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        mats[k] = Matrix(rows)
+
+    def dense_residual(a, b):
+        out = dense_rowwise(dense_product(mats[a], mats[b]), dense_product(mats[b], mats[a]), sub)
+        for k, c in g.nonzero[a][b]:
+            out = dense_rowwise(out, mats[k], lambda x, y: x - c * y)
+        return out
+
+    expected = tuple(
+        (a, b)
+        for a in range(g.dim)
+        for b in range(a + 1, g.dim)
+        if not dense_residual(a, b).is_zero()
+    )
+    assert expected
+    report = verify_representation(g, tuple(mats), mats[0].nrows)
+    assert report.residual_pairs == expected
+    assert report.homomorphism is False
 
 
 def test_verify_rejects_ragged_input():
