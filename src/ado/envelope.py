@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InputError, TripwireError
 from .lie import LieAlgebra
@@ -41,7 +41,6 @@ from .linalg import (
     QONE,
     _add_scaled,
     bracket_holds,
-    sparse_combination,
 )
 
 Monomial = tuple[int, ...]
@@ -157,11 +156,6 @@ class BuiltModule:
     module: TruncatedModule
     engine: StraighteningEngine
     left: tuple[Matrix, ...]
-
-    def left_action(self, coords: Mapping[int, Q]) -> Matrix:
-        """Matrix of left multiplication by an algebra element given as {index: value}."""
-        left = [self.left[k] for k in coords]
-        return sparse_combination(coords.values(), left, self.module.dim, self.module.dim)
 
     def derivation_action(self, derivation: Matrix) -> Matrix:
         """Matrix of the Leibniz extension of a derivation of the algebra.

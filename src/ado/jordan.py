@@ -32,7 +32,7 @@ from .linalg import (
     compose_mod,
     minimal_polynomial,
     modular_inverse,
-    poly_gcd,
+    squarefree_part,
 )
 
 
@@ -50,15 +50,14 @@ def jc_decompose(d: Matrix) -> JCDecomposition:
         raise ValueError("Jordan decomposition needs a square matrix")
     f = minimal_polynomial(d)
     p = Polynomial.variable() % f
-    repeated = poly_gcd(f, f.derivative())
+    ftilde = squarefree_part(f)
     # the trivial splits carry the witnesses Newton's iteration would return
     zero = Matrix.zeros(d.nrows, d.nrows)
-    if repeated.degree <= 0:
+    if ftilde == f:
         return JCDecomposition(semisimple=d, nilpotent=zero, witness=p)
     if not any(f.coeffs[:-1]):
         # f = t^k
         return JCDecomposition(semisimple=zero, nilpotent=d, witness=Polynomial.zero())
-    ftilde = f // repeated
     ftilde_prime = ftilde.derivative()
 
     value = compose_mod(ftilde, p, f)

@@ -9,8 +9,10 @@ central series, with the reductive part entering through the Leibniz
 extension of its adjoint action.  The centralizing block is the adjoint
 representation padded by one translation row so that central elements
 stay visible.
+Each split-basis vector's image is built once, in its block, and one
+change of basis makes each generator's matrix a combination of them.
 The matrices stay sparse from assembly through verification, which
-re-derives the verdict from them alone: bracket residuals for every
+re-derives the verdict from them alone: a yes/no bracket check for every
 basis pair, and the kernel of the coefficient map for injectivity.
 """
 
@@ -27,7 +29,6 @@ from .linalg import (
     Matrix,
     Q,
     QONE,
-    QZERO,
     SparseSpan,
     Subspace,
     bracket_holds,
@@ -192,29 +193,27 @@ def ado_representation(
         with as_tripwire("pipeline"):
             red_mats = list(reductive_representation(split.kernel_algebra))
 
+    # the images of the split basis: the kernel part acts on the reductive
+    # block, the acting part and n on the enveloping block
     basis = [*kernel_part.span.rows.values(), *acting_part.span.rows.values(), *nil_basis]
-    kdim, adim = kernel_part.dim, acting_part.dim
     env_dim = built.module.dim if built else 0
     red_dim = red_mats[0].nrows if red_mats else 0
+    dim_v = env_dim + red_dim
+    env_zero, red_zero = Matrix.zeros(env_dim, env_dim), Matrix.zeros(red_dim, red_dim)
+    images = [sparse_block_diag([env_zero, m]) for m in red_mats]
+    if built is not None:
+        images += [sparse_block_diag([m, red_zero]) for m in (*action_mats, *built.left)]
     with as_tripwire("pipeline"):
         original_coords = coordinates_in(basis, pres.embed_original.cols)
     matrices = []
     for i, coeffs in enumerate(original_coords):
         if coeffs is None:
             raise TripwireError("pipeline", "basis vector outside the split", index=i)
-        central = [coeffs.get(t, QZERO) for t in range(kdim)]
-        acting = tuple(coeffs.get(t, QZERO) for t in range(kdim, kdim + adim))
-        nilpart = {t - kdim - adim: c for t, c in coeffs.items() if t >= kdim + adim}
-        blocks = []
-        if built is not None:
-            left = [built.left_action(nilpart)] + action_mats
-            blocks.append(sparse_combination((QONE,) + acting, left, env_dim, env_dim))
-        if red_mats:
-            blocks.append(sparse_combination(central, red_mats, red_dim, red_dim))
-        matrices.append(sparse_block_diag(blocks))
+        terms = [images[t] for t in coeffs]
+        matrices.append(sparse_combination(coeffs.values(), terms, dim_v, dim_v))
 
     # the zero algebra is represented on a one-dimensional space
-    report = verify_representation(algebra, tuple(matrices), env_dim + red_dim or 1)
+    report = verify_representation(algebra, tuple(matrices), dim_v or 1)
     if not report.verified:
         raise TripwireError(
             "pipeline",

@@ -42,6 +42,7 @@ from helpers import (
     dense_ad,
     conjugated_jordan,
     dense_leibniz_witness,
+    direct_sum,
     heavy_insert_failures,
     module_disagreements,
     oracle_weighted_count,
@@ -49,6 +50,9 @@ from helpers import (
     seeded_change_of_basis,
     seeded_matrix,
     semisimple_from_eigenvalues,
+    sl2_plus_sl2_semidirect_plane,
+    sl2_semidirect_plane,
+    sl3,
 )
 
 CATALOG_CASES = (
@@ -103,6 +107,25 @@ REBASED_SHA256 = {
     ("solv2", 2): "e35322acb268fc538801cf41c2853da599bed6bc381e41531feefe0c08a16f68",
     ("heisenberg5", 1): "e4c5395f142601ada9ad39a0bce67fc36e7f8cc02d7d31163ad6fdbe266fb97b",
     ("heisenberg5", 2): "04781051b8187fde4b3e62f9944eaafafc453f5c0beb4e9060039cc06a637c3b",
+}
+
+# sha256 of the `ado compute FILE --trace` stdout and stderr for algebras
+# with a Levi part, in their own basis (seed None) and in a
+# seeded_change_of_basis(random.Random(seed), ...) basis.  sl2 on the
+# plane has an acting part and n, sl2 plus that adds a kernel part, and
+# sl3 + sl3 is all kernel part
+LEVI_MIXED = {
+    "sl2_semidirect_plane": sl2_semidirect_plane,
+    "sl2_plus_sl2_semidirect_plane": sl2_plus_sl2_semidirect_plane,
+    "sl3+sl3": lambda: direct_sum(sl3(), sl3()),
+}
+LEVI_MIXED_SHA256 = {
+    ("sl2_semidirect_plane", None): "3954c67881bcd0871f324382b6dcfbdcba2e1e35768bccbb520984d39e241c1a",
+    ("sl2_semidirect_plane", 1): "93f2fbb02d92c33bce23a8f551315a052c659256bddd1e4c6af413a02273ad30",
+    ("sl2_plus_sl2_semidirect_plane", None): "5ebb7e704833c672617f5cbab1cc6bfef4cfb19c9ea72e0b40bbbf2cf009bb86",
+    ("sl2_plus_sl2_semidirect_plane", 1): "af1e43426d5c014912d4436b9316e41a2e92f47d7df877d15fbb96986ad6dcfb",
+    ("sl3+sl3", None): "94c42e6b7dc2350dd6f827848b370b81d9d4d99fe5f6f0a144dba8655313c7d2",
+    ("sl3+sl3", 1): "24d8240349ed873ccfcba307fa444d8e520df7d3b54ad70453ba68ea88a65e6e",
 }
 
 # dim_v of each output: the weighted module is m + 1 dimensional on abelian:m
@@ -164,17 +187,30 @@ def test_catalog_end_to_end(capsys, tmp_path):
         assert total < 600.0, total
 
 
+def traced_digest(capsys, path, name, g):
+    """sha256 of the `ado compute FILE --trace` stdout and stderr for g."""
+    labels = tuple(f"e{i}" for i in range(g.dim))
+    path.write_text(canonical_dumps(algebra_to_json(name, labels, g)))
+    code = main(["compute", str(path), "--trace"])
+    captured = capsys.readouterr()
+    assert code == 0, name
+    return hashlib.sha256((captured.out + captured.err).encode("utf-8")).hexdigest()
+
+
 def test_rebased_outputs_are_pinned(capsys, tmp_path):
     path = tmp_path / "algebra.json"
     for (name, seed), pinned in REBASED_SHA256.items():
         g = seeded_change_of_basis(random.Random(seed), catalog_algebra(name))
-        labels = tuple(f"e{i}" for i in range(g.dim))
-        path.write_text(canonical_dumps(algebra_to_json(f"{name}-{seed}", labels, g)))
-        code = main(["compute", str(path), "--trace"])
-        captured = capsys.readouterr()
-        assert code == 0, (name, seed)
-        digest = hashlib.sha256((captured.out + captured.err).encode("utf-8")).hexdigest()
-        assert digest == pinned, (name, seed)
+        assert traced_digest(capsys, path, f"{name}-{seed}", g) == pinned, (name, seed)
+
+
+def test_levi_mixed_outputs_are_pinned(capsys, tmp_path):
+    path = tmp_path / "algebra.json"
+    for (name, seed), pinned in LEVI_MIXED_SHA256.items():
+        g = LEVI_MIXED[name]()
+        if seed is not None:
+            g = seeded_change_of_basis(random.Random(seed), g)
+        assert traced_digest(capsys, path, f"{name}-{seed}", g) == pinned, (name, seed)
 
 
 # the absorbing catalog entries: n after saturation, its weights and the
