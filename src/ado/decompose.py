@@ -195,9 +195,13 @@ def reductive_split(g: LieAlgebra, p: Subspace, n: Subspace) -> ReductiveSplit:
             dim=palg.dim,
         )
 
-    kernel_local = Subspace(
-        palg.dim, SparseSpan(p.coordinates_of(v) for v in p_kernel.span.rows.values())
-    )
+    # on the whole space the coordinates of a vector are its own entries
+    if p.dim == g.dim:
+        kernel_local = p_kernel
+    else:
+        kernel_local = Subspace(
+            palg.dim, SparseSpan(p.coordinates_of(v) for v in p_kernel.span.rows.values())
+        )
     semisimple_kernel = kernel_local.intersect(derived)
     central_kernel = kernel_local.intersect(centre)
     if semisimple_kernel.sum(central_kernel) != kernel_local:

@@ -25,12 +25,23 @@ since they span an ideal that both preserve.
 A bracket or a derivation that lowers the weight means the basis is not
 adapted, and building the module or the derivation action raises
 TripwireError naming the offending indices.
+
+Most of V is not needed for faithfulness, and the block is cut to V/W
+before the representation is assembled.  pi : V -> n is the degree-1
+component in the symmetrized basis sym(m) of the monomials, and W is the
+largest submodule inside ker pi.  Symmetrization is canonical, and the
+degree-1 part of a product is a Lie polynomial in its factors (the first
+Eulerian idempotent), so pi kills every product of weight above the
+truncation: W, and so dim V/W, depend on neither the basis nor the
+truncation.  The cut stays faithful: for y = D + x with x in n, pi(y 1)
+= x, and when x = 0, pi(D x_b) = D(x_b) is nonzero for some b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InputError, TripwireError
@@ -40,6 +51,7 @@ from .linalg import (
     Q,
     QONE,
     _add_scaled,
+    _add_scaled_int,
     bracket_holds,
 )
 
@@ -267,3 +279,123 @@ def verify_module_axioms(
                 message = "derivation actions do not respect their commutator"
                 raise TripwireError("module", message, pair=[a, b])
     return actions
+
+
+def projection_rows(built: BuiltModule) -> list[dict[int, Q]]:
+    """The coordinate functionals of pi : V -> n, one row per generator.
+
+    pi(v) is the degree-1 part of v in the symmetrized basis sym(m) of
+    the monomials.  The columns of sym(m) follow the module's recurrence
+    sym(x^alpha) = sum over a of (alpha_a / |alpha|) x_a sym(x^(alpha - e_a)),
+    run here in int on the sums t(x^alpha) = sum over a of x_a t(x^(alpha - e_a))
+    of the distinct words, d^|alpha| |alpha|! / alpha! times sym(x^alpha)
+    for d the common denominator of the left actions.  sym(m) is m plus
+    terms of lower degree, so the matrix S of these columns is unit upper
+    triangular in the graded order.  Column j of pi is then e_a for the
+    monomial x_a, 0 for the unit and otherwise minus the sum of S[t, j]
+    times column t of pi over t < j: back substitution, each column held
+    as int numerators over one denominator.
+    """
+    mod = built.module
+    forms = [m._integer_form() for m in built.left]
+    d = lcm(*(den for den, _, _ in forms))
+    left = [
+        cols if den == d else [{i: x * (d // den) for i, x in col.items()} for col in cols]
+        for den, cols, _ in forms
+    ]
+    sums: list[dict[int, int]] = []
+    proj: list[tuple[dict[int, int], int]] = []
+    for j, mono in enumerate(mod.monomials):
+        degree = sum(mono)
+        if degree <= 1:
+            sums.append({j: 1})
+            proj.append(({mono.index(1): 1} if degree else {}, 1))
+            continue
+        col: dict[int, int] = {}
+        for a, e in enumerate(mono):
+            if e:
+                for t, c in sums[mod.index[mono[:a] + (e - 1,) + mono[a + 1 :]]].items():
+                    _add_scaled_int(col, left[a][t], c)
+        sums.append(col)
+        below = [(c, *proj[t]) for t, c in col.items() if t != j and proj[t][0]]
+        common = lcm(*(q for _, _, q in below))
+        num: dict[int, int] = {}
+        for c, p, q in below:
+            _add_scaled_int(num, p, -c * (common // q))
+        den = col[j] * common
+        g = gcd(den, *num.values())
+        proj.append(({a: x // g for a, x in num.items()}, den // g))
+    rows: list[dict[int, Q]] = [{} for _ in range(mod.algebra.dim)]
+    for j, (p, q) in enumerate(proj):
+        for a, x in p.items():
+            rows[a][j] = Q(x, q)
+    return rows
+
+
+def cut_images(built: BuiltModule, images: Sequence[Matrix]) -> tuple[Matrix, ...]:
+    """The images on V/W, W the largest submodule inside the kernel of pi.
+
+    images are the matrices on V of the derivation actions and the left
+    actions; together they generate the action.  The annihilator of W is
+    U, the span of pi's rows closed under f -> f rho(x) for every image
+    rho(x).  With the rows of F a basis of U, found in that closure, each
+    image gets the matrix R(x) with F rho(x) = R(x) F.  When U is all of
+    V* the images come back as they are.
+
+    One tagged span runs both the closure and the coordinates of R, in
+    int: basis functional s enters it with a tag at dim V + s, a
+    functional f / den as the row f with den at its own new tag, and rows
+    are reduced by cross-multiplication and divided by their content.  A
+    functional that reduces onto the tags alone has minus its coordinates
+    there over the entry at its own tag; one that does not is the next
+    basis functional.  Raises TripwireError when pi's rows are dependent,
+    that is when dim ker pi is not dim V - dim n.
+    """
+    dim = built.module.dim
+    # the rows of d rho(x) as ints, d the common denominator of rho(x)
+    forms = []
+    for m in images:
+        d, cols, _ = m._integer_form()
+        image_rows: list[dict[int, int]] = [{} for _ in range(dim)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                image_rows[i][j] = x
+        forms.append((d, image_rows))
+    span: dict[int, dict[int, int]] = {}
+    basis: list[tuple[dict[int, int], int]] = []
+
+    def coordinates(f: dict[int, int], den: int) -> dict[int, Q] | None:
+        """The coordinates of f / den in the basis, or None when it joins the basis."""
+        tag = dim + len(basis)
+        v = {**f, tag: den}
+        while (row := span.get(pivot := min(v))) is not None:
+            scale, lead = row[pivot], v[pivot]
+            if scale != 1:
+                v = {k: c * scale for k, c in v.items()}
+            _add_scaled_int(v, row, -lead)
+            g = gcd(*v.values())
+            if g != 1:
+                v = {k: c // g for k, c in v.items()}
+        if pivot >= dim:
+            return {k - dim: Q(-c, v[tag]) for k, c in v.items() if k != tag}
+        span[pivot] = v
+        basis.append((f, den))
+        return None
+
+    for a, f in enumerate(projection_rows(built)):
+        den = lcm(*(x.denominator for x in f.values()))
+        f_int = {k: x.numerator * (den // x.denominator) for k, x in f.items()}
+        if coordinates(f_int, den) is not None:
+            raise TripwireError("module", "projection onto n is not onto", generator=a)
+    rows: list[list[dict[int, Q]]] = [[] for _ in images]
+    for u, den in basis:
+        for out, (d, image_rows) in zip(rows, forms):
+            f: dict[int, int] = {}
+            for k, c in u.items():
+                _add_scaled_int(f, image_rows[k], c)
+            found = coordinates(f, den * d)
+            if len(basis) == dim:
+                return tuple(images)
+            out.append({len(basis) - 1: QONE} if found is None else found)
+    size = len(basis)
+    return tuple(Matrix._wrap(size, size, image).transpose() for image in rows)

@@ -3,12 +3,14 @@
 After saturation the ambient algebra is a direct sum of two ideals: the
 part of the reductive subalgebra that centralizes n, and the semidirect
 product of the remaining reductive part with n.  Each ideal gets its own
-block.  The semidirect block acts on the enveloping module of n
+block.  The semidirect block acts on the enveloping module V of n
 truncated by weighted degree, built on a basis of n adapted to its lower
 central series, with the reductive part entering through the Leibniz
-extension of its adjoint action.  The centralizing block is the adjoint
-representation padded by one translation row so that central elements
-stay visible.
+extension of its adjoint action; once its axioms are checked, the block
+is cut to V/W, W the largest submodule inside the kernel of the
+projection onto n along the symmetrized monomials.  The centralizing
+block is the adjoint representation padded by one translation row so
+that central elements stay visible.
 Each split-basis vector's image is built once, in its block, and one
 change of basis makes each generator's matrix a combination of them.
 The matrices stay sparse from assembly through verification, which
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decompose import reductive_split
-from .envelope import BuiltModule, build_module, verify_module_axioms
+from .envelope import BuiltModule, build_module, cut_images, verify_module_axioms
 from .errors import TripwireError, as_tripwire
 from .expansion import saturate
 from .lie import LieAlgebra
@@ -164,9 +166,10 @@ def ado_representation(
     InputError below that floor.  The result is faithful by
     construction: reductive_split makes the acting part meet the
     centralizer of n trivially, the reductive block is faithful on the
-    kernel part, and x * 1 = x keeps every generator of n visible.  A
-    representation that still fails verification is a bug, reported as
-    TripwireError.
+    kernel part, and on V/W, for D + x nonzero with D acting and x in n,
+    either x * 1 = x or D x_b = D(x_b) leaves the kernel of the
+    projection onto n.  A representation that still fails verification
+    is a bug, reported as TripwireError.
     """
     pres = saturate(algebra)
     q, nil = pres.algebra, pres.nilpotent_part
@@ -174,7 +177,7 @@ def ado_representation(
     kernel_part, acting_part = split.kernel_part, split.acting_part
 
     built: BuiltModule | None = None
-    action_mats: list[Matrix] = []
+    env_images: tuple[Matrix, ...] = ()
     nil_basis = adapted_basis(q, nil)
     if acting_part.dim + nil.dim:
         # the acting part acts on n by derivations, expressed in the adapted
@@ -187,6 +190,7 @@ def ado_representation(
         if None in derivations:
             raise TripwireError("pipeline", "derivation escapes the nilpotent part")
         action_mats = verify_module_axioms(built, derivations)
+        env_images = cut_images(built, [*action_mats, *built.left])
 
     red_mats: list[Matrix] = []
     if kernel_part.dim:
@@ -196,13 +200,12 @@ def ado_representation(
     # the images of the split basis: the kernel part acts on the reductive
     # block, the acting part and n on the enveloping block
     basis = [*kernel_part.span.rows.values(), *acting_part.span.rows.values(), *nil_basis]
-    env_dim = built.module.dim if built else 0
+    env_dim = env_images[0].nrows if env_images else 0
     red_dim = red_mats[0].nrows if red_mats else 0
     dim_v = env_dim + red_dim
     env_zero, red_zero = Matrix.zeros(env_dim, env_dim), Matrix.zeros(red_dim, red_dim)
     images = [sparse_block_diag([env_zero, m]) for m in red_mats]
-    if built is not None:
-        images += [sparse_block_diag([m, red_zero]) for m in (*action_mats, *built.left)]
+    images += [sparse_block_diag([m, red_zero]) for m in env_images]
     with as_tripwire("pipeline"):
         original_coords = coordinates_in(basis, pres.embed_original.cols)
     matrices = []
@@ -222,18 +225,18 @@ def ado_representation(
             kernel_dimension=report.kernel_dimension,
         )
 
-    # cut_ideal_dimension and retried are constants of the construction,
-    # kept while the benchmark's counter reader expects them
+    # retried is a constant of the construction, kept while the
+    # benchmark's counter reader expects it
     blocks_meta: list[dict] = []
     if built is not None:
         blocks_meta.append(
             {
                 "kind": "enveloping",
-                "dimension": built.module.dim,
+                "dimension": env_dim,
                 "truncation": built.module.truncation,
                 "weights": list(built.module.weights),
                 "ambient_monomials": built.module.dim,
-                "cut_ideal_dimension": 0,
+                "cut_ideal_dimension": built.module.dim - env_dim,
                 "nilpotency_index": built.module.nilindex,
                 "acting_dimension": acting_part.dim,
                 "nilpotent_dimension": nil.dim,

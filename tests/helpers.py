@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import product
+from itertools import permutations, product
 
 from hypothesis import strategies as st
 
@@ -703,14 +703,111 @@ def heavy_insert_failures(algebra, weights, bound, degree):
     return failures
 
 
+def enveloping_inputs(g):
+    """n's algebra in the adapted basis and the acting derivations, as
+    ado_representation hands them to the enveloping block."""
+    from ado.decompose import reductive_split
+    from ado.expansion import saturate
+    from ado.pipeline import adapted_basis
+
+    pres = saturate(g)
+    q, nil = pres.algebra, pres.nilpotent_part
+    split = reductive_split(q, pres.reductive_part, nil)
+    nalg, _, derivations = q.subalgebra_and_derivations(
+        adapted_basis(q, nil), split.acting_part.span.rows.values()
+    )
+    return nalg, derivations
+
+
+def oracle_cut_dimension(algebra, derivations, bound):
+    """Dimension of the cut enveloping block, from the word oracle alone.
+
+    The module is the monomials of oracle weight at most bound, acted on
+    by the oracle's insertions and Leibniz sums with the heavy terms
+    dropped.  sym(m) is the mean of the oracle's straightening over every
+    ordering of m's word, pi's rows are the rows of the inverse of the
+    matrix of those columns at the monomials of degree 1, and the block
+    is the span of pi's rows closed under f -> f M for every action
+    matrix M, grown by whole rounds until a round adds nothing.
+    """
+    weights = oracle_weights(algebra)
+    r = algebra.dim
+    light = sorted(
+        (
+            m
+            for m in product(*(range(bound // w + 1) for w in weights))
+            if monomial_weight(m, weights) <= bound
+        ),
+        key=sum,
+    )
+    index = {m: i for i, m in enumerate(light)}
+    size = len(light)
+
+    def column(terms):
+        col = [Q(0)] * size
+        for m, c in terms.items():
+            if m in index:
+                col[index[m]] += c
+        return col
+
+    def word(m):
+        return [letter for letter, e in enumerate(m) for _ in range(e)]
+
+    def leibniz(d, m):
+        w, terms = word(m), {}
+        for t, letter in enumerate(w):
+            for k in range(r):
+                if d[k, letter]:
+                    for mono, v in oracle_straighten(algebra, w[:t] + [k] + w[t + 1 :]).items():
+                        terms[mono] = terms.get(mono, Q(0)) + d[k, letter] * v
+        return terms
+
+    def symmetrized(m):
+        orderings = list(permutations(word(m)))
+        terms = {}
+        for w in orderings:
+            for mono, v in oracle_straighten(algebra, list(w)).items():
+                terms[mono] = terms.get(mono, Q(0)) + v / len(orderings)
+        return terms
+
+    actions = [[column(_oracle_insert(algebra, a, m)) for m in light] for a in range(r)]
+    actions += [[column(leibniz(d, m)) for m in light] for d in derivations]
+    s_transposed = Matrix.from_columns([column(symmetrized(m)) for m in light], nrows=size)
+    s_transposed = s_transposed.transpose()
+    pi = []
+    for a in range(r):
+        letter = tuple(int(b == a) for b in range(r))
+        pi.append(solve(s_transposed, unit_vector(size, index[letter])))
+    closure = Subspace.from_vectors(size, pi)
+    while True:
+        images = [
+            [sum(f[i] * cols[j][i] for i in range(size) if f[i]) for j in range(size)]
+            for f in closure.basis
+            for cols in actions
+        ]
+        grown = Subspace.from_vectors(size, [*closure.basis, *images])
+        if grown.dim == closure.dim:
+            return closure.dim
+        closure = grown
+
+
 def strictly_upper_triangular(n):
-    """n_n: strictly upper triangular n x n matrices on the matrix units E_ij, i < j.
+    """n_n: strictly upper triangular n x n matrices on the matrix units E_ij, i < j."""
+    return matrix_units_algebra([(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def upper_triangular(n):
+    """b_n: upper triangular n x n matrices on the matrix units E_ij, i <= j, row by row."""
+    return matrix_units_algebra([(i, j) for i in range(n) for j in range(i, n)])
+
+
+def matrix_units_algebra(units):
+    """The span of the given matrix units E_ij, which must be bracket-closed.
 
     [E_ij, E_kl] = delta_jk E_il - delta_li E_kj.
     """
     from ado.lie import LieAlgebra
 
-    units = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {u: a for a, u in enumerate(units)}
     brackets = {}
     for a, (i, j) in enumerate(units):

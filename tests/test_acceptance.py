@@ -43,8 +43,10 @@ from helpers import (
     conjugated_jordan,
     dense_leibniz_witness,
     direct_sum,
+    enveloping_inputs,
     heavy_insert_failures,
     module_disagreements,
+    oracle_cut_dimension,
     oracle_weighted_count,
     oracle_weights,
     seeded_change_of_basis,
@@ -79,14 +81,14 @@ CATALOG_SHA256 = {
     "abelian:2": "85fe07709ce1ce98c07a6ff7b58feb0156f0be3afe5cda1348dd20b66a6f9dae",
     "abelian:3": "febdf029bfa27b363d63161c260316c963179b82e8d11666d1eb5e6448a8f0e2",
     "abelian:4": "edf5be99ba553abad82a3302acd968bb46599d94a133a517c1631bead240e717",
-    "heisenberg": "13931f410cac823fe700fbe36a1cc056ac5352612cb8ff49d91eab01a82e00d1",
-    "heisenberg5": "76c96697331b25a52099c0f04512b1a923760eff51866dcd32988dfe7a1c91e3",
+    "heisenberg": "b42ec9dfa04db0b2e8b0d83cb8a3ff89a34d997b3e05e84c7c1a6521669eefbf",
+    "heisenberg5": "9dd29874f0678390b350d77cfae6a92da1fc0ba2d4e960204e7a6d0e8eb2288b",
     "solv2": "0653ed3be6c66eee23a3a5181c89570cefe4cafefbfd79d5751f8bd7f2c0b18f",
-    "jordan3": "d41b0010d5eb7555c84cbe221389aa23efe6c0d004b9e1cc6abfd1da059e916d",
+    "jordan3": "7db54cd71ff5efe81287b553aa02962e8d04ea191ed7e60f991aa84535250364",
     "rot3": "03c411e9e5cd680d579d03ed3c2fa457cf90282f082b0bedaf3c1cfb4f8d0221",
     "sl2": "13836be6a31fa11d521faa8af6b39338f535212b44f22729420e4af0ab6b9d86",
     "gl2": "a67ddb5a77d8c01c3a48378339ee56b6490ef8f8759a1fd9a8ae94906c3a0d4a",
-    "t3": "61a1ec838d03a25a5c732356389aa5ed1ebbeef8a955edba8ba7e75596d9727b",
+    "t3": "601afba8bc6197e9db8e39b88404cc6df5466f3db31b4f2ffbdf53e48b77a71d",
 }
 
 # sha256 of the `ado compute FILE --trace` stdout and stderr, for catalog
@@ -95,18 +97,18 @@ CATALOG_SHA256 = {
 # The t3, rot3 and solv2 values are those of the absorbing construction,
 # backed by test_absorbed_outputs_are_block_sums
 REBASED_SHA256 = {
-    ("t3", 1): "d3d6ac3a8f7ce9dd9447fb0ef7621f122ed872b6fb0650cd003a0fc9a8d81296",
-    ("t3", 2): "347d97c75d0a4ef47880550e399af4adfcb96381d38978c93bdf770fde93b802",
-    ("jordan3", 1): "a80bef3ea2b4c0fe2bf3aae4e54b7d7e2793c895b4d22fbe0824c601cdf216a9",
-    ("jordan3", 2): "ac81816dd8571b00bffd190c5ebe18c6c117929c9846d562e06fe30bf1866899",
+    ("t3", 1): "3d1b96a3b95ba91dbcb248999ff1c4148fe972afc752f5978b2d80b61d0148ed",
+    ("t3", 2): "d3f2dc30f34c58f2909c04f5313a2187984c11d723814ac9fbf46f53eb202281",
+    ("jordan3", 1): "240d99721101ef48208003f6e7b35d840782504c9d34058905bea25566e74620",
+    ("jordan3", 2): "ef0cd8397b98fd3f4d6b0e08273504838e80b08551a9504306e44194cc4b2d53",
     ("rot3", 1): "72862268184157842e556444df9b73111db3309f4676a305552dd874707b1687",
     ("rot3", 2): "224f62a1493338a5e4564d00d899cca0fc3472674fd48bfcafe56170e0905f31",
     ("gl2", 1): "8a5df3fa8a4ed3b4621333f754dbb8945bae1a15c389bbbe4c1083ca8aac1b6d",
     ("gl2", 2): "f98a8d3b13ffff6bdae10f8e7a151e4fbfdacfdfeae7be96099134b5066ed667",
     ("solv2", 1): "59e3b3083d067cce25ade2511cd53944c9134e1439676c2c062bd3777fd7ce91",
     ("solv2", 2): "e35322acb268fc538801cf41c2853da599bed6bc381e41531feefe0c08a16f68",
-    ("heisenberg5", 1): "e4c5395f142601ada9ad39a0bce67fc36e7f8cc02d7d31163ad6fdbe266fb97b",
-    ("heisenberg5", 2): "04781051b8187fde4b3e62f9944eaafafc453f5c0beb4e9060039cc06a637c3b",
+    ("heisenberg5", 1): "12bc4d45bae29fa9ac53e9452de5c4a8d0cf4e3cddd7dbc525c1f28f8662364d",
+    ("heisenberg5", 2): "a90d31a13930073269d085c8a978cbcdf563c5279b2c835ebe23801992997450",
 }
 
 # sha256 of the `ado compute FILE --trace` stdout and stderr for algebras
@@ -128,20 +130,22 @@ LEVI_MIXED_SHA256 = {
     ("sl3+sl3", 1): "24d8240349ed873ccfcba307fa444d8e520df7d3b54ad70453ba68ea88a65e6e",
 }
 
-# dim_v of each output: the weighted module is m + 1 dimensional on abelian:m
+# dim_v of each output: the weighted module is m + 1 dimensional on
+# abelian:m; heisenberg, heisenberg5, jordan3 and t3 are cut to V/W, and
+# test_catalog_dimensions_match_the_dense_cut_oracle re-derives each
 CATALOG_DIM_V = {
     "abelian:1": 2,
     "abelian:2": 3,
     "abelian:3": 4,
     "abelian:4": 5,
-    "heisenberg": 7,
-    "heisenberg5": 16,
+    "heisenberg": 4,
+    "heisenberg5": 6,
     "solv2": 2,
-    "jordan3": 7,
+    "jordan3": 4,
     "rot3": 3,
     "sl2": 4,
     "gl2": 6,
-    "t3": 10,
+    "t3": 7,
 }
 
 # the catalog entries whose saturation takes at least one step
@@ -187,6 +191,24 @@ def test_catalog_end_to_end(capsys, tmp_path):
         assert total < 600.0, total
 
 
+def test_catalog_dimensions_match_the_dense_cut_oracle():
+    # the dimensions behind CATALOG_SHA256 and CATALOG_DIM_V: V from the
+    # generating function and V/W from the dense oracle, next to the
+    # reductive block, which the cut leaves alone
+    for name in CATALOG_CASES:
+        g = catalog_algebra(name)
+        blocks = {b["kind"]: b for b in ado_representation(g).provenance["blocks"]}
+        dim_v = blocks["reductive"]["dimension"] if "reductive" in blocks else 0
+        if "enveloping" in blocks:
+            env = blocks["enveloping"]
+            nalg, derivations = enveloping_inputs(g)
+            weights, order = oracle_weights(nalg), env["truncation"]
+            assert env["ambient_monomials"] == oracle_weighted_count(weights, order), name
+            assert env["dimension"] == oracle_cut_dimension(nalg, derivations, order), name
+            dim_v += env["dimension"]
+        assert dim_v == CATALOG_DIM_V[name], name
+
+
 def traced_digest(capsys, path, name, g):
     """sha256 of the `ado compute FILE --trace` stdout and stderr for g."""
     labels = tuple(f"e{i}" for i in range(g.dim))
@@ -214,16 +236,17 @@ def test_levi_mixed_outputs_are_pinned(capsys, tmp_path):
 
 
 # the absorbing catalog entries: n after saturation, its weights and the
-# default truncation, and the dimension of the kernel part of p, which the
-# reductive block represents by its adjoint padded by a translation
+# default truncation, the dimension of the kernel part of p, which the
+# reductive block represents by its adjoint padded by a translation, and
+# the dimension of the enveloping block cut to V/W
 ABSORBED_SHAPES = {
     # n is the line of e2, acted on by the scaling e1
-    "solv2": ((1,), 1, 0),
+    "solv2": ((1,), 1, 0, 2),
     # n is the plane, acted on by the rotation
-    "rot3": ((1, 1), 1, 0),
+    "rot3": ((1, 1), 1, 0, 3),
     # n is the Heisenberg algebra of strictly upper triangular matrices;
     # the identity commutes with it and the traceless diagonal acts
-    "t3": ((1, 1, 2), 2, 1),
+    "t3": ((1, 1, 2), 2, 1, 4),
 }
 
 
@@ -240,7 +263,7 @@ def test_absorbed_outputs_are_block_sums(capsys, tmp_path):
     # the facts that back the pinned outputs of the absorbing entries, in
     # the catalog basis and in the pinned random bases
     path = tmp_path / "rep.json"
-    for name, (weights, order, kernel_dim) in ABSORBED_SHAPES.items():
+    for name, (weights, order, kernel_dim, cut_dim) in ABSORBED_SHAPES.items():
         for seed in (None, 1, 2):
             g = catalog_algebra(name)
             if seed is not None:
@@ -249,8 +272,10 @@ def test_absorbed_outputs_are_block_sums(capsys, tmp_path):
             env, *red = result.provenance["blocks"]
             assert sorted(env["weights"]) == list(weights), (name, seed)
             assert env["truncation"] == order
-            assert env["dimension"] == _weighted_monomials(weights, order)
-            assert env["dimension"] == oracle_weighted_count(weights, order)
+            assert env["ambient_monomials"] == _weighted_monomials(weights, order)
+            assert env["ambient_monomials"] == oracle_weighted_count(weights, order)
+            assert env["dimension"] == cut_dim, (name, seed)
+            assert env["cut_ideal_dimension"] == env["ambient_monomials"] - cut_dim
             # adjoint of an abelian kernel part, one translation row per
             # central direction and one more
             red_dim = 2 * kernel_dim + 1 if kernel_dim else 0
@@ -300,11 +325,14 @@ def test_abelian_module_dimensions(capsys):
             for order in (2, 3, 4):
                 algebra = catalog_algebra(f"abelian:{m}")
                 result = ado_representation(algebra, truncation=order)
+                # V is every monomial of degree <= order; the cut keeps the
+                # unit and the m letters at any truncation
                 expected = math.comb(m + order, order)
-                assert result.dim_v == expected, (m, order)
+                assert result.dim_v == m + 1, (m, order)
                 block = result.provenance["blocks"][0]
                 assert block["kind"] == "enveloping"
-                assert block["dimension"] == expected, (m, order)
+                assert block["dimension"] == m + 1, (m, order)
+                assert block["ambient_monomials"] == expected, (m, order)
 
 
 def test_solv2_golden_run(capsys):

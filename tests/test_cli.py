@@ -92,7 +92,8 @@ def test_compute_from_algebra_file(capsys, tmp_path):
     source.write_text(out, encoding="utf-8")
     code, out, err = run(capsys, "compute", str(source))
     assert code == 0
-    assert json.loads(out)["dim_v"] == 7
+    assert json.loads(out)["dim_v"] == 4
+    assert json.loads(out)["provenance"]["blocks"][0]["ambient_monomials"] == 7
 
 
 def test_catalog_list(capsys):

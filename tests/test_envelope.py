@@ -11,9 +11,12 @@ from fractions import Fraction as Q
 import pytest
 
 from ado.catalog import catalog_algebra
+from ado import envelope
 from ado.envelope import (
     BuiltModule,
     build_module,
+    cut_images,
+    projection_rows,
     verify_module_axioms,
     weighted_monomials,
 )
@@ -25,6 +28,8 @@ from helpers import (
     change_of_basis,
     derivation_disagreements,
     module_disagreements,
+    oracle_cut_dimension,
+    strictly_upper_triangular,
 )
 
 
@@ -260,3 +265,106 @@ def test_monomial_enumeration_graded_lex():
     # weights 1, 2: the monomial (0, 2) weighs 4 and is left out
     assert weighted_monomials((1, 2), 3) == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0))
     assert weighted_monomials((), 4) == ((),)
+
+
+def test_projection_frozen_on_heisenberg():
+    # basis 1, z, y, x, y^2, xy, x^2; yx = xy - z, so xy = sym(xy) + z / 2
+    # and pi(xy) = z / 2, while y^2 and x^2 are their own symmetrizations
+    assert projection_rows(build_module(HEIS)) == [{3: 1}, {2: 1}, {1: 1, 5: Q(1, 2)}]
+
+
+PROJECTION_CASES = [
+    (HEIS, [WEIGHTS, SHIFT]),
+    (
+        LieAlgebra.from_sparse(4, FILIFORM),
+        [Matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])],
+    ),
+    (strictly_upper_triangular(4), []),
+]
+
+
+@pytest.mark.parametrize("algebra, derivations", PROJECTION_CASES)
+def test_projection_descends_through_the_truncations(algebra, derivations):
+    # pi kills every product of weight above the truncation, so pi on a
+    # larger truncation vanishes on the monomials it adds and agrees with
+    # pi on the smaller one elsewhere
+    small = build_module(algebra)
+    for order in (small.module.truncation + 1, small.module.truncation + 2):
+        large = build_module(algebra, truncation=order)
+        for row, big in zip(projection_rows(small), projection_rows(large)):
+            kept = {small.module.index.get(large.module.monomials[j]): c for j, c in big.items()}
+            assert kept == row
+
+
+@pytest.mark.parametrize("algebra, derivations", PROJECTION_CASES)
+def test_projection_commutes_with_derivations(algebra, derivations):
+    # symmetrization is canonical, so pi(D v) = D(pi v); the degree-1
+    # coordinates of the monomials are not: for the shift y -> x on the
+    # Heisenberg algebra, D(y^2) = 2 sym(xy) while D(y^2) = 2 xy - z
+    built = build_module(algebra, truncation=3)
+    rows = projection_rows(built)
+    for d, action in zip(derivations, verify_module_axioms(built, derivations)):
+        for a, row in enumerate(rows):
+            after = [sum(row.get(i, 0) * c for i, c in col.items()) for col in action.cols]
+            before = [
+                sum(d[a, b] * rows[b].get(j, 0) for b in range(algebra.dim))
+                for j in range(built.module.dim)
+            ]
+            assert after == before
+
+
+@pytest.mark.parametrize("algebra, derivations", PROJECTION_CASES)
+def test_cut_dimension_agrees_with_the_dense_oracle(algebra, derivations):
+    built = build_module(algebra, truncation=3)
+    images = cut_images(built, [*verify_module_axioms(built, derivations), *built.left])
+    size = images[0].nrows
+    assert size == oracle_cut_dimension(algebra, derivations, 3) < built.module.dim
+    assert all(m.nrows == m.ncols == size for m in images)
+    # the left actions on V/W still represent the bracket
+    left = images[len(derivations) :]
+    verify_module_axioms(replace(built, left=left))
+
+
+def test_the_closure_runs_over_every_image():
+    # pi commutes with derivations, so the closure under the left actions
+    # alone is already stable under their actions; an image that is no
+    # derivation action shows that the closure does not lean on that.
+    # On heisenberg, basis 1, z, y, x, y^2, xy, x^2, take M sending y^2
+    # to x.  Breadth first from pi's rows u0 = x*, u1 = y*, u2 = z* + xy*/2,
+    # each row closed under M, L_x, L_y, L_z in turn: u0 M = (y^2)* is u3
+    # and u0 L_x = 1* is u4.  Row i of R(x) holds the coordinates of ui x
+    built = build_module(HEIS)
+    to_x = Matrix.from_sparse(7, 7, [{3: Q(1)} if j == 4 else {} for j in range(7)])
+    assert {m.nrows for m in cut_images(built, built.left)} == {4}
+    half = Q(1, 2)
+    assert cut_images(built, [to_x, *built.left]) == (
+        # u0 M = u3
+        Matrix([[0, 0, 0, 1, 0], [0] * 5, [0] * 5, [0] * 5, [0] * 5]),
+        # u0 L_x = u4; u2 L_x = y* / 2
+        Matrix([[0, 0, 0, 0, 1], [0] * 5, [0, half, 0, 0, 0], [0] * 5, [0] * 5]),
+        # u1 L_y = u4; u2 L_y = -x* / 2, since y x = xy - z; u3 L_y = y*
+        Matrix([[0] * 5, [0, 0, 0, 0, 1], [-half, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0] * 5]),
+        # u2 L_z = u4
+        Matrix([[0] * 5, [0] * 5, [0, 0, 0, 0, 1], [0] * 5, [0] * 5]),
+    )
+
+
+def test_a_block_whose_closure_fills_v_star_is_kept():
+    # abelian at truncation 1: the letters' rows and the unit's row are all of V*
+    built = build_module(catalog_algebra("abelian:2"))
+    assert cut_images(built, built.left) == built.left
+    solv_line = build_module(LieAlgebra.from_sparse(1, {}))
+    scaling = verify_module_axioms(solv_line, [Matrix([[1]])])
+    assert cut_images(solv_line, [*scaling, *solv_line.left]) == (*scaling, *solv_line.left)
+
+
+def test_dependent_projection_rows_trip(monkeypatch):
+    # dim ker pi must be dim V - dim n
+    built = build_module(HEIS)
+    rows = projection_rows(built)
+    monkeypatch.setattr(envelope, "projection_rows", lambda _: [rows[0], rows[1], rows[0]])
+    with pytest.raises(TripwireError) as exc:
+        cut_images(built, built.left)
+    assert exc.value.stage == "module"
+    assert exc.value.message == "projection onto n is not onto"
+    assert exc.value.payload == {"generator": 2}

@@ -39,29 +39,33 @@ from helpers import (
     sl2_semidirect_plane,
     sl2_semidirect_sym,
     strictly_upper_triangular,
+    upper_triangular,
 )
 
 
 FILIFORM = {(0, 1): {2: 1}, (0, 2): {3: 1}}
 
 
+# the blocks' kinds and dimensions, and the enveloping block's V before the cut
 @pytest.mark.parametrize(
-    "name, dim_v, blocks",
+    "name, dim_v, blocks, ambient",
     [
-        ("solv2", 2, [("enveloping", 2)]),
-        ("heisenberg", 7, [("enveloping", 7)]),
-        ("heisenberg5", 16, [("enveloping", 16)]),
-        ("sl2", 4, [("reductive", 4)]),
-        ("gl2", 6, [("enveloping", 2), ("reductive", 4)]),
-        ("rot3", 3, [("enveloping", 3)]),
-        ("jordan3", 7, [("enveloping", 7)]),
-        ("abelian:2", 3, [("enveloping", 3)]),
+        ("solv2", 2, [("enveloping", 2)], 2),
+        ("heisenberg", 4, [("enveloping", 4)], 7),
+        ("heisenberg5", 6, [("enveloping", 6)], 16),
+        ("sl2", 4, [("reductive", 4)], None),
+        ("gl2", 6, [("enveloping", 2), ("reductive", 4)], 2),
+        ("rot3", 3, [("enveloping", 3)], 3),
+        ("jordan3", 4, [("enveloping", 4)], 7),
+        ("abelian:2", 3, [("enveloping", 3)], 3),
     ],
 )
-def test_catalog_dimensions(name, dim_v, blocks):
+def test_catalog_dimensions(name, dim_v, blocks, ambient):
     res = ado_representation(catalog_algebra(name))
     assert res.dim_v == dim_v
     assert [(b["kind"], b["dimension"]) for b in res.provenance["blocks"]] == blocks
+    envelopes = [b for b in res.provenance["blocks"] if b["kind"] == "enveloping"]
+    assert [b["ambient_monomials"] for b in envelopes] == ([ambient] if ambient else [])
     assert res.verification.verified
     assert res.verification.kernel_dimension == 0
     assert res.verification.residual_pairs == ()
@@ -74,12 +78,13 @@ def test_t3_full_tower():
     # Heisenberg algebra, the identity is the kernel part and the two
     # traceless diagonals act on n
     res = ado_representation(catalog_algebra("t3"))
-    assert res.dim_v == 10
+    assert res.dim_v == 7
     env, red = res.provenance["blocks"]
     assert env["kind"] == "enveloping"
-    # monomials x^a y^b z^c of weight a + b + 2c <= 2: C(4, 2) + 1
-    assert env["dimension"] == 7
-    assert env["cut_ideal_dimension"] == 0
+    # V is the monomials x^a y^b z^c of weight a + b + 2c <= 2, C(4, 2) + 1
+    # of them, cut to V/W of dimension 4
+    assert env["dimension"] == 4
+    assert env["cut_ideal_dimension"] == 3
     assert env["ambient_monomials"] == 7
     assert env["truncation"] == 2
     assert env["weights"] == [1, 2, 1]
@@ -108,7 +113,9 @@ def test_abelian_dimension_formula(m, order):
     from math import comb
 
     res = ado_representation(catalog_algebra(f"abelian:{m}"), truncation=order)
-    assert res.dim_v == comb(m + order, order)
+    # V has every monomial of degree <= order; V/W keeps the unit and the letters
+    assert res.provenance["blocks"][0]["ambient_monomials"] == comb(m + order, order)
+    assert res.dim_v == m + 1
     assert res.verification.verified
 
 
@@ -145,7 +152,8 @@ def test_truncation_below_the_floor_is_input_error():
     default = ado_representation(fil)
     assert default.verification.verified
     assert default.provenance["blocks"][0]["truncation"] == 3
-    assert default.dim_v == 14
+    assert default.provenance["blocks"][0]["ambient_monomials"] == 14
+    assert default.dim_v == 7
     assert default.provenance["retried"] is False
 
 
@@ -172,7 +180,8 @@ def test_heisenberg_on_x_y_x_plus_z_verifies_in_every_order(order):
     t = Matrix([vectors[i] for i in order]).transpose()
     res = ado_representation(change_of_basis(catalog_algebra("heisenberg"), t))
     assert res.verification.verified
-    assert res.dim_v == 7
+    assert res.provenance["blocks"][0]["ambient_monomials"] == 7
+    assert res.dim_v == 4
 
 
 def lower_central_terms(q, nil):
@@ -248,14 +257,49 @@ def test_random_change_of_basis_keeps_verdict_and_dim_v(name):
         assert res.dim_v == expected
 
 
-@pytest.mark.parametrize("n, dim_v", [(4, 29), (5, 132)])
-def test_strictly_upper_triangular_verifies(n, dim_v):
+@pytest.mark.parametrize("n, dim_v, ambient", [(4, 10, 29), (5, 21, 132)])
+def test_strictly_upper_triangular_verifies(n, dim_v, ambient):
     # n4 was refused by the ambient limit under the word-length cut
     res = ado_representation(strictly_upper_triangular(n))
     assert res.verification.verified
     assert res.dim_v == dim_v
+    assert res.provenance["blocks"][0]["ambient_monomials"] == ambient
     weights = [j - i for i in range(n) for j in range(i + 1, n)]
     assert res.provenance["blocks"][0]["weights"] == weights
+
+
+CUT_CASES = {
+    "n4": lambda: strictly_upper_triangular(4),
+    "n5": lambda: strictly_upper_triangular(5),
+    "b4": lambda: upper_triangular(4),
+    "t3": lambda: catalog_algebra("t3"),
+    "heisenberg5": lambda: catalog_algebra("heisenberg5"),
+    "jordan3": lambda: catalog_algebra("jordan3"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, dim_v",
+    [("n4", 10), ("n5", 21), ("b4", 13), ("t3", 7), ("heisenberg5", 6), ("jordan3", 4)],
+)
+def test_cut_dimension_is_free_of_the_basis_and_the_truncation(name, dim_v):
+    # V/W is defined without a basis, and pi kills every product past the
+    # truncation, so neither moves dim_v although V grows with the truncation
+    g = CUT_CASES[name]()
+    res = ado_representation(g)
+    assert res.dim_v == dim_v
+    ambient = res.provenance["blocks"][0]["ambient_monomials"]
+    for seed in (1, 2):
+        rebased = ado_representation(seeded_change_of_basis(random.Random(seed), g))
+        assert rebased.verification.verified
+        assert rebased.dim_v == dim_v, seed
+    floor = res.provenance["blocks"][0]["truncation"]
+    for order in (floor + 1, floor + 2):
+        raised = ado_representation(g, truncation=order)
+        assert raised.verification.verified
+        assert raised.dim_v == dim_v, order
+        assert raised.provenance["blocks"][0]["ambient_monomials"] > ambient
+        ambient = raised.provenance["blocks"][0]["ambient_monomials"]
 
 
 # sl2 on Sym^k of the plane, alone or beside a solvable or nilpotent
