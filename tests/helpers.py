@@ -772,12 +772,12 @@ def oracle_cut_dimension(algebra, derivations, bound):
 
     actions = [[column(_oracle_insert(algebra, a, m)) for m in light] for a in range(r)]
     actions += [[column(leibniz(d, m)) for m in light] for d in derivations]
-    s_transposed = Matrix.from_columns([column(symmetrized(m)) for m in light], nrows=size)
-    s_transposed = s_transposed.transpose()
-    pi = []
-    for a in range(r):
-        letter = tuple(int(b == a) for b in range(r))
-        pi.append(solve(s_transposed, unit_vector(size, index[letter])))
+    sym = Matrix.from_columns([column(symmetrized(m)) for m in light], nrows=size)
+    # the row of the inverse at x_a solves y S = e_a
+    pi = [
+        solve(sym.transpose(), unit_vector(size, index[tuple(int(b == a) for b in range(r))]))
+        for a in range(r)
+    ]
     closure = Subspace.from_vectors(size, pi)
     while True:
         images = [

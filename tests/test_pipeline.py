@@ -46,26 +46,38 @@ from helpers import (
 FILIFORM = {(0, 1): {2: 1}, (0, 2): {3: 1}}
 
 
-# the blocks' kinds and dimensions, and the enveloping block's V before the cut
+# the enveloping block's V before the cut to V/W
+AMBIENT_MONOMIALS = {
+    "solv2": 2,
+    "heisenberg": 7,
+    "heisenberg5": 16,
+    "gl2": 2,
+    "rot3": 3,
+    "jordan3": 7,
+    "abelian:2": 3,
+}
+
+
 @pytest.mark.parametrize(
-    "name, dim_v, blocks, ambient",
+    "name, dim_v, blocks",
     [
-        ("solv2", 2, [("enveloping", 2)], 2),
-        ("heisenberg", 4, [("enveloping", 4)], 7),
-        ("heisenberg5", 6, [("enveloping", 6)], 16),
-        ("sl2", 4, [("reductive", 4)], None),
-        ("gl2", 6, [("enveloping", 2), ("reductive", 4)], 2),
-        ("rot3", 3, [("enveloping", 3)], 3),
-        ("jordan3", 4, [("enveloping", 4)], 7),
-        ("abelian:2", 3, [("enveloping", 3)], 3),
+        ("solv2", 2, [("enveloping", 2)]),
+        ("heisenberg", 4, [("enveloping", 4)]),
+        ("heisenberg5", 6, [("enveloping", 6)]),
+        ("sl2", 4, [("reductive", 4)]),
+        ("gl2", 6, [("enveloping", 2), ("reductive", 4)]),
+        ("rot3", 3, [("enveloping", 3)]),
+        ("jordan3", 4, [("enveloping", 4)]),
+        ("abelian:2", 3, [("enveloping", 3)]),
     ],
 )
-def test_catalog_dimensions(name, dim_v, blocks, ambient):
+def test_catalog_dimensions(name, dim_v, blocks):
     res = ado_representation(catalog_algebra(name))
     assert res.dim_v == dim_v
-    assert [(b["kind"], b["dimension"]) for b in res.provenance["blocks"]] == blocks
-    envelopes = [b for b in res.provenance["blocks"] if b["kind"] == "enveloping"]
-    assert [b["ambient_monomials"] for b in envelopes] == ([ambient] if ambient else [])
+    made = res.provenance["blocks"]
+    assert [(b["kind"], b["dimension"]) for b in made] == blocks
+    ambient = [b["ambient_monomials"] for b in made if "ambient_monomials" in b]
+    assert ambient == ([AMBIENT_MONOMIALS[name]] if name in AMBIENT_MONOMIALS else [])
     assert res.verification.verified
     assert res.verification.kernel_dimension == 0
     assert res.verification.residual_pairs == ()
@@ -257,13 +269,14 @@ def test_random_change_of_basis_keeps_verdict_and_dim_v(name):
         assert res.dim_v == expected
 
 
-@pytest.mark.parametrize("n, dim_v, ambient", [(4, 10, 29), (5, 21, 132)])
-def test_strictly_upper_triangular_verifies(n, dim_v, ambient):
-    # n4 was refused by the ambient limit under the word-length cut
+@pytest.mark.parametrize("n, ambient", [(4, 29), (5, 132)])
+def test_strictly_upper_triangular_verifies(n, ambient):
+    # n4 was refused by the ambient limit under the word-length cut; V has
+    # ambient monomials and V/W is 10- and 21-dimensional
     res = ado_representation(strictly_upper_triangular(n))
     assert res.verification.verified
-    assert res.dim_v == dim_v
     assert res.provenance["blocks"][0]["ambient_monomials"] == ambient
+    assert res.dim_v == {4: 10, 5: 21}[n]
     weights = [j - i for i in range(n) for j in range(i + 1, n)]
     assert res.provenance["blocks"][0]["weights"] == weights
 
