@@ -5,10 +5,9 @@ algebra file or a catalog name, verify re-derives the verdict of a
 previously written representation file from its matrices alone, and
 catalog lists or prints the built-in algebras.
 
-Exit codes: 0 when the requested check holds, 1 for invalid input
-(including a --truncation below the largest generator weight), 2 when an
-internal consistency check fails, and 3 only when verify finds that a
-representation file fails verification: compute is faithful by
+Exit codes: 0 when the requested check holds, 1 for invalid input, 2
+when an internal consistency check fails, and 3 only when verify finds
+that a representation file fails verification: compute is faithful by
 construction.
 Structured errors go to stderr as one-line JSON objects; file payloads
 are canonically serialized, so identical runs produce identical bytes.
@@ -58,13 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("source", nargs="?", help="path to an algebra file")
     compute.add_argument(
         "--catalog", metavar="NAME", help="use a built-in algebra instead of a file"
-    )
-    compute.add_argument(
-        "--truncation",
-        type=int,
-        metavar="M",
-        help="weighted truncation order of the enveloping module; at least"
-        " and by default max(1, k - 1) for k the nilpotency index",
     )
     compute.add_argument(
         "--trace", action="store_true", help="print the saturation trace"
@@ -142,16 +134,12 @@ def _cmd_compute(args) -> int:
         raise InputError(
             "cli", "provide exactly one of an algebra file or --catalog NAME"
         )
-    if args.truncation is not None and args.truncation < 1:
-        raise InputError(
-            "cli", "--truncation must be at least 1", truncation=args.truncation
-        )
     if args.catalog is not None:
         name = args.catalog
         _, labels, algebra = catalog_entry(name)
     else:
         name, labels, algebra = algebra_from_json(load_json(args.source))
-    result = ado_representation(algebra, truncation=args.truncation)
+    result = ado_representation(algebra)
     text = canonical_dumps(representation_to_json(name, labels, result))
     if args.output is not None:
         try:

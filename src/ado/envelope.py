@@ -13,7 +13,7 @@ truncation order M span a left ideal of U(n) that every derivation of n
 preserves.  The quotient needs no elimination: its basis is the
 monomials of weight at most M.  Since x * 1 = x, n acts faithfully once
 M reaches the largest weight, k - 1 for k the nilpotency index; that is
-the default and the floor.
+the truncation.
 
 Every action column is read off columns built before it.  A basis
 monomial m other than 1 is x_b m', b its first letter and m' a monomial
@@ -184,29 +184,18 @@ class BuiltModule:
         return self.engine.derivation_action(self.left, derivation)
 
 
-def build_module(
-    algebra: LieAlgebra, truncation: int | None = None
-) -> BuiltModule:
+def build_module(algebra: LieAlgebra) -> BuiltModule:
     """Construct the truncated module and the left action matrices.
 
-    The truncation defaults to its floor max(1, k - 1), k the nilpotency
-    index, which is the largest generator weight; a chosen truncation
-    can only raise it, so every generator survives into the module.
-    Raises InputError for a truncation below the floor, or when the
-    weighted monomial count exceeds the ambient limit (checked before
-    enumeration); and TripwireError when a bracket lowers the weight,
-    that is when the basis is not adapted to the lower central series.
+    The truncation is max(1, k - 1), k the nilpotency index, which is the
+    largest generator weight, so every generator survives into the
+    module.  Raises InputError when the weighted monomial count exceeds
+    the ambient limit (checked before enumeration); and TripwireError
+    when a bracket lowers the weight, that is when the basis is not
+    adapted to the lower central series.
     """
     nilindex = algebra.nilpotency_index()
-    floor = max(1, nilindex - 1)
-    order = truncation if truncation is not None else floor
-    if order < floor:
-        raise InputError(
-            "module",
-            "truncation must be at least the largest generator weight",
-            truncation=order,
-            minimum=floor,
-        )
+    order = max(1, nilindex - 1)
     r = algebra.dim
     series = algebra.lower_central_series()
     weights = tuple(
@@ -219,9 +208,7 @@ def build_module(
                     raise TripwireError(
                         "module", "bracket lowers the weight", pair=[i, j], generator=k
                     )
-    # the powers of a weight-1 generator alone number order + 1, so a
-    # count up to weight min(order, AMBIENT_LIMIT) decides the guard
-    count = weighted_count(weights, min(order, AMBIENT_LIMIT))
+    count = weighted_count(weights, order)
     if count > AMBIENT_LIMIT:
         raise InputError(
             "module",

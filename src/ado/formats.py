@@ -132,10 +132,9 @@ def matrix_from_json(data: object, where: str, size: int) -> Matrix:
         )
         label = f"{where}[{r}]"
         for col, x in zip(cols, raw_row):
-            if x != "0":
-                col[r] = parse_rational(x, label)
-    # from_sparse drops the zeros spelled otherwise, such as "0/1" and "-0"
-    return Matrix.from_sparse(size, size, cols)
+            if x != "0" and (value := parse_rational(x, label)):
+                col[r] = value
+    return Matrix._wrap(size, size, cols)
 
 
 def representation_to_json(

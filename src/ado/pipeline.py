@@ -156,20 +156,15 @@ def adapted_basis(q: LieAlgebra, nil: Subspace) -> tuple[dict[int, Q], ...]:
     )
 
 
-def ado_representation(
-    algebra: LieAlgebra, truncation: int | None = None
-) -> RepresentationResult:
+def ado_representation(algebra: LieAlgebra) -> RepresentationResult:
     """Compute a verified faithful matrix representation.
 
-    The truncation of the enveloping module defaults to the largest
-    generator weight and can only be raised; build_module raises
-    InputError below that floor.  The result is faithful by
-    construction: reductive_split makes the acting part meet the
-    centralizer of n trivially, the reductive block is faithful on the
-    kernel part, and on V/W, for D + x nonzero with D acting and x in n,
-    either x * 1 = x or D x_b = D(x_b) leaves the kernel of the
-    projection onto n.  A representation that still fails verification
-    is a bug, reported as TripwireError.
+    The result is faithful by construction: reductive_split makes the
+    acting part meet the centralizer of n trivially, the reductive block
+    is faithful on the kernel part, and on V/W, for D + x nonzero with D
+    acting and x in n, either x * 1 = x or D x_b = D(x_b) leaves the
+    kernel of the projection onto n.  A representation that still fails
+    verification is a bug, reported as TripwireError.
     """
     pres = saturate(algebra)
     q, nil = pres.algebra, pres.nilpotent_part
@@ -186,7 +181,7 @@ def ado_representation(
             nalg, _, derivations = q.subalgebra_and_derivations(
                 nil_basis, acting_part.span.rows.values()
             )
-        built = build_module(nalg, truncation)
+        built = build_module(nalg)
         if None in derivations:
             raise TripwireError("pipeline", "derivation escapes the nilpotent part")
         action_mats = verify_module_axioms(built, derivations)
@@ -204,8 +199,8 @@ def ado_representation(
     red_dim = red_mats[0].nrows if red_mats else 0
     dim_v = env_dim + red_dim
     env_zero, red_zero = Matrix.zeros(env_dim, env_dim), Matrix.zeros(red_dim, red_dim)
-    images = [sparse_block_diag([env_zero, m]) for m in red_mats]
-    images += [sparse_block_diag([m, red_zero]) for m in env_images]
+    images = [sparse_block_diag([env_zero, m]) if env_dim else m for m in red_mats]
+    images += [sparse_block_diag([m, red_zero]) if red_dim else m for m in env_images]
     with as_tripwire("pipeline"):
         original_coords = coordinates_in(basis, pres.embed_original.cols)
     matrices = []

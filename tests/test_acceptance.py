@@ -27,6 +27,7 @@ from ado.expansion import (
     verify_presentation,
 )
 from ado.jordan import jc_decompose
+from ado.lie import LieAlgebra
 from ado.linalg import (
     Matrix,
     Polynomial,
@@ -55,6 +56,7 @@ from helpers import (
     sl2_plus_sl2_semidirect_plane,
     sl2_semidirect_plane,
     sl3,
+    strictly_upper_triangular,
 )
 
 CATALOG_CASES = (
@@ -321,18 +323,16 @@ def test_jordan3_saturation_record_is_unchanged():
 
 def test_abelian_module_dimensions(capsys):
     with criterion(capsys, 2, "abelian module dimensions"):
-        for m in (1, 2, 3):
-            for order in (2, 3, 4):
-                algebra = catalog_algebra(f"abelian:{m}")
-                result = ado_representation(algebra, truncation=order)
-                # V is every monomial of degree <= order; the cut keeps the
-                # unit and the m letters at any truncation
-                expected = math.comb(m + order, order)
-                assert result.dim_v == m + 1, (m, order)
-                block = result.provenance["blocks"][0]
-                assert block["kind"] == "enveloping"
-                assert block["dimension"] == m + 1, (m, order)
-                assert block["ambient_monomials"] == expected, (m, order)
+        for m in (1, 2, 3, 4):
+            result = ado_representation(catalog_algebra(f"abelian:{m}"))
+            # V is every monomial of degree <= 1, the unit and the m
+            # letters, and the cut keeps all of it
+            assert result.dim_v == m + 1, m
+            block = result.provenance["blocks"][0]
+            assert block["kind"] == "enveloping"
+            assert block["truncation"] == 1, m
+            assert block["dimension"] == m + 1, m
+            assert block["ambient_monomials"] == math.comb(m + 1, 1), m
 
 
 def test_solv2_golden_run(capsys):
@@ -502,19 +502,26 @@ NILPOTENT_CASES = (
 
 def test_truncation_ideal_against_word_oracle(capsys):
     with criterion(capsys, 7, "truncation ideal oracle"):
-        g = catalog_algebra("heisenberg")
-        for order in (2, 3, 5):
-            built = build_module(g, order)
+        # heisenberg, the 4-dim filiform algebra, n4 and n5: truncations
+        # 2, 3, 3 and 4
+        algebras = (
+            catalog_algebra("heisenberg"),
+            LieAlgebra.from_sparse(4, {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+            strictly_upper_triangular(4),
+            strictly_upper_triangular(5),
+        )
+        for g in algebras:
+            built = build_module(g)
             # dimension from the generating function, light basis, and
             # left actions equal to the oracle's with heavy terms dropped
-            assert module_disagreements(built) == [], order
+            assert module_disagreements(built) == [], g.dim
 
             # the generators survive into the quotient independently
             gens = []
-            for i in range(3):
-                mono = tuple(1 if j == i else 0 for j in range(3))
+            for i in range(g.dim):
+                mono = tuple(1 if j == i else 0 for j in range(g.dim))
                 gens.append(unit_vector(built.module.dim, built.module.index[mono]))
-            assert Subspace.from_vectors(built.module.dim, gens).dim == 3
+            assert Subspace.from_vectors(built.module.dim, gens).dim == g.dim
 
         # on the nilpotent ideals of the catalog in seeded random bases, a
         # letter times a heavy monomial is heavy: the dropped monomials

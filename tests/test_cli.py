@@ -15,13 +15,6 @@ from ado.linalg import QONE, Matrix, Polynomial, SparseSpan, Subspace
 from helpers import seeded_change_of_basis, sl2_plus_solv2
 
 
-FILIFORM_FILE = {
-    "name": "filiform4",
-    "dim": 4,
-    "basis": ["x", "a", "b", "c"],
-    "brackets": {"0,1": [[2, "1"]], "0,2": [[3, "1"]]},
-}
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -106,11 +99,11 @@ def test_catalog_list(capsys):
 
 
 def test_trace_flag_prints_saturation(capsys, tmp_path):
-    code, out, _ = run(capsys, "compute", "--catalog", "t3", "--truncation", "3")
+    code, out, _ = run(capsys, "compute", "--catalog", "t3")
     assert code == 0
     data = json.loads(out)
     assert data["verification"]["verified"] is True
-    assert data["provenance"]["blocks"][0]["truncation"] == 3
+    assert data["provenance"]["blocks"][0]["truncation"] == 2
     # solv2's scaling is semisimple and absorbs; jordan3's shear extends
     code, _, err = run(capsys, "compute", "--catalog", "solv2", "--trace")
     assert code == 0
@@ -132,22 +125,19 @@ def test_trace_flag_prints_saturation(capsys, tmp_path):
     assert " less (" in absorbs[0] and absorbs[0].endswith("), joins reductive")
 
 
-def test_truncation_below_the_floor_exits_one(capsys, tmp_path):
-    source = tmp_path / "filiform.json"
-    source.write_text(json.dumps(FILIFORM_FILE), encoding="utf-8")
-    code, out, err = run(
-        capsys, "compute", str(source), "--truncation", "2"
-    )
-    assert code == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])["error"]
-    assert (error["stage"], error["kind"]) == ("module", "InputError")
-    assert error["detail"] == {"minimum": 3, "truncation": 2}
-    with pytest.raises(SystemExit) as info:
-        main(["compute", str(source), "--no-retry"])
-    assert info.value.code == 1
+def test_removed_options_exit_one(capsys):
+    # the module is built at its one truncation and never retried, so
+    # --truncation and --no-retry are usage errors, reported as InputError
+    for option in (["--truncation", "3"], ["--no-retry"]):
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "--catalog", "t3", *option])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [json.loads(line)["error"] for line in err.splitlines() if line.startswith("{")]
+        assert len(errors) == 1
+        assert (errors[0]["stage"], errors[0]["kind"]) == ("cli", "InputError")
+        assert option[0] in errors[0]["message"]
 
 
 @pytest.mark.parametrize(
@@ -156,11 +146,9 @@ def test_truncation_below_the_floor_exits_one(capsys, tmp_path):
         (["compute"], "exactly one"),
         (["compute", "x.json", "--catalog", "sl2"], "exactly one"),
         (["compute", "--catalog", "nope"], "unknown catalog name"),
-        (["compute", "--catalog", "sl2", "--truncation", "0"], "at least 1"),
+        (["catalog", "show", "nope"], "unknown catalog name"),
         (["compute", "/nonexistent/path.json"], "cannot read"),
         (["verify", "/nonexistent/path.json"], "cannot read"),
-        (["catalog", "show", "nope"], "unknown catalog name"),
-        (["compute", "--catalog", "t3", "--truncation", "1"], "largest generator weight"),
     ],
 )
 def test_input_errors_exit_one(capsys, argv, fragment):

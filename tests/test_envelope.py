@@ -26,6 +26,7 @@ from ado.linalg import Matrix
 
 from helpers import (
     change_of_basis,
+    dense_ad,
     derivation_disagreements,
     module_disagreements,
     oracle_cut_dimension,
@@ -34,49 +35,66 @@ from helpers import (
 
 
 HEIS = catalog_algebra("heisenberg")
+# the 4-dim filiform algebra, [x0, x1] = x2 and [x0, x2] = x3: weights
+# 1, 1, 2, 3 and truncation 3, the first input here whose module reaches
+# degree 3
 FILIFORM = {(0, 1): {2: 1}, (0, 2): {3: 1}}
+FIL = LieAlgebra.from_sparse(4, FILIFORM)
+N4 = strictly_upper_triangular(4)
+N5 = strictly_upper_triangular(5)
 
 
 def test_left_action_columns_frozen():
-    built = build_module(HEIS, truncation=3)
+    built = build_module(FIL)
     mod = built.module
 
     def column(letter, mono):
         col = built.left[letter].cols[mod.index[mono]]
         return {mod.monomials[row]: c for row, c in col.items()}
 
-    # y x = x y - z
-    assert column(1, (1, 0, 0)) == {(1, 1, 0): Q(1), (0, 0, 1): Q(-1)}
-    # y x^2 = x^2 y - 2 x z
-    assert column(1, (2, 0, 0)) == {(2, 1, 0): Q(1), (1, 0, 1): Q(-2)}
+    # x1 x0 = x0 x1 - x2
+    assert column(1, (1, 0, 0, 0)) == {(1, 1, 0, 0): Q(1), (0, 0, 1, 0): Q(-1)}
+    # x1 x0^2 = x0^2 x1 - 2 x0 x2 + x3
+    assert column(1, (2, 0, 0, 0)) == {
+        (2, 1, 0, 0): Q(1),
+        (1, 0, 1, 0): Q(-2),
+        (0, 0, 0, 1): Q(1),
+    }
     # a letter at or before the first letter just raises its exponent
-    assert column(0, (0, 0, 1)) == {(1, 0, 1): Q(1)}
-    assert column(2, (0, 0, 0)) == {(0, 0, 1): Q(1)}
+    assert column(0, (0, 0, 1, 0)) == {(1, 0, 1, 0): Q(1)}
+    assert column(3, (0, 0, 0, 0)) == {(0, 0, 0, 1): Q(1)}
+    # x0 x3 weighs 4, past the truncation
+    assert column(0, (0, 0, 0, 1)) == {}
 
 
 def test_module_dimensions_frozen():
-    for truncation, module_dim in ((2, 7), (3, 13), (5, 34)):
-        built = build_module(HEIS, truncation=truncation)
-        assert built.module.weights == (1, 1, 2)
+    cases = [
+        (HEIS, (1, 1, 2), 7),
+        (FIL, (1, 1, 2, 3), 14),
+        (N4, (1, 2, 3, 1, 2, 1), 29),
+        (N5, (1, 2, 3, 4, 1, 2, 3, 1, 2, 1), 132),
+    ]
+    for algebra, weights, module_dim in cases:
+        built = build_module(algebra)
+        assert built.module.weights == weights
         assert built.module.dim == module_dim
 
 
 def test_module_agrees_with_word_oracle():
-    cases = [
-        (HEIS, 2),
-        (HEIS, 3),
-        (catalog_algebra("heisenberg5"), 2),
-        (catalog_algebra("heisenberg5"), 4),
-        (catalog_algebra("abelian:3"), 2),
-    ]
     # the nilpotent part the pipeline reaches for t3: a Heisenberg
     # triple next to three central directions
     t3_nil = LieAlgebra.from_sparse(6, {(0, 1): {2: 1}})
-    cases.append((t3_nil, 2))
-    # the 4-dim filiform algebra, weights 1, 1, 2, 3
-    cases.append((LieAlgebra.from_sparse(4, FILIFORM), 4))
-    for algebra, truncation in cases:
-        assert module_disagreements(build_module(algebra, truncation=truncation)) == []
+    cases = [
+        catalog_algebra("heisenberg5"),
+        catalog_algebra("abelian:3"),
+        t3_nil,
+        # truncations 3, 3 and 4
+        FIL,
+        N4,
+        N5,
+    ]
+    for algebra in cases:
+        assert module_disagreements(build_module(algebra)) == []
 
 
 def test_module_agrees_with_word_oracle_at_default_truncation():
@@ -86,42 +104,32 @@ def test_module_agrees_with_word_oracle_at_default_truncation():
 
 
 def test_abelian_modules_are_full_polynomial_truncations():
-    from math import comb
-
+    # every weight is 1 and the truncation 1: the unit and the m letters
     for m in (1, 2, 3):
-        for truncation in (1, 2, 3, 4):
-            built = build_module(catalog_algebra(f"abelian:{m}"), truncation=truncation)
-            assert built.module.weights == (1,) * m
-            assert built.module.dim == comb(m + truncation, m)
+        built = build_module(catalog_algebra(f"abelian:{m}"))
+        assert built.module.weights == (1,) * m
+        assert built.module.truncation == 1
+        assert built.module.dim == m + 1
 
 
 def test_truncation_floor_is_the_largest_weight():
-    # e4 has weight 3: truncation 2 would drop it, so it is refused
-    filiform = LieAlgebra.from_sparse(4, FILIFORM)
-    assert filiform.nilpotency_index() == 4
-    with pytest.raises(InputError) as exc:
-        build_module(filiform, truncation=2)
-    assert exc.value.stage == "module"
-    assert exc.value.payload == {"truncation": 2, "minimum": 3}
-    built = build_module(filiform)
+    # x3 has weight 3, so a truncation of 2 would drop it
+    assert FIL.nilpotency_index() == 4
+    built = build_module(FIL)
     assert built.module.truncation == 3
     assert built.module.weights == (1, 1, 2, 3)
 
 
 def test_ambient_guard():
-    # 20336 monomials of weighted degree <= 60 with weights 1, 1, 2
+    # the 24-dim filiform algebra, [e0, ei] = e(i+1): weights 1, 1, 2, ...,
+    # 23 and 24757 monomials of weight <= 23, refused before enumeration
+    filiform = LieAlgebra.from_sparse(24, {(0, i): {i + 1: 1} for i in range(1, 23)})
     with pytest.raises(InputError) as exc:
-        build_module(HEIS, truncation=60)
+        build_module(filiform)
+    assert exc.value.stage == "module"
     assert "limit" in exc.value.message
-    assert exc.value.payload["count"] == 20336
-    # refused at once, without a table as long as the truncation order
-    with pytest.raises(InputError):
-        build_module(HEIS, truncation=10**12)
-
-
-def test_truncation_must_be_at_least_one():
-    with pytest.raises(InputError):
-        build_module(HEIS, truncation=0)
+    assert exc.value.payload["count"] == 24757
+    assert exc.value.payload["truncation"] == 23
 
 
 # heisenberg on (x, y, x+z): [e1, e2] = z = e3 - e1 has an e1 term of weight 1
@@ -150,12 +158,13 @@ def test_weight_tripwire_on_a_weight_lowering_derivation():
 
 def test_module_axioms_for_left_actions():
     for name in ("heisenberg", "heisenberg5", "abelian:2"):
-        built = build_module(catalog_algebra(name), truncation=3)
-        verify_module_axioms(built)
+        verify_module_axioms(build_module(catalog_algebra(name)))
+    for algebra in (FIL, N4, N5):
+        verify_module_axioms(build_module(algebra))
 
 
 def test_derivation_action_frozen_weights():
-    built = build_module(HEIS, truncation=2)
+    built = build_module(HEIS)
     weights = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     action = verify_module_axioms(built, [weights])[0]
     # module basis in graded order: 1, z, y, x, y^2, xy, x^2
@@ -174,10 +183,10 @@ def test_derivation_action_frozen_weights():
 
 
 def test_derivation_axioms_with_two_derivations():
-    built = build_module(HEIS, truncation=3)
     d1 = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     d2 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # x <- y, a nilpotent derivation
-    verify_module_axioms(built, [d1, d2])
+    verify_module_axioms(build_module(HEIS), [d1, d2])
+    verify_module_axioms(build_module(FIL), [FIL_DIAGONAL, FIL_SHIFT])
 
 
 def _bump(m: Matrix, r: int, c: int) -> Matrix:
@@ -203,19 +212,26 @@ def _tamper_derivation_call(monkeypatch, call: int) -> None:
 # action here; bumping it breaks the bracket with any generator
 WEIGHTS = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
 SHIFT = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # x <- y, nilpotent
+FIL_DIAGONAL = Matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+FIL_SHIFT = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]])  # x3 <- x1
 
 
 def test_derivation_actions_agree_with_word_oracle():
-    built = build_module(HEIS, truncation=4)
+    built = build_module(HEIS)
     for d in (WEIGHTS, SHIFT, WEIGHTS.scale(3) - SHIFT):
         assert derivation_disagreements(built, d) == []
-    filiform = build_module(LieAlgebra.from_sparse(4, FILIFORM), truncation=5)
-    diagonal = Matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
-    assert derivation_disagreements(filiform, diagonal) == []
+    filiform = build_module(FIL)
+    for d in (FIL_DIAGONAL, FIL_SHIFT, FIL_DIAGONAL - FIL_SHIFT.scale(2)):
+        assert derivation_disagreements(filiform, d) == []
+    # on n4, the grading by the weights and the inner derivation ad(E01)
+    n4 = build_module(N4)
+    grading = Matrix.from_sparse(6, 6, [{i: Q(w)} for i, w in enumerate(n4.module.weights)])
+    for d in (grading, dense_ad(N4, (1, 0, 0, 0, 0, 0))):
+        assert derivation_disagreements(n4, d) == []
 
 
 def test_module_axioms_name_a_tampered_left_action():
-    built = build_module(HEIS, truncation=3)
+    built = build_module(HEIS)
     left = (_bump(built.left[0], 0, 0),) + built.left[1:]
     with pytest.raises(TripwireError) as exc:
         verify_module_axioms(replace(built, left=left))
@@ -225,7 +241,7 @@ def test_module_axioms_name_a_tampered_left_action():
 
 
 def test_module_axioms_name_a_tampered_derivation_action(monkeypatch):
-    built = build_module(HEIS, truncation=3)
+    built = build_module(HEIS)
     _tamper_derivation_call(monkeypatch, 2)
     with pytest.raises(TripwireError) as exc:
         verify_module_axioms(built, [WEIGHTS, SHIFT])
@@ -234,7 +250,7 @@ def test_module_axioms_name_a_tampered_derivation_action(monkeypatch):
 
 
 def test_module_axioms_name_a_tampered_commutator(monkeypatch):
-    built = build_module(HEIS, truncation=3)
+    built = build_module(HEIS)
     # the third call is the action of the commutator of the two derivations
     _tamper_derivation_call(monkeypatch, 3)
     with pytest.raises(TripwireError) as exc:
@@ -244,7 +260,7 @@ def test_module_axioms_name_a_tampered_commutator(monkeypatch):
 
 
 def test_left_action_of_x_frozen():
-    built = build_module(HEIS, truncation=2)
+    built = build_module(HEIS)
     # basis 1, z, y, x, y^2, xy, x^2; x kills xz-bound images
     assert built.left[0] == Matrix(
         [
@@ -275,25 +291,9 @@ def test_projection_frozen_on_heisenberg():
 
 PROJECTION_CASES = [
     (HEIS, [WEIGHTS, SHIFT]),
-    (
-        LieAlgebra.from_sparse(4, FILIFORM),
-        [Matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])],
-    ),
-    (strictly_upper_triangular(4), []),
+    (FIL, [FIL_DIAGONAL]),
+    (N4, []),
 ]
-
-
-@pytest.mark.parametrize("algebra, derivations", PROJECTION_CASES)
-def test_projection_descends_through_the_truncations(algebra, derivations):
-    # pi kills every product of weight above the truncation, so pi on a
-    # larger truncation vanishes on the monomials it adds and agrees with
-    # pi on the smaller one elsewhere
-    small = build_module(algebra)
-    for order in (small.module.truncation + 1, small.module.truncation + 2):
-        large = build_module(algebra, truncation=order)
-        for row, big in zip(projection_rows(small), projection_rows(large)):
-            kept = {small.module.index.get(large.module.monomials[j]): c for j, c in big.items()}
-            assert kept == row
 
 
 @pytest.mark.parametrize("algebra, derivations", PROJECTION_CASES)
@@ -301,7 +301,7 @@ def test_projection_commutes_with_derivations(algebra, derivations):
     # symmetrization is canonical, so pi(D v) = D(pi v); the degree-1
     # coordinates of the monomials are not: for the shift y -> x on the
     # Heisenberg algebra, D(y^2) = 2 sym(xy) while D(y^2) = 2 xy - z
-    built = build_module(algebra, truncation=3)
+    built = build_module(algebra)
     rows = projection_rows(built)
     for d, action in zip(derivations, verify_module_axioms(built, derivations)):
         for a, row in enumerate(rows):
@@ -315,10 +315,11 @@ def test_projection_commutes_with_derivations(algebra, derivations):
 
 @pytest.mark.parametrize("algebra, derivations", PROJECTION_CASES)
 def test_cut_dimension_agrees_with_the_dense_oracle(algebra, derivations):
-    built = build_module(algebra, truncation=3)
+    built = build_module(algebra)
     images = cut_images(built, [*verify_module_axioms(built, derivations), *built.left])
     size = images[0].nrows
-    assert size == oracle_cut_dimension(algebra, derivations, 3) < built.module.dim
+    oracle = oracle_cut_dimension(algebra, derivations, built.module.truncation)
+    assert size == oracle < built.module.dim
     assert all(m.nrows == m.ncols == size for m in images)
     # the left actions on V/W still represent the bracket
     left = images[len(derivations) :]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ado.catalog import catalog_algebra
-from ado.errors import InputError
 from ado.expansion import saturate
 from ado.lie import LieAlgebra
 from ado.linalg import (
@@ -117,16 +116,13 @@ def test_mixed_semisimple_and_solvable_summands():
     assert res.verification.verified
 
 
-@pytest.mark.parametrize(
-    "m, order",
-    [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 4)],
-)
-def test_abelian_dimension_formula(m, order):
-    from math import comb
-
-    res = ado_representation(catalog_algebra(f"abelian:{m}"), truncation=order)
-    # V has every monomial of degree <= order; V/W keeps the unit and the letters
-    assert res.provenance["blocks"][0]["ambient_monomials"] == comb(m + order, order)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_abelian_dimension_formula(m):
+    res = ado_representation(catalog_algebra(f"abelian:{m}"))
+    # at truncation 1, V is the unit and the letters, and the cut keeps it
+    block = res.provenance["blocks"][0]
+    assert (block["truncation"], block["ambient_monomials"]) == (1, m + 1)
+    assert block["cut_ideal_dimension"] == 0
     assert res.dim_v == m + 1
     assert res.verification.verified
 
@@ -156,17 +152,14 @@ def test_provenance_is_json_serializable():
     assert res.provenance["saturation"][0]["stage"] == "initial"
 
 
-def test_truncation_below_the_floor_is_input_error():
-    fil = LieAlgebra.from_sparse(4, FILIFORM)
-    with pytest.raises(InputError) as exc:
-        ado_representation(fil, truncation=2)
-    assert exc.value.payload == {"truncation": 2, "minimum": 3}
-    default = ado_representation(fil)
-    assert default.verification.verified
-    assert default.provenance["blocks"][0]["truncation"] == 3
-    assert default.provenance["blocks"][0]["ambient_monomials"] == 14
-    assert default.dim_v == 7
-    assert default.provenance["retried"] is False
+def test_filiform_is_built_at_its_floor():
+    # x3 has weight 3, so the truncation is 3
+    res = ado_representation(LieAlgebra.from_sparse(4, FILIFORM))
+    assert res.verification.verified
+    assert res.provenance["blocks"][0]["truncation"] == 3
+    assert res.provenance["blocks"][0]["ambient_monomials"] == 14
+    assert res.dim_v == 7
+    assert res.provenance["retried"] is False
 
 
 # heisenberg in a rational basis not adapted to the lower central series
@@ -296,23 +289,16 @@ CUT_CASES = {
     [("n4", 10), ("n5", 21), ("b4", 13), ("t3", 7), ("heisenberg5", 6), ("jordan3", 4)],
 )
 def test_cut_dimension_is_free_of_the_basis_and_the_truncation(name, dim_v):
-    # V/W is defined without a basis, and pi kills every product past the
-    # truncation, so neither moves dim_v although V grows with the truncation
+    # V/W is defined without a basis, so the basis does not move dim_v; pi
+    # kills every product past the truncation, which is why the module is
+    # built at the floor alone: a larger V would be cut to the same V/W
     g = CUT_CASES[name]()
     res = ado_representation(g)
     assert res.dim_v == dim_v
-    ambient = res.provenance["blocks"][0]["ambient_monomials"]
     for seed in (1, 2):
         rebased = ado_representation(seeded_change_of_basis(random.Random(seed), g))
         assert rebased.verification.verified
         assert rebased.dim_v == dim_v, seed
-    floor = res.provenance["blocks"][0]["truncation"]
-    for order in (floor + 1, floor + 2):
-        raised = ado_representation(g, truncation=order)
-        assert raised.verification.verified
-        assert raised.dim_v == dim_v, order
-        assert raised.provenance["blocks"][0]["ambient_monomials"] > ambient
-        ambient = raised.provenance["blocks"][0]["ambient_monomials"]
 
 
 # sl2 on Sym^k of the plane, alone or beside a solvable or nilpotent
