@@ -35,9 +35,9 @@ from helpers import (
 
 
 HEIS = catalog_algebra("heisenberg")
-# the 4-dim filiform algebra, [x0, x1] = x2 and [x0, x2] = x3: weights
-# 1, 1, 2, 3 and truncation 3, the first input here whose module reaches
-# degree 3
+# the 4-dim filiform algebra, [x0, x1] = x2 and [x0, x2] = x3, weights
+# 1, 1, 2, 3: with n4 and n5 (truncations 3, 3 and 4) it carries the
+# checks that need monomials of degree 3 and more
 FILIFORM = {(0, 1): {2: 1}, (0, 2): {3: 1}}
 FIL = LieAlgebra.from_sparse(4, FILIFORM)
 N4 = strictly_upper_triangular(4)
