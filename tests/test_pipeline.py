@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ado.catalog import catalog_algebra
+from ado.envelope import weighted_count, weighted_monomials
 from ado.expansion import saturate
 from ado.lie import LieAlgebra
 from ado.linalg import (
@@ -116,10 +117,20 @@ def test_mixed_semisimple_and_solvable_summands():
     assert res.verification.verified
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_abelian_dimension_formula(m):
+@pytest.mark.parametrize(
+    "m, order",
+    [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 4)],
+)
+def test_abelian_dimension_formula(m, order):
+    from math import comb
+
+    # m commuting letters of weight 1 have comb(m + order, order) monomials
+    # of degree <= order
+    assert weighted_count([1] * m, order) == comb(m + order, order)
+    assert len(weighted_monomials([1] * m, order)) == comb(m + order, order)
     res = ado_representation(catalog_algebra(f"abelian:{m}"))
-    # at truncation 1, V is the unit and the letters, and the cut keeps it
+    # the module is built at truncation 1, where V is the unit and the
+    # letters, comb(m + 1, 1) of them, and the cut keeps it
     block = res.provenance["blocks"][0]
     assert (block["truncation"], block["ambient_monomials"]) == (1, m + 1)
     assert block["cut_ideal_dimension"] == 0
