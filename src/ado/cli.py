@@ -40,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(canonical_dumps(InputError("cli", message).to_json()))
         raise SystemExit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a command's parser gets every argument after the command's name,
+        # so it reports an unknown one with its own usage line
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:

@@ -52,7 +52,9 @@ from .linalg import (
     QONE,
     _add_scaled,
     _add_scaled_int,
-    bracket_holds,
+    _integer_family,
+    _reduce_int,
+    failing_brackets,
 )
 
 Monomial = tuple[int, ...]
@@ -245,26 +247,30 @@ def verify_module_axioms(
     """
     nonzero = built.module.algebra.nonzero
     left = built.left
-    r = len(left)
-    for i in range(r):
-        for j in range(i + 1, r):
-            if not bracket_holds(left[i], left[j], [(c, left[k]) for k, c in nonzero[i][j]]):
-                raise TripwireError(
-                    "module", "left actions do not represent the bracket", pair=[i, j]
-                )
+    r, count = len(left), len(derivations)
     actions = [built.derivation_action(d) for d in derivations]
-    for a, (d, action) in enumerate(zip(derivations, actions)):
-        for i in range(r):
-            if not bracket_holds(action, left[i], [(c, left[k]) for k, c in d.cols[i].items()]):
-                message = "derivation action fails against a left action"
-                raise TripwireError("module", message, derivation=a, generator=i)
-    for a in range(len(actions)):
-        for b in range(a + 1, len(actions)):
-            commutator = derivations[a] * derivations[b] - derivations[b] * derivations[a]
-            target = built.derivation_action(commutator)
-            if not bracket_holds(actions[a], actions[b], [(QONE, target)]):
-                message = "derivation actions do not respect their commutator"
-                raise TripwireError("module", message, pair=[a, b])
+    pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
+    targets = [
+        built.derivation_action(derivations[a] * derivations[b] - derivations[b] * derivations[a])
+        for a, b in pairs
+    ]
+    # one check over the family left, actions, targets: the left actions'
+    # brackets, then [D_a, x_i], the left action of D_a(x_i), read off
+    # column i of the derivation, then [D_a, D_b], the target of (a, b)
+    relations = {(i, j): nonzero[i][j] for i in range(r) for j in range(i + 1, r)}
+    for a, d in enumerate(derivations):
+        relations.update({(r + a, i): tuple(d.cols[i].items()) for i in range(r)})
+    for n, (a, b) in enumerate(pairs):
+        relations[r + a, r + b] = ((r + count + n, QONE),)
+    if failing := failing_brackets([*left, *actions, *targets], relations):
+        i, j = failing[0]
+        if i < r:
+            raise TripwireError("module", "left actions do not represent the bracket", pair=[i, j])
+        if j < r:
+            message = "derivation action fails against a left action"
+            raise TripwireError("module", message, derivation=i - r, generator=j)
+        message = "derivation actions do not respect their commutator"
+        raise TripwireError("module", message, pair=[i - r, j - r])
     return actions
 
 
@@ -284,12 +290,7 @@ def projection_rows(built: BuiltModule) -> list[dict[int, Q]]:
     as int numerators over one denominator.
     """
     mod = built.module
-    forms = [m._integer_form() for m in built.left]
-    d = lcm(*(den for den, _, _ in forms))
-    left = [
-        cols if den == d else [{i: x * (d // den) for i, x in col.items()} for col in cols]
-        for den, cols, _ in forms
-    ]
+    _, left = _integer_family(built.left)
     sums: list[dict[int, int]] = []
     proj: list[tuple[dict[int, int], int]] = []
     for j, mono in enumerate(mod.monomials):
@@ -342,7 +343,7 @@ def cut_images(built: BuiltModule, images: Sequence[Matrix]) -> tuple[Matrix, ..
     # the rows of d rho(x) as ints, d the common denominator of rho(x)
     forms = []
     for m in images:
-        d, cols, _ = m._integer_form()
+        d, (cols,) = _integer_family([m])
         image_rows: list[dict[int, int]] = [{} for _ in range(dim)]
         for j, col in enumerate(cols):
             for i, x in col.items():
@@ -354,16 +355,8 @@ def cut_images(built: BuiltModule, images: Sequence[Matrix]) -> tuple[Matrix, ..
     def coordinates(f: dict[int, int], den: int) -> dict[int, Q] | None:
         """The coordinates of f / den in the basis, or None when it joins the basis."""
         tag = dim + len(basis)
-        v = {**f, tag: den}
-        while (row := span.get(pivot := min(v))) is not None:
-            scale, lead = row[pivot], v[pivot]
-            if scale != 1:
-                v = {k: c * scale for k, c in v.items()}
-            _add_scaled_int(v, row, -lead)
-            g = gcd(*v.values())
-            if g != 1:
-                v = {k: c // g for k, c in v.items()}
-        if pivot >= dim:
+        v = _reduce_int(span, {**f, tag: den})
+        if (pivot := min(v)) >= dim:
             return {k - dim: Q(-c, v[tag]) for k, c in v.items() if k != tag}
         span[pivot] = v
         basis.append((f, den))

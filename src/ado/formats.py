@@ -3,10 +3,11 @@
 An algebra file gives structure constants sparsely: a "brackets" object
 maps a pair key "i,j" with i < j to a list of [index, coefficient]
 entries; antisymmetry fills in the rest.  A representation file echoes
-the algebra and adds the matrices, the verification block and the
-provenance.  Every rational number in either file is a string "num/den"
-(plain "num" when the denominator is one); integers are also accepted
-on input, floats never are, so round trips are exact.
+the algebra and adds the dense matrices, the verification block and the
+provenance; the reader skips a matrix row of "0" strings whole and parses
+each other distinct string once per file.  Every rational in either file
+is a string "num/den" (plain "num" when the denominator is one); integers
+are also accepted on input, floats never are, so round trips are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import InputError
 from .lie import LieAlgebra
 from .linalg import Matrix, Q
 
-_RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?", re.ASCII)
+_RATIONAL = re.compile(r"(-?\d+)(?:/([1-9]\d*))?", re.ASCII)
 _PAIR_KEY = re.compile(r"(\d+),(\d+)", re.ASCII)
 
 
@@ -33,11 +34,11 @@ def parse_rational(raw: object, where: str) -> Q:
             f"{where}: rationals must be integers or 'num/den' strings",
             value=repr(raw),
         )
-    if isinstance(raw, str) and not _RATIONAL.fullmatch(raw):
-        raise InputError(
-            "file", f"{where}: malformed rational", value=raw
-        )
-    return Q(raw)
+    if isinstance(raw, int):
+        return Q(raw)
+    if not (match := _RATIONAL.fullmatch(raw)):
+        raise InputError("file", f"{where}: malformed rational", value=raw)
+    return Q(int(match[1]), int(match[2] or 1))
 
 
 def _require(condition: bool, message: str, **payload) -> None:
@@ -122,7 +123,9 @@ def matrix_to_json(m: Matrix) -> list:
     return rows
 
 
-def matrix_from_json(data: object, where: str, size: int) -> Matrix:
+def matrix_from_json(data: object, where: str, size: int, parsed: dict | None = None) -> Matrix:
+    """From dense rows; parsed maps the strings read so far, for one file."""
+    parsed = {} if parsed is None else parsed
     _require(isinstance(data, list) and len(data) == size, f"{where}: expected {size} rows")
     cols: list[dict[int, Q]] = [{} for _ in range(size)]
     for r, raw_row in enumerate(data):
@@ -130,10 +133,16 @@ def matrix_from_json(data: object, where: str, size: int) -> Matrix:
             isinstance(raw_row, list) and len(raw_row) == size,
             f"{where}: row {r} must have {size} entries",
         )
+        if raw_row.count("0") == size:
+            continue
         label = f"{where}[{r}]"
         for col, x in zip(cols, raw_row):
-            if x != "0" and (value := parse_rational(x, label)):
-                col[r] = value
+            if x != "0":
+                value = parsed.get(x) if isinstance(x, str) else parse_rational(x, label)
+                if value is None:
+                    value = parsed[x] = parse_rational(x, label)
+                if value:
+                    col[r] = value
     return Matrix._wrap(size, size, cols)
 
 
@@ -166,8 +175,9 @@ def representation_from_json(data: object) -> dict:
         expected=algebra.dim,
         got=len(raw_matrices) if isinstance(raw_matrices, list) else None,
     )
+    parsed: dict[str, Q] = {}
     matrices = tuple(
-        matrix_from_json(raw, f"matrices[{i}]", dim_v)
+        matrix_from_json(raw, f"matrices[{i}]", dim_v, parsed)
         for i, raw in enumerate(raw_matrices)
     )
     return {

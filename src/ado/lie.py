@@ -60,12 +60,13 @@ class LieAlgebra:
                     raise InputError(
                         "validate", "bracket table is not antisymmetric", pair=[i, j]
                     )
-        self._build([[enumerate(entry) for entry in row] for row in rows])
+        self._build(
+            tuple(tuple(tuple((k, c) for k, c in enumerate(e) if c) for e in row) for row in rows)
+        )
 
-    def _build(self, entries: Sequence[Sequence[Iterable[tuple[int, Q]]]]) -> None:
-        """Keep the nonzero (k, c) pairs of each entries[i][j], by increasing k; validate."""
-        nonzero = tuple(tuple(tuple((k, c) for k, c in e if c) for e in row) for row in entries)
-        object.__setattr__(self, "dim", len(entries))
+    def _build(self, nonzero: tuple[tuple[tuple[tuple[int, Q], ...], ...], ...]) -> None:
+        """Keep nonzero, the nonzero (k, c) pairs of each bracket by increasing k; validate."""
+        object.__setattr__(self, "dim", len(nonzero))
         object.__setattr__(self, "nonzero", nonzero)
         # derived terms are computed once; the algebra never changes
         object.__setattr__(self, "_memo", {})
@@ -78,29 +79,23 @@ class LieAlgebra:
     def from_sparse(
         cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]]
     ) -> "LieAlgebra":
-        """Build from brackets of basis pairs i < j; antisymmetry is filled in."""
-        entries: list[list[dict[int, Q]]] = [[{} for _ in range(dim)] for _ in range(dim)]
+        """Build from brackets of basis pairs i < j; antisymmetry is filled in,
+        and every bracket not given is one shared empty tuple."""
+        rows: list[list[tuple[tuple[int, Q], ...]]] = [[()] * dim for _ in range(dim)]
         for (i, j), entry in brackets.items():
             if not (0 <= i < j < dim):
-                raise InputError(
-                    "validate",
-                    "bracket keys must satisfy 0 <= i < j < dim",
-                    pair=[i, j],
-                    dim=dim,
-                )
-            for k, c in entry.items():
-                if not 0 <= int(k) < dim:
+                message = "bracket keys must satisfy 0 <= i < j < dim"
+                raise InputError("validate", message, pair=[i, j], dim=dim)
+            pairs = sorted((int(k), to_q(c)) for k, c in entry.items())
+            for k, _ in pairs:
+                if not 0 <= k < dim:
                     raise InputError(
-                        "validate",
-                        "bracket coefficient index out of range",
-                        pair=[i, j],
-                        index=int(k),
+                        "validate", "bracket coefficient index out of range", pair=[i, j], index=k
                     )
-                value = to_q(c)
-                entries[i][j][int(k)] = value
-                entries[j][i][int(k)] = -value
+            rows[i][j] = tuple((k, c) for k, c in pairs if c)
+            rows[j][i] = tuple((k, -c) for k, c in rows[i][j])
         algebra = object.__new__(cls)
-        algebra._build([[sorted(entry.items()) for entry in row] for row in entries])
+        algebra._build(tuple(map(tuple, rows)))
         return algebra
 
     @property

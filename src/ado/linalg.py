@@ -3,15 +3,18 @@
 Every scalar a caller sees is a fractions.Fraction; there is no
 floating point anywhere in this package.  Matrix is the one matrix
 type: immutable, held as columns of its nonzero entries, with one
-check for brackets.  That check clears each matrix's denominators once
-and runs its sums in Python int, which spares Fraction a gcd on every
-multiply-add; it answers yes or no and builds no residual.  Operations
+check for brackets.  That check runs over a whole family of matrices:
+it clears the family's denominators once and runs its sums in Python
+int, which spares Fraction a gcd on every multiply-add, and it answers
+a pair whose supports miss each other without a product.  Operations
 return new values.
 
-SparseSpan, an echelon span of sparse vectors, is the package's one
-Gaussian elimination: ranks, residues, reduced row echelon forms,
-kernels, solutions, minimal polynomials and coordinates in a new basis
-all come out of it; rank, kernel and solve feed it a matrix's rows.
+SparseSpan, an echelon span of sparse vectors, is the package's
+Gaussian elimination over Fraction: ranks, residues, reduced row
+echelon forms, kernels, solutions, minimal polynomials and coordinates
+in a new basis all come out of it; rank, kernel and solve feed it a
+matrix's rows.  Where the rows are ints, _reduce_int eliminates by
+cross-multiplication and content division, with no fraction formed.
 Vectors are {index: value} dicts of their nonzero coordinates, and
 coordinates_in is the one change of basis.  A Subspace keeps a
 SparseSpan of reduced rows, so that equality, membership, coordinates,
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
@@ -64,11 +67,10 @@ class Matrix:
     The public constructors drop zero entries and the sparse routines
     never store one, so equal matrices hold equal columns.  Dense rows,
     columns and flatten() are views built on each read; the package
-    works on the columns.  The integer form that bracket_holds reads
-    is built on first use and kept; equality and hashing ignore it.
+    works on the columns.
     """
 
-    __slots__ = ("nrows", "ncols", "cols", "_ints")
+    __slots__ = ("nrows", "ncols", "cols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         """From dense rows."""
@@ -93,7 +95,6 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "cols", tuple(cols))
-        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -129,18 +130,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._wrap(n, n, ({j: QONE} for j in range(n)))
-
-    def _integer_form(self) -> tuple[int, tuple[dict[int, int], ...], tuple[int, ...]]:
-        """(d, the columns of d * self as ints, the indices of the nonzero
-        columns), d the least common denominator of the entries; built once."""
-        if self._ints is None:
-            d = lcm(*{x.denominator for col in self.cols for x in col.values()})
-            cols = tuple(
-                {i: x.numerator * (d // x.denominator) for i, x in col.items()} for col in self.cols
-            )
-            nonzero = tuple(j for j, col in enumerate(self.cols) if col)
-            object.__setattr__(self, "_ints", (d, cols, nonzero))
-        return self._ints
 
     @property
     def rows(self) -> tuple[Vector, ...]:
@@ -307,39 +296,65 @@ def _add_scaled_int(target: dict, source: dict, coeff: int) -> None:
             target.pop(key, None)
 
 
-def bracket_holds(a: Matrix, b: Matrix, terms: Iterable[tuple[Q, Matrix]]) -> bool:
-    """Whether ab - ba is the sum of c M over the (c, M) terms, for square
-    matrices of one size.
+def _integer_family(matrices: Sequence[Matrix]) -> tuple[int, list[list[dict[int, int]]]]:
+    """(d, the columns of d M in int for each matrix M, an empty one kept as
+    it is), d the least common denominator of the whole family."""
+    d = lcm(*{x.denominator for m in matrices for col in m.cols for x in col.values()})
+    return d, [
+        [{i: x.numerator * (d // x.denominator) for i, x in col.items()} if col else col
+         for col in m.cols]
+        for m in matrices
+    ]
 
-    The sums run in int on the integer forms A = d_a a, B = d_b b and
-    N = d M of the operands: with e = L c d_a d_b / d for each term, L
-    the least common denominator of the c d_a d_b / d, the columns of
-    L (AB - BA) - sum of e N are L d_a d_b times the residual.  Only
-    columns where some operand is nonzero are visited, and the first
-    nonzero column answers no.
+
+def _reduce_int(span: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    """The residue of the int row v against the rows of span, keyed by their
+    pivots (lowest indices), by cross-multiplication and division by the
+    content, so that no fraction is formed; empty when v lies in the span."""
+    while v and (row := span.get(pivot := min(v))) is not None:
+        scale, lead = row[pivot], v[pivot]
+        if scale != 1:
+            v = {k: c * scale for k, c in v.items()}
+        _add_scaled_int(v, row, -lead)
+        if v and (g := gcd(*v.values())) != 1:
+            v = {k: c // g for k, c in v.items()}
+    return v
+
+
+def failing_brackets(
+    matrices: Sequence[Matrix], relations: Mapping[tuple[int, int], Sequence[tuple[int, Q]]]
+) -> list[tuple[int, int]]:
+    """The pairs (i, j) of relations, in its order, whose M_i M_j - M_j M_i
+    is not the sum of c M_k over the pair's (k, c) terms; M square, of one size.
+
+    The sums run in int on N = d M, d the common denominator of the family:
+    with e that of the coefficients, e (N_i N_j - N_j N_i) - sum of d e c N_k
+    is d^2 e times the residual, read up to its first nonzero column.  A pair
+    with no terms whose supports miss each other both ways, no nonzero column
+    of one matrix meeting a nonzero row of the other, holds with no product.
     """
-    da, acols, anonzero = a._integer_form()
-    db, bcols, bnonzero = b._integer_form()
-    visit = {*anonzero, *bnonzero}
-    exact = []
-    for c, m in terms:
-        if c:
-            d, cols, nonzero = m._integer_form()
-            exact.append((Q(c.numerator * da * db, c.denominator * d), cols))
-            visit.update(nonzero)
-    big = lcm(*(f.denominator for f, _ in exact))
-    scaled = [(-f.numerator * (big // f.denominator), cols) for f, cols in exact]
-    for t in visit:
-        out: dict[int, int] = {}
-        for s, x in bcols[t].items():
-            _add_scaled_int(out, acols[s], big * x)
-        for s, x in acols[t].items():
-            _add_scaled_int(out, bcols[s], -big * x)
-        for e, cols in scaled:
-            _add_scaled_int(out, cols[t], e)
-        if out:
-            return False
-    return True
+    d, ints = _integer_family(matrices)
+    filled = [{j for j, col in enumerate(m.cols) if col} for m in matrices]
+    rows = [{i for col in m.cols for i in col} for m in matrices]
+    e = lcm(*{c.denominator for terms in relations.values() for _, c in terms})
+    failing = []
+    for (i, j), terms in relations.items():
+        terms = [(k, -d * c.numerator * (e // c.denominator)) for k, c in terms if c]
+        if not terms and rows[j].isdisjoint(filled[i]) and rows[i].isdisjoint(filled[j]):
+            continue
+        a, b = ints[i], ints[j]
+        for t in filled[i].union(filled[j], *(filled[k] for k, _ in terms)):
+            out: dict[int, int] = {}
+            for s, x in b[t].items():
+                _add_scaled_int(out, a[s], e * x)
+            for s, x in a[t].items():
+                _add_scaled_int(out, b[s], -e * x)
+            for k, f in terms:
+                _add_scaled_int(out, ints[k][t], f)
+            if out:
+                failing.append((i, j))
+                break
+    return failing
 
 
 def sparse_block_diag(blocks: Sequence[Matrix]) -> Matrix:

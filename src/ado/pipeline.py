@@ -14,8 +14,10 @@ that central elements stay visible.
 Each split-basis vector's image is built once, in its block, and one
 change of basis makes each generator's matrix a combination of them.
 The matrices stay sparse from assembly through verification, which
-re-derives the verdict from them alone: a yes/no bracket check for every
-basis pair, and the kernel of the coefficient map for injectivity.
+re-derives the verdict from them alone: one bracket check over the whole
+family for every basis pair, and the kernel of the coefficient map for
+injectivity, from the rank of the flattened matrices; both run in int on
+the matrices with their common denominator cleared.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from .linalg import (
     Matrix,
     Q,
     QONE,
-    SparseSpan,
     Subspace,
-    bracket_holds,
+    _integer_family,
+    _reduce_int,
     coordinates_in,
+    failing_brackets,
     sparse_block_diag,
     sparse_combination,
 )
@@ -112,20 +115,17 @@ def verify_representation(
     for m in matrices:
         if m.nrows != dim_v or m.ncols != dim_v:
             raise ValueError("matrices must be square and equally sized")
-    residuals = [
-        (i, j)
-        for i in range(algebra.dim)
-        for j in range(i + 1, algebra.dim)
-        if not bracket_holds(
-            matrices[i], matrices[j], [(c, matrices[k]) for k, c in algebra.nonzero[i][j]]
-        )
-    ]
+    dim = algebra.dim
+    pairs = {(i, j): algebra.nonzero[i][j] for i in range(dim) for j in range(i + 1, dim)}
+    residuals = failing_brackets(matrices, pairs)
     # the kernel of the coefficient map c -> sum c_k M_k, by the rank of
-    # the flattened matrices
-    span = SparseSpan()
-    for m in matrices:
-        span.add(m.entries())
-    kernel_dimension = len(matrices) - span.dim
+    # the flattened matrices, eliminated in int
+    span: dict[int, dict[int, int]] = {}
+    for cols in _integer_family(matrices)[1]:
+        flat = {j * dim_v + i: x for j, col in enumerate(cols) for i, x in col.items()}
+        if v := _reduce_int(span, flat):
+            span[min(v)] = v
+    kernel_dimension = len(matrices) - len(span)
     return VerificationReport(
         dim_v=dim_v,
         homomorphism=not residuals,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from itertools import permutations, product
+from operator import sub
 
 from hypothesis import strategies as st
 
@@ -165,6 +166,20 @@ def dense_rowwise(a: Matrix, b: Matrix, op) -> Matrix:
         raise ValueError("shape mismatch")
     rows = [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
     return Matrix(rows, ncols=a.ncols)
+
+
+def dense_failing_brackets(matrices, relations) -> list:
+    """Reference for failing_brackets: the pairs of relations, in its order,
+    whose dense residual M_i M_j - M_j M_i - sum of c M_k is nonzero."""
+    failing = []
+    for (i, j), terms in relations.items():
+        a, b = matrices[i], matrices[j]
+        residual = dense_rowwise(dense_product(a, b), dense_product(b, a), sub)
+        for k, c in terms:
+            residual = dense_rowwise(residual, matrices[k], lambda x, y: x - c * y)
+        if not residual.is_zero():
+            failing.append((i, j))
+    return failing
 
 
 def seeded_matrix(rng: random.Random, nrows: int, ncols: int, span: int = 3) -> Matrix:

@@ -179,6 +179,22 @@ def test_usage_errors_exit_one(capsys):
     assert json.loads(err.splitlines()[-1])["error"]["kind"] == "InputError"
 
 
+@pytest.mark.parametrize(
+    "argv", [["compute", "--catalog", "t3", "--bogus"], ["verify", "--bogus", "x"]]
+)
+def test_unknown_options_print_their_command_usage(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error_line = err.splitlines()
+    assert usage.startswith(f"usage: ado {argv[0]} [-h]")
+    error = json.loads(error_line)["error"]
+    assert (error["stage"], error["kind"]) == ("cli", "InputError")
+    assert error["message"] == "unrecognized arguments: --bogus"
+
+
 def test_main_builds_one_parser_that_survives_a_usage_error(capsys):
     cli.build_parser.cache_clear()
     code, out, _ = run(capsys, "catalog", "list")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from ado.catalog import catalog_algebra, catalog_entry
+from ado.cli import main
 from ado.errors import InputError
 from ado.formats import (
     algebra_from_json,
@@ -167,3 +168,43 @@ def test_matrix_zero_entries_share_one_value():
     for bad in ("00x", "0.0", 0.0, None, True):
         with pytest.raises(InputError, match=r"m\[1\]"):
             matrix_from_json([["0", "0"], ["0", bad]], "m", 2)
+
+
+def test_rows_of_zeros_in_any_spelling_hold_no_entry():
+    rows = [["0", "0", "0"], [0, "0/1", "-0"], ["0", "2/4", "0"]]
+    m = matrix_from_json(rows, "m", 3)
+    assert m.cols == ({}, {2: Q(1, 2)}, {})
+    assert m.rows == ((0, 0, 0), (0, 0, 0), (0, Q(1, 2), 0))
+
+
+def representation_data(name: str) -> dict:
+    _, labels, algebra = catalog_entry(name)
+    return json.loads(canonical_dumps(representation_to_json(name, labels, ado_representation(algebra))))
+
+
+def test_each_string_is_parsed_once_and_errors_keep_their_labels():
+    data = representation_data("sl2")
+    # one malformed string twice: the first place it appears is reported
+    data["matrices"][0][1][0] = data["matrices"][1][0][0] = "1/x"
+    with pytest.raises(InputError, match=r"matrices\[0\]\[1\]: malformed"):
+        representation_from_json(data)
+    # true reads as no rational, even after the string "1" and the int 1
+    data = representation_data("sl2")
+    data["matrices"][0][0][:3] = ["1", 1, True]
+    with pytest.raises(InputError, match=r"matrices\[0\]\[0\]: rationals must be"):
+        representation_from_json(data)
+    data["matrices"][0][0][2] = 1
+    assert representation_from_json(data)["matrices"][0].rows[0][:3] == (1, 1, 1)
+
+
+def test_verify_reports_an_echoed_algebra_that_fails_jacobi(capsys, tmp_path):
+    data = representation_data("sl2")
+    data["algebra"]["brackets"]["0,1"] = [[1, "3"]]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert (error["stage"], error["message"]) == ("validate", "Jacobi identity fails")
+    assert error["detail"] == {"triple": [0, 1, 2], "residual": ["-1", "0", "0"]}

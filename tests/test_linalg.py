@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ado.lie import LieAlgebra
 from ado.linalg import (
     Matrix,
     Polynomial,
     SparseSpan,
     Subspace,
-    bracket_holds,
     compose_mod,
     coordinates_in,
     extended_gcd,
+    failing_brackets,
     kernel,
     minimal_polynomial,
     modular_inverse,
@@ -29,6 +30,7 @@ from ado.linalg import (
     squarefree_part,
     unit_vector,
 )
+from ado.pipeline import verify_representation
 
 from helpers import (
     block_diag,
@@ -36,6 +38,7 @@ from helpers import (
     dense_intersect,
     dense_kernel,
     dense_apply,
+    dense_failing_brackets,
     dense_product,
     dense_rowwise,
     dense_rref,
@@ -567,26 +570,74 @@ def wide_rationals():
     st.integers(min_value=0, max_value=2),
     wide_rationals().filter(bool),
 )
-def test_bracket_holds_matches_dense(a, b, mats, coeffs, i, j, delta):
+def test_failing_brackets_matches_dense(a, b, mats, coeffs, i, j, delta):
     operands = (a, b, *mats)
     hashes = [hash(m) for m in operands]
     commutator = dense_rowwise(dense_product(a, b), dense_product(b, a), sub)
+    entry = Matrix.from_sparse(3, 3, ({i: delta} if t == j else {} for t in range(3)))
+    # a and b four times over, each copy with its own relation
+    family = [a, b] * 4 + [*mats, Matrix.identity(3), a * b - b * a, commutator + entry]
+    n = 8 + len(mats)
+    terms = tuple((8 + t, c) for t, c in enumerate(coeffs[: len(mats)]))
+    relations = {
+        (0, 1): terms,
+        # a term with coefficient 0 changes nothing, whatever columns its matrix fills
+        (2, 3): tuple((k, Q(0)) for k in range(8, n + 1)) + terms,
+        # a commutator minus itself holds, and one tampered entry fails
+        (4, 5): ((n + 1, Q(1)),),
+        (6, 7): ((n + 2, Q(1)),),
+    }
     expected = commutator
     for c, m in zip(coeffs, mats):
         expected = dense_rowwise(expected, m, lambda x, y: x - c * y)
-    terms = list(zip(coeffs, mats))
-    assert bracket_holds(a, b, terms) is expected.is_zero()
-    # a term with coefficient 0 changes nothing, whatever columns its matrix fills
-    zero_terms = [(Q(0), m) for m in (*mats, Matrix.identity(3))]
-    assert bracket_holds(a, b, zero_terms + terms) is expected.is_zero()
-    # a commutator minus itself holds, and one tampered entry fails
-    assert bracket_holds(a, b, [(Q(1), a * b - b * a)]) is True
-    entry = Matrix.from_sparse(3, 3, ({i: delta} if t == j else {} for t in range(3)))
-    assert bracket_holds(a, b, [(Q(1), commutator + entry)]) is False
-    # the integer forms built on the way change no matrix's equality or hash
+    fails = [] if expected.is_zero() else [(0, 1), (2, 3)]
+    assert failing_brackets(family, relations) == fails + [(6, 7)]
+    assert failing_brackets(family, relations) == dense_failing_brackets(family, relations)
+    # checking a family changes no matrix's entries, equality or hash
     rebuilt = [Matrix(m.rows, ncols=3) for m in operands]
     assert rebuilt == list(operands)
     assert [hash(m) for m in operands] == hashes == list(map(hash, rebuilt))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_failing_brackets_and_verify_rank_on_block_diagonal_families(data):
+    """Direct sums of 2x2 and 3x3 blocks, most matrices on one block, so
+    that most pairs have supports that miss each other; one entry off the
+    blocks is tampered.  The pairs found and the rank must match a dense
+    Fraction oracle and SparseSpan, whatever the shortcut skips."""
+    sizes = data.draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=3))
+    size = sum(sizes)
+    family = []
+    for _ in range(data.draw(st.integers(min_value=2, max_value=5))):
+        on = data.draw(st.sets(st.integers(min_value=0, max_value=len(sizes) - 1), min_size=1))
+        family.append(block_diag([
+            data.draw(matrices(s, s)) if b in on else Matrix.zeros(s, s)
+            for b, s in enumerate(sizes)
+        ]))
+    if data.draw(st.booleans()):
+        # a dependent member, so that the rank can fall short
+        family.append(family[0].scale(data.draw(rationals())) + family[1])
+    t = data.draw(st.integers(min_value=0, max_value=len(family) - 1))
+    r = data.draw(st.integers(min_value=0, max_value=sizes[0] - 1))
+    s = data.draw(st.integers(min_value=sizes[0], max_value=size - 1))
+    r, s = data.draw(st.sampled_from([(r, s), (s, r)]))
+    cols = [dict(col) for col in family[t].cols]
+    cols[s][r] = data.draw(rationals().filter(bool))
+    family[t] = Matrix.from_sparse(size, size, cols)
+    count = len(family)
+    pairs = [(i, j) for i in range(count) for j in range(count) if i != j]
+    chosen = data.draw(st.permutations(pairs))[: data.draw(st.integers(1, len(pairs)))]
+    term = st.tuples(st.integers(min_value=0, max_value=count - 1), rationals())
+    relations = {
+        pair: tuple(data.draw(st.lists(term, max_size=2, unique_by=lambda x: x[0])))
+        for pair in chosen
+    }
+    assert failing_brackets(family, relations) == dense_failing_brackets(family, relations)
+    # the kernel of the coefficient map, from the int rank in verify_representation
+    span = SparseSpan(m.entries() for m in family)
+    report = verify_representation(LieAlgebra.from_sparse(count, {}), tuple(family), size)
+    assert report.kernel_dimension == count - span.dim
 
 
 @given(matrices(2, 3), matrices(3, 1), matrices(1, 2))

@@ -2,7 +2,6 @@ import json
 import random
 from fractions import Fraction as Q
 from itertools import permutations
-from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +28,7 @@ from ado.pipeline import (
 
 from helpers import (
     dense_ad,
-    dense_product,
-    dense_rowwise,
+    dense_failing_brackets,
     change_of_basis,
     direct_sum,
     nilpotent_algebras,
@@ -417,18 +415,8 @@ def test_residual_pairs_are_the_pairs_with_a_dense_residual(seed):
         rows[i][j] += Q(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
         mats[k] = Matrix(rows)
 
-    def dense_residual(a, b):
-        out = dense_rowwise(dense_product(mats[a], mats[b]), dense_product(mats[b], mats[a]), sub)
-        for k, c in g.nonzero[a][b]:
-            out = dense_rowwise(out, mats[k], lambda x, y: x - c * y)
-        return out
-
-    expected = tuple(
-        (a, b)
-        for a in range(g.dim)
-        for b in range(a + 1, g.dim)
-        if not dense_residual(a, b).is_zero()
-    )
+    relations = {(a, b): g.nonzero[a][b] for a in range(g.dim) for b in range(a + 1, g.dim)}
+    expected = tuple(dense_failing_brackets(mats, relations))
     assert expected
     report = verify_representation(g, tuple(mats), mats[0].nrows)
     assert report.residual_pairs == expected
