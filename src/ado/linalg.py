@@ -322,18 +322,21 @@ def _reduce_int(span: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int,
 
 
 def failing_brackets(
-    matrices: Sequence[Matrix], relations: Mapping[tuple[int, int], Sequence[tuple[int, Q]]]
+    matrices: Sequence[Matrix],
+    relations: Mapping[tuple[int, int], Sequence[tuple[int, Q]]],
+    family: tuple[int, list[list[dict[int, int]]]] | None = None,
 ) -> list[tuple[int, int]]:
     """The pairs (i, j) of relations, in its order, whose M_i M_j - M_j M_i
     is not the sum of c M_k over the pair's (k, c) terms; M square, of one size.
 
-    The sums run in int on N = d M, d the common denominator of the family:
+    The sums run in int on N = d M, d the common denominator of the family,
+    taken from family when the caller has _integer_family(matrices) already:
     with e that of the coefficients, e (N_i N_j - N_j N_i) - sum of d e c N_k
     is d^2 e times the residual, read up to its first nonzero column.  A pair
     with no terms whose supports miss each other both ways, no nonzero column
     of one matrix meeting a nonzero row of the other, holds with no product.
     """
-    d, ints = _integer_family(matrices)
+    d, ints = family or _integer_family(matrices)
     filled = [{j for j, col in enumerate(m.cols) if col} for m in matrices]
     rows = [{i for col in m.cols for i in col} for m in matrices]
     e = lcm(*{c.denominator for terms in relations.values() for _, c in terms})

@@ -3,29 +3,32 @@
 After saturation the ambient algebra is a direct sum of two ideals: the
 part of the reductive subalgebra that centralizes n, and the semidirect
 product of the remaining reductive part with n.  Each ideal gets its own
-block.  The semidirect block acts on the enveloping module V of n
-truncated by weighted degree, built on a basis of n adapted to its lower
-central series, with the reductive part entering through the Leibniz
-extension of its adjoint action; once its axioms are checked, the block
-is cut to V/W, W the largest submodule inside the kernel of the
-projection onto n along the symmetrized monomials.  The centralizing
-block is the adjoint representation padded by one translation row so
-that central elements stay visible.
+block.  The semidirect block is V/W, for V the enveloping algebra of n
+truncated by weighted degree on a basis adapted to its lower central
+series and W the largest submodule inside the kernel of the projection
+onto n along the symmetrized monomials; it is built directly, without
+V, by closing the exponential coordinates t_a under the vector fields of
+left multiplication by n and of the acting part's derivations of n, and
+when n is abelian it is V itself.  The centralizing block is the
+adjoint representation padded by one translation row so that central
+elements stay visible.
 Each split-basis vector's image is built once, in its block, and one
 change of basis makes each generator's matrix a combination of them.
 The matrices stay sparse from assembly through verification, which
 re-derives the verdict from them alone: one bracket check over the whole
 family for every basis pair, and the kernel of the coefficient map for
 injectivity, from the rank of the flattened matrices; both run in int on
-the matrices with their common denominator cleared.
-"""
+the matrices with their common denominator cleared, once.  No module
+axiom is checked on the block by itself: the bracket check covers the
+whole split basis, and so, through the invertible change of basis, the
+block's images."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .decompose import reductive_split
-from .envelope import BuiltModule, build_module, cut_images, verify_module_axioms
+from .envelope import BuiltModule, build_module
 from .errors import TripwireError, as_tripwire
 from .expansion import saturate
 from .lie import LieAlgebra
@@ -117,11 +120,13 @@ def verify_representation(
             raise ValueError("matrices must be square and equally sized")
     dim = algebra.dim
     pairs = {(i, j): algebra.nonzero[i][j] for i in range(dim) for j in range(i + 1, dim)}
-    residuals = failing_brackets(matrices, pairs)
+    # one int form of the matrices serves the bracket check and the rank
+    family = _integer_family(matrices)
+    residuals = failing_brackets(matrices, pairs, family)
     # the kernel of the coefficient map c -> sum c_k M_k, by the rank of
     # the flattened matrices, eliminated in int
     span: dict[int, dict[int, int]] = {}
-    for cols in _integer_family(matrices)[1]:
+    for cols in family[1]:
         flat = {j * dim_v + i: x for j, col in enumerate(cols) for i, x in col.items()}
         if v := _reduce_int(span, flat):
             span[min(v)] = v
@@ -175,17 +180,18 @@ def ado_representation(algebra: LieAlgebra) -> RepresentationResult:
     env_images: tuple[Matrix, ...] = ()
     nil_basis = adapted_basis(q, nil)
     if acting_part.dim + nil.dim:
-        # the acting part acts on n by derivations, expressed in the adapted
-        # basis by the same elimination that builds n's algebra
+        # n is not 0 here: the acting part meets the centralizer of n
+        # trivially, so it is 0 when n is.  It acts on n by derivations,
+        # expressed in the adapted basis by the same elimination that
+        # builds n's algebra
         with as_tripwire("pipeline"):
             nalg, _, derivations = q.subalgebra_and_derivations(
                 nil_basis, acting_part.span.rows.values()
             )
-        built = build_module(nalg)
         if None in derivations:
             raise TripwireError("pipeline", "derivation escapes the nilpotent part")
-        action_mats = verify_module_axioms(built, derivations)
-        env_images = cut_images(built, [*action_mats, *built.left])
+        built = build_module(nalg, derivations)
+        env_images = built.images
 
     red_mats: list[Matrix] = []
     if kernel_part.dim:
@@ -228,11 +234,11 @@ def ado_representation(algebra: LieAlgebra) -> RepresentationResult:
             {
                 "kind": "enveloping",
                 "dimension": env_dim,
-                "truncation": built.module.truncation,
-                "weights": list(built.module.weights),
-                "ambient_monomials": built.module.dim,
-                "cut_ideal_dimension": built.module.dim - env_dim,
-                "nilpotency_index": built.module.nilindex,
+                "truncation": built.truncation,
+                "weights": list(built.weights),
+                "ambient_monomials": built.ambient_monomials,
+                "cut_ideal_dimension": built.ambient_monomials - env_dim,
+                "nilpotency_index": built.nilindex,
                 "acting_dimension": acting_part.dim,
                 "nilpotent_dimension": nil.dim,
             }

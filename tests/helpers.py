@@ -633,68 +633,16 @@ def oracle_weighted_count(weights, bound):
     return sum(series)
 
 
-def module_disagreements(built):
-    """Where a built module departs from the word oracle; empty when it agrees.
-
-    Checks the weights, the dimension against the generating function, the
-    basis against the light monomials, and every column of every left
-    action against the oracle's insertion with the heavy terms dropped.
-    """
-    mod = built.module
-    weights, bound = oracle_weights(mod.algebra), mod.truncation
-    found = []
-    if mod.weights != weights:
-        found.append(("weights", mod.weights, weights))
-    if mod.dim != oracle_weighted_count(weights, bound):
-        found.append(("dimension", mod.dim, oracle_weighted_count(weights, bound)))
-    light = {
-        m
-        for m in product(*(range(bound // w + 1) for w in weights))
-        if monomial_weight(m, weights) <= bound
-    }
-    if set(mod.monomials) != light:
-        found.append(("basis", sorted(mod.monomials), sorted(light)))
-    for letter, matrix in enumerate(built.left):
-        for mono, col in zip(mod.monomials, matrix.cols):
-            got = {mod.monomials[row]: c for row, c in col.items()}
-            expected = {
-                m: c
-                for m, c in _oracle_insert(mod.algebra, letter, mono).items()
-                if monomial_weight(m, weights) <= bound
-            }
-            if got != expected:
-                found.append(("left", letter, mono, got, expected))
-    return found
-
-
-def derivation_disagreements(built, d):
-    """Columns of the built derivation action of d that depart from the word oracle.
-
-    The expected image of a monomial is the Leibniz sum: for each letter
-    of its sorted word, the word with that letter replaced by d(letter),
-    straightened by the oracle, with the heavy terms dropped.
-    """
-    mod = built.module
-    weights, bound = oracle_weights(mod.algebra), mod.truncation
-    action = built.derivation_action(d)
-    found = []
-    for mono, col in zip(mod.monomials, action.cols):
-        word = [letter for letter, e in enumerate(mono) for _ in range(e)]
-        expected = {}
-        for t, letter in enumerate(word):
-            for k in range(mod.algebra.dim):
-                c = d[k, letter]
-                if c:
-                    replaced = word[:t] + [k] + word[t + 1 :]
-                    for m, v in oracle_straighten(mod.algebra, replaced).items():
-                        expected[m] = expected.get(m, Q(0)) + c * v
-        expected = {
-            m: c for m, c in expected.items() if c and monomial_weight(m, weights) <= bound
-        }
-        got = {mod.monomials[row]: c for row, c in col.items()}
-        if got != expected:
-            found.append((mono, got, expected))
-    return found
+def light_monomials(weights, bound):
+    """Exponent tuples of weight at most bound, by degree: V's monomials."""
+    return sorted(
+        (
+            m
+            for m in product(*(range(bound // w + 1) for w in weights))
+            if monomial_weight(m, weights) <= bound
+        ),
+        key=sum,
+    )
 
 
 def heavy_insert_failures(algebra, weights, bound, degree):
@@ -734,27 +682,17 @@ def enveloping_inputs(g):
     return nalg, derivations
 
 
-def oracle_cut_dimension(algebra, derivations, bound):
-    """Dimension of the cut enveloping block, from the word oracle alone.
+def _oracle_module(algebra, derivations, bound):
+    """V from the word oracle: its light monomials, the columns of each
+    action (the derivations' Leibniz sums, then the letters'
+    insertions, heavy terms dropped) and pi's rows.
 
-    The module is the monomials of oracle weight at most bound, acted on
-    by the oracle's insertions and Leibniz sums with the heavy terms
-    dropped.  sym(m) is the mean of the oracle's straightening over every
-    ordering of m's word, pi's rows are the rows of the inverse of the
-    matrix of those columns at the monomials of degree 1, and the block
-    is the span of pi's rows closed under f -> f M for every action
-    matrix M, grown by whole rounds until a round adds nothing.
+    sym(m) is the mean of the oracle's straightening over every ordering
+    of m's word, and pi's rows are the rows of the inverse of the matrix
+    of those columns at the monomials of degree 1.
     """
-    weights = oracle_weights(algebra)
     r = algebra.dim
-    light = sorted(
-        (
-            m
-            for m in product(*(range(bound // w + 1) for w in weights))
-            if monomial_weight(m, weights) <= bound
-        ),
-        key=sum,
-    )
+    light = light_monomials(oracle_weights(algebra), bound)
     index = {m: i for i, m in enumerate(light)}
     size = len(light)
 
@@ -785,25 +723,80 @@ def oracle_cut_dimension(algebra, derivations, bound):
                 terms[mono] = terms.get(mono, Q(0)) + v / len(orderings)
         return terms
 
-    actions = [[column(_oracle_insert(algebra, a, m)) for m in light] for a in range(r)]
-    actions += [[column(leibniz(d, m)) for m in light] for d in derivations]
+    actions = [[column(leibniz(d, m)) for m in light] for d in derivations]
+    actions += [[column(_oracle_insert(algebra, a, m)) for m in light] for a in range(r)]
     sym = Matrix.from_columns([column(symmetrized(m)) for m in light], nrows=size)
     # the row of the inverse at x_a solves y S = e_a
     pi = [
         solve(sym.transpose(), unit_vector(size, index[tuple(int(b == a) for b in range(r))]))
         for a in range(r)
     ]
+    return size, actions, pi
+
+
+def _times(f, cols):
+    """The row vector f times the matrix with the given dense columns."""
+    return [sum(f[i] * col[i] for i in range(len(f)) if f[i]) for col in cols]
+
+
+def oracle_cut_dimension(algebra, derivations, bound):
+    """Dimension of the cut enveloping block, from the word oracle alone.
+
+    The block is the span of pi's rows closed under f -> f M for every
+    action matrix M of the oracle's V, grown by whole rounds until a
+    round adds nothing.
+    """
+    size, actions, pi = _oracle_module(algebra, derivations, bound)
     closure = Subspace.from_vectors(size, pi)
     while True:
-        images = [
-            [sum(f[i] * cols[j][i] for i in range(size) if f[i]) for j in range(size)]
-            for f in closure.basis
-            for cols in actions
-        ]
+        images = [_times(f, cols) for f in closure.basis for cols in actions]
         grown = Subspace.from_vectors(size, [*closure.basis, *images])
         if grown.dim == closure.dim:
             return closure.dim
         closure = grown
+
+
+def oracle_cut_block(algebra, derivations, bound):
+    """The matrices of the cut enveloping block, from the word oracle alone.
+
+    The closure of pi's rows in the construction's order: pi's rows,
+    then for each basis functional u_i in turn its images under the
+    derivations' actions and then the letters'.  Row i of an action's
+    matrix holds the coordinates of u_i M, found by elimination that
+    keeps each reduced row's expression in the basis.  When the basis
+    fills V*, the actions come back in V's monomial basis.
+    """
+    size, actions, pi = _oracle_module(algebra, derivations, bound)
+    basis = []
+    # (pivot, reduced row, the reduced row in terms of the basis)
+    echelon = []
+
+    def coordinates(f):
+        residue, coords = list(f), {}
+        for pivot, row, combo in echelon:
+            if c := residue[pivot] / row[pivot]:
+                residue = [x - c * y for x, y in zip(residue, row)]
+                for s, y in combo.items():
+                    coords[s] = coords.get(s, Q(0)) + c * y
+        if not any(residue):
+            return coords
+        combo = {s: -c for s, c in coords.items()}
+        combo[len(basis)] = Q(1)
+        echelon.append((next(i for i, x in enumerate(residue) if x), residue, combo))
+        basis.append(f)
+        return {len(basis) - 1: Q(1)}
+
+    for f in pi:
+        coordinates(f)
+    rows = [[] for _ in actions]
+    for u in basis:
+        for out, cols in zip(rows, actions):
+            out.append(coordinates(_times(u, cols)))
+        if len(basis) == size:
+            return tuple(Matrix.from_columns(cols, nrows=size) for cols in actions)
+    return tuple(
+        Matrix([[row.get(j, 0) for j in range(len(basis))] for row in image]) for image in rows
+    )
 
 
 def strictly_upper_triangular(n):
@@ -885,3 +878,10 @@ def nilpotent_algebras():
         max_size=len(cells),
     )
     return st.lists(entries.map(upper), min_size=2, max_size=3).map(nilpotent_closure)
+
+
+def filiform(n):
+    """The n-dim filiform algebra, [x0, xi] = x(i+1) for 0 < i < n - 1."""
+    from ado.lie import LieAlgebra
+
+    return LieAlgebra.from_sparse(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)})

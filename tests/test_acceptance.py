@@ -27,7 +27,6 @@ from ado.expansion import (
     verify_presentation,
 )
 from ado.jordan import jc_decompose
-from ado.lie import LieAlgebra
 from ado.linalg import (
     Matrix,
     Polynomial,
@@ -45,8 +44,9 @@ from helpers import (
     dense_leibniz_witness,
     direct_sum,
     enveloping_inputs,
+    filiform,
     heavy_insert_failures,
-    module_disagreements,
+    oracle_cut_block,
     oracle_cut_dimension,
     oracle_weighted_count,
     oracle_weights,
@@ -57,6 +57,7 @@ from helpers import (
     sl2_semidirect_plane,
     sl3,
     strictly_upper_triangular,
+    upper_triangular,
 )
 
 CATALOG_CASES = (
@@ -130,6 +131,23 @@ LEVI_MIXED_SHA256 = {
     ("sl2_plus_sl2_semidirect_plane", 1): "af1e43426d5c014912d4436b9316e41a2e92f47d7df877d15fbb96986ad6dcfb",
     ("sl3+sl3", None): "94c42e6b7dc2350dd6f827848b370b81d9d4d99fe5f6f0a144dba8655313c7d2",
     ("sl3+sl3", 1): "24d8240349ed873ccfcba307fa444d8e520df7d3b54ad70453ba68ea88a65e6e",
+}
+
+# sha256 of the representation file of ado_representation for inputs
+# whose V is large, computed before V stopped being built: n5 and n6
+# (V of 132 and 624 monomials), b4 in a seeded_change_of_basis
+# (random.Random(5), ...) basis and the 8-dim filiform algebra (V of 120)
+LARGE_V = {
+    "n5": lambda: strictly_upper_triangular(5),
+    "n6": lambda: strictly_upper_triangular(6),
+    "b4-5": lambda: seeded_change_of_basis(random.Random(5), upper_triangular(4)),
+    "filiform8": lambda: filiform(8),
+}
+LARGE_V_SHA256 = {
+    "n5": "abfb99a80fa05c636ef5ca4c8d49736ebc940bcb8b5743c0bd2b7631d1f6b6a0",
+    "n6": "ed81118357a856672ad354b8e9441aa03d14303add10215e04d09b59bb15a1fa",
+    "b4-5": "beaac9efecd61207d9f7bad5fb464e99bb65df8e294fb90c37ee2fd9cd8c4cfb",
+    "filiform8": "81be773f00f59729f62d357fd6a6091f2ffb87066c6aad8f6dd5511c0705dca0",
 }
 
 # dim_v of each output: the weighted module is m + 1 dimensional on
@@ -235,6 +253,14 @@ def test_levi_mixed_outputs_are_pinned(capsys, tmp_path):
         if seed is not None:
             g = seeded_change_of_basis(random.Random(seed), g)
         assert traced_digest(capsys, path, f"{name}-{seed}", g) == pinned, (name, seed)
+
+
+def test_large_v_outputs_are_pinned():
+    for name, make in LARGE_V.items():
+        g = make()
+        labels = tuple(f"e{i}" for i in range(g.dim))
+        out = canonical_dumps(representation_to_json(name, labels, ado_representation(g)))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_V_SHA256[name], name
 
 
 # the absorbing catalog entries: n after saturation, its weights and the
@@ -503,25 +529,21 @@ NILPOTENT_CASES = (
 def test_truncation_ideal_against_word_oracle(capsys):
     with criterion(capsys, 7, "truncation ideal oracle"):
         # heisenberg, the 4-dim filiform algebra, n4 and n5: truncations
-        # 2, 3, 3 and 4
+        # 2, 3, 3 and 4.  The block, built without V, is entry for entry
+        # the one the oracle cuts from its own V
         algebras = (
             catalog_algebra("heisenberg"),
-            LieAlgebra.from_sparse(4, {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+            filiform(4),
             strictly_upper_triangular(4),
             strictly_upper_triangular(5),
         )
         for g in algebras:
             built = build_module(g)
-            # dimension from the generating function, light basis, and
-            # left actions equal to the oracle's with heavy terms dropped
-            assert module_disagreements(built) == [], g.dim
-
-            # the generators survive into the quotient independently
-            gens = []
-            for i in range(g.dim):
-                mono = tuple(1 if j == i else 0 for j in range(g.dim))
-                gens.append(unit_vector(built.module.dim, built.module.index[mono]))
-            assert Subspace.from_vectors(built.module.dim, gens).dim == g.dim
+            assert built.images == oracle_cut_block(g, [], built.truncation), g.dim
+            # the generators act independently on the quotient
+            size = built.images[0].nrows
+            flats = [m.flatten() for m in built.images]
+            assert Subspace.from_vectors(size * size, flats).dim == g.dim
 
         # on the nilpotent ideals of the catalog in seeded random bases, a
         # letter times a heavy monomial is heavy: the dropped monomials
@@ -532,8 +554,8 @@ def test_truncation_ideal_against_word_oracle(capsys):
             basis = adapted_basis(pres.algebra, pres.nilpotent_part)
             nalg, _ = pres.algebra.subalgebra_on_basis(basis)
             built = build_module(nalg)
-            assert module_disagreements(built) == [], name
-            order = built.module.truncation
+            order = built.truncation
+            assert built.images == oracle_cut_block(nalg, [], order), name
             failures = heavy_insert_failures(nalg, oracle_weights(nalg), order, order + 1)
             assert failures == [], name
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ado.catalog import catalog_algebra
-from ado.envelope import weighted_count, weighted_monomials
+from ado.envelope import weighted_count
 from ado.expansion import saturate
 from ado.lie import LieAlgebra
 from ado.linalg import (
@@ -31,6 +31,7 @@ from helpers import (
     dense_failing_brackets,
     change_of_basis,
     direct_sum,
+    light_monomials,
     nilpotent_algebras,
     seeded_change_of_basis,
     sl2_plus_solv2,
@@ -125,7 +126,7 @@ def test_abelian_dimension_formula(m, order):
     # m commuting letters of weight 1 have comb(m + order, order) monomials
     # of degree <= order
     assert weighted_count([1] * m, order) == comb(m + order, order)
-    assert len(weighted_monomials([1] * m, order)) == comb(m + order, order)
+    assert len(light_monomials([1] * m, order)) == comb(m + order, order)
     res = ado_representation(catalog_algebra(f"abelian:{m}"))
     # the module is built at truncation 1, where V is the unit and the
     # letters, comb(m + 1, 1) of them, and the cut keeps it
